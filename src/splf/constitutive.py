@@ -87,12 +87,14 @@ def _grid_and_gradient(field: SpectralField, gm: _GridMap):
     return V, G
 
 
-def _strain_from_gradient(G: np.ndarray) -> np.ndarray:
-    return 0.5 * (G + np.swapaxes(G, 0, 1))
+def _strain_from_gradient(G: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Symmetric part of G over its tensor axes (axis, axis + 1)."""
+    return 0.5 * (G + np.swapaxes(G, axis, axis + 1))
 
 
-def _stress_from_strain(e: np.ndarray, params: FluidParams) -> np.ndarray:
-    esq = np.sum(e ** 2, axis=(0, 1))
+def _stress_from_strain(e: np.ndarray, params: FluidParams,
+                        axis: int = 0) -> np.ndarray:
+    esq = np.sum(e ** 2, axis=(axis, axis + 1), keepdims=True)
     return 2.0 * params.nu * (1.0 + esq) ** ((params.p - 2.0) / 2.0) * e
 
 
@@ -175,30 +177,45 @@ def dissipation_pairing(v: SpectralField, params: FluidParams,
 def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     """Drift coordinates and dissipation < e, tau > in one grid pass.
 
-    Field values and the full gradient go through one batched inverse
+    x is one coordinate vector (K,) or a block of paths (P, K); the block
+    gives drift rows (P, K) and one dissipation per row.  Field values and
+    the full gradient of every path go through one batched inverse
     transform, the advection and stress go back through one batched
-    forward transform; this keeps the per-step cost transform-bound.
+    forward transform; this keeps the per-step cost transform-bound.  Each
+    1-D transform and every reduction acts on one path alone, so a row's
+    result does not depend on the block it was computed in.
     """
     d = gm.d
-    axes = tuple(range(1, d + 1))
-    vhat = gm.coords_to_modes(x)
-    A = gm.scatter(vhat)
-    Gh = (A[:, None] * gm.ikvec[None, :]).reshape((d * d,) + gm.shape)
-    down = np.fft.ifftn(np.concatenate([A, Gh]), axes=axes).real * gm.vol
-    V = down[:d]
-    G = down[d:].reshape((d, d) + gm.shape)
-    e = _strain_from_gradient(G)
-    tau = _stress_from_strain(e, params)
-    conv = np.einsum("j...,ij...->i...", V, G)
-    diss = gm.quad_mean(np.sum(e * tau, axis=(0, 1)))
-    up = np.fft.fftn(
-        np.concatenate([conv, tau.reshape((d * d,) + gm.shape)]),
-        axes=axes) / gm.vol
-    conv_hat = up[:d]
-    tau_hat = up[d:].reshape((d, d) + gm.shape)
-    div_tau_hat = np.einsum("j...,ij...->i...", gm.ikvec, tau_hat)
-    bhat = gm.gather(div_tau_hat - conv_hat)
-    return gm.modes_to_coords(bhat), diss
+    block = x.reshape(-1, x.shape[-1])
+    P = block.shape[0]
+    vhat = gm.coords_to_modes(block)
+    A = gm.scatter(vhat)                                  # (P, d, M..)
+    Gh = (A[:, :, None] * gm.ikvec).reshape((P, d * d) + gm.shape)
+    spec = np.concatenate([A, Gh], axis=1)
+    # each transform runs in place and its inputs are dropped before it:
+    # at a block of paths they set the step's peak memory
+    del A, Gh
+    down = np.fft.ifftn(spec, axes=gm.grid_axes, out=spec).real * gm.vol
+    del spec
+    V = down[:, :d]
+    G = down[:, d:].reshape((P, d, d) + gm.shape)
+    e = _strain_from_gradient(G, axis=1)
+    tau = _stress_from_strain(e, params, axis=1)
+    conv = np.einsum("pj...,pij...->pi...", V, G)
+    density = np.sum(e * tau, axis=(1, 2))
+    diss = np.array([gm.quad_mean(row) for row in density])
+    up = np.concatenate([conv, tau.reshape((P, d * d) + gm.shape)], axis=1,
+                        dtype=np.complex128)
+    del conv, tau, e, G, V, down
+    np.fft.fftn(up, axes=gm.grid_axes, out=up)
+    up /= gm.vol
+    conv_hat = up[:, :d]
+    tau_hat = up[:, d:].reshape((P, d, d) + gm.shape)
+    div_tau_hat = np.einsum("j...,pij...->pi...", gm.ikvec, tau_hat)
+    b = gm.modes_to_coords(gm.gather(div_tau_hat - conv_hat))
+    if x.ndim == 1:
+        return b[0], float(diss[0])
+    return b, diss
 
 
 def drift_coords(x: np.ndarray, d: int, n: int, params: FluidParams) -> np.ndarray:

@@ -122,7 +122,10 @@ class EnergyExperimentReport:
 
     @property
     def passed(self) -> bool:
-        return self.balance_ok and self.shrink_ok
+        # a diverged path is dropped from the balance, so the survivors
+        # alone could pass it: any divergence fails the experiment
+        no_divergence = self.main.n_diverged == 0 and self.control.n_diverged == 0
+        return self.balance_ok and self.shrink_ok and no_divergence
 
 
 def energy_experiment(config: SimConfig,
@@ -405,8 +408,13 @@ def gronwall_experiment(config: SimConfig, eps: float,
     """Calibrate the envelope constant on held-out pairs, then validate.
 
     Calibration pairs use path indices offset by CALIBRATION_PATH_OFFSET, so
-    their noise and initial data are fresh relative to the validation set.
+    their noise and initial data are fresh relative to the validation set;
+    more validation pairs than that offset would reuse calibration streams.
     """
+    if n_validation > CALIBRATION_PATH_OFFSET:
+        raise ValueError(
+            f"n_validation: at most {CALIBRATION_PATH_OFFSET} pairs, got "
+            f"{n_validation}; more would share streams with the calibration pairs")
     cal_pairs = [_perturbed_pair(config, CALIBRATION_PATH_OFFSET + i, eps)
                  for i in range(n_calibration)]
     c_hat = calibrate_gronwall(cal_pairs, config)

@@ -337,42 +337,52 @@ class _GridMap:
         self.lam_coord = np.repeat(TWO_PI_SQ * zsq, 2 * d - 2)
         self.zsq = zsq
 
-    # coords <-> half-space mode coefficients
+    # coords <-> half-space mode coefficients.  Every map below also takes
+    # leading batch axes (a block of paths) and acts on each row alone.
 
     def coords_to_modes(self, x: np.ndarray) -> np.ndarray:
+        """(..., K) basis coordinates to (..., Z, d) half-space coefficients."""
         d = self.d
-        c = x.reshape(-1, 2 * d - 2)
-        cplx = c[:, : d - 1] - 1j * c[:, d - 1:]
-        return np.einsum("zj,zjd->zd", cplx, self.E) / np.sqrt(2.0)
+        c = x.reshape(x.shape[:-1] + (-1, 2 * d - 2))
+        cplx = c[..., : d - 1] - 1j * c[..., d - 1:]
+        return np.einsum("...zj,zjd->...zd", cplx, self.E) / np.sqrt(2.0)
 
     def modes_to_coords(self, vhat: np.ndarray) -> np.ndarray:
-        proj = np.einsum("zd,zjd->zj", vhat, self.E) * np.sqrt(2.0)
-        return np.concatenate([proj.real, -proj.imag], axis=1).reshape(-1)
+        proj = np.einsum("...zd,zjd->...zj", vhat, self.E) * np.sqrt(2.0)
+        return np.concatenate([proj.real, -proj.imag], axis=-1).reshape(
+            vhat.shape[:-2] + (-1,))
 
     # mode coefficients <-> spectral FFT array
 
     def scatter(self, vhat: np.ndarray) -> np.ndarray:
-        """Half-space coefficients to a full conjugate-symmetric FFT array."""
-        comp = vhat.shape[1] if vhat.ndim == 2 else 1
-        A = np.zeros((comp, self.vol), dtype=np.complex128)
-        A[:, self.pos_flat] = vhat.T
-        A[:, self.neg_flat] = np.conj(vhat.T)
-        return A.reshape((comp,) + self.shape)
+        """Half-space coefficients (..., Z, comp) to a full conjugate-symmetric
+        FFT array (..., comp, M, ..., M); a 1-D input is one component."""
+        if vhat.ndim == 1:
+            vhat = vhat[:, None]
+        cols = np.swapaxes(vhat, -1, -2)
+        A = np.zeros(cols.shape[:-1] + (self.vol,), dtype=np.complex128)
+        A[..., self.pos_flat] = cols
+        A[..., self.neg_flat] = np.conj(cols)
+        return A.reshape(cols.shape[:-1] + self.shape)
 
     def gather(self, A: np.ndarray) -> np.ndarray:
-        flat = A.reshape(A.shape[0], self.vol)
-        return flat[:, self.pos_flat].T.copy()
+        """Inverse of scatter: (..., comp, M, ..., M) to (..., Z, comp)."""
+        flat = A.reshape(A.shape[: A.ndim - self.d] + (self.vol,))
+        return np.swapaxes(flat[..., self.pos_flat], -1, -2).copy()
 
     # physical-space evaluation
 
+    @property
+    def grid_axes(self) -> tuple:
+        """The trailing d axes of an FFT array, whatever its batch axes."""
+        return tuple(range(-self.d, 0))
+
     def modes_to_grid(self, vhat: np.ndarray) -> np.ndarray:
         A = self.scatter(vhat)
-        axes = tuple(range(1, self.d + 1))
-        return np.fft.ifftn(A, axes=axes).real * self.vol
+        return np.fft.ifftn(A, axes=self.grid_axes).real * self.vol
 
     def grid_to_modes(self, values: np.ndarray) -> np.ndarray:
-        axes = tuple(range(1, self.d + 1))
-        A = np.fft.fftn(values, axes=axes) / self.vol
+        A = np.fft.fftn(values, axes=self.grid_axes) / self.vol
         return self.gather(A)
 
     def quad_mean(self, samples: np.ndarray) -> float:

@@ -52,6 +52,25 @@ class TestEnergyBalance:
         with pytest.raises(ValueError, match="surviving"):
             dg.energy_balance(recs, cfg)
 
+    def test_diverged_paths_fail_the_experiment(self):
+        # a norm ceiling inside the bulk of the noise-driven ensemble: the
+        # balance is taken over the survivors, so the verdict must not pass
+        cfg = base_config(p=3.0, T=0.01, n_paths=40, seed=7, stepper="tamed",
+                          init=it.SingleModeInit(z=(1, 0), j=1, amplitude=0.0),
+                          gamma=noise.PowerLawSpectrum(c=1000.0, s=3.0),
+                          record_every=100, norm_ceiling=0.03)
+        rep = dg.energy_experiment(cfg)
+        assert rep.main.n_diverged > 0 and rep.control.n_diverged > 0
+        assert not rep.passed
+        for main_div, control_div in [(1, 0), (0, 1)]:
+            forced = dataclasses.replace(
+                rep, balance_ok=True, shrink_ok=True,
+                main=dataclasses.replace(rep.main, n_diverged=main_div),
+                control=dataclasses.replace(rep.control, n_diverged=control_div))
+            assert not forced.passed
+        assert dataclasses.replace(
+            forced, control=dataclasses.replace(rep.control, n_diverged=0)).passed
+
     def test_rhs_is_analytic(self):
         gamma = noise.PowerLawSpectrum(c=0.1, s=3.0)
         cfg = base_config(gamma=gamma, n_paths=2)
@@ -203,3 +222,13 @@ class TestGronwall:
                                      n_validation=6, margin=0.5)
         assert rep.exponent == 2.0
         assert rep.passed, (rep.c_hat, rep.total_violations)
+
+    def test_validation_may_not_reach_calibration_streams(self, monkeypatch):
+        def no_pairs(*args):
+            raise AssertionError("pairs were run before the check")
+
+        monkeypatch.setattr(dg, "simulate_paired", no_pairs)
+        cfg = base_config(record_every=1)
+        with pytest.raises(ValueError, match="n_validation"):
+            dg.gronwall_experiment(cfg, eps=1e-3, n_calibration=0,
+                                   n_validation=dg.CALIBRATION_PATH_OFFSET + 1)

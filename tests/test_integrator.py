@@ -1,6 +1,7 @@
 """Time stepping, trajectory simulation and reproducibility contracts."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ class TestConfig:
             base_config(init=it.SingleModeInit(z=(3, 0), j=1, amplitude=1.0))
         with pytest.raises(it.ConfigError, match="init.j"):
             base_config(init=it.SingleModeInit(z=(1, 0), j=5, amplitude=1.0))
+
+    def test_seed_beyond_64_bits_rejected(self):
+        # the seed fills one 64-bit key word; larger seeds would alias
+        base_config(seed=2 ** 64 - 1)
+        with pytest.raises(it.ConfigError, match="seed:"):
+            base_config(seed=2 ** 64)
+        with pytest.raises(it.ConfigError, match="seed:"):
+            base_config(seed=2 ** 64 + 42)
 
     def test_time_grid_snapping(self):
         cfg = base_config(dt=3e-4, T=0.1)  # 0.1/3e-4 = 333.33 -> 334 steps
@@ -268,3 +277,20 @@ class TestEnsemble:
         par = it.simulate_ensemble(cfg)
         for a, b in zip(seq, par):
             assert np.array_equal(a.coords, b.coords)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "2.5"])
+    def test_invalid_thread_count_named(self, monkeypatch, raw):
+        monkeypatch.setenv("SPLF_THREADS", raw)
+        with pytest.raises(it.ConfigError, match="SPLF_THREADS"):
+            it.max_workers()
+
+    def test_thread_count_capped_at_cores(self, monkeypatch):
+        # only max_workers() is called: no pool is started
+        cores = os.cpu_count() or 1
+        monkeypatch.delenv("SPLF_THREADS", raising=False)
+        assert it.max_workers() == 1
+        monkeypatch.setenv("SPLF_THREADS", "1")
+        assert it.max_workers() == 1
+        for raw in (str(cores), str(cores + 1), str(10 ** 6)):
+            monkeypatch.setenv("SPLF_THREADS", raw)
+            assert it.max_workers() == cores
