@@ -1,9 +1,16 @@
-"""The block stepper against the per-path loop it replaced.
+"""The block stepper against a per-path loop and against pinned records.
 
-`per_path_loop` is that loop, kept as the oracle: one path at a time, one
-fresh generator per (path, step).  Every record the block stepper emits
-must equal the oracle's bit for bit, for any block size and composition.
+`per_path_loop` integrates one path at a time with one fresh generator per
+(path, step), as the integrator did before paths were stepped in blocks.
+It calls the same drift kernel as the stepper, at one path per call, so it
+shows that every record equals the one-path computation bit for bit, for
+any block size and composition.  It cannot see a change in the kernel's
+own arithmetic: `PINNED` holds digests of records from the per-path
+integrator that preceded the block stepper, and `test_records_match_pinned`
+checks the current records against them.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -167,3 +174,59 @@ def test_labels_at_or_above_2_64_rejected():
         rng.Streams(2 ** 64)
     with pytest.raises(ValueError, match="2\\*\\*64"):
         rng.Streams(1).at(2 ** 64, 0)
+
+
+def record_digest(records):
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr((r.path_index, r.diverged_step)).encode())
+        for a in (r.times, r.coords, r.norm_l2_sq, r.norm_p1_p, r.int_diss,
+                  r.int_gamma):
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def diverging_config():
+    return config(2, "euler_maruyama", p=4.0, nu=1.0, T=0.1, n_paths=16,
+                  record_every=1, norm_ceiling=40.0,
+                  init=it.GaussianInit(sigma=0.4, decay=1.0))
+
+
+def paired_records():
+    c = config(2, "tamed", n_paths=1)
+    x0 = it.initial_coords(c, 3)
+    y0 = x0.copy()
+    y0[0] += 1e-3
+    return it.simulate_paired(c, 3, x0, y0)
+
+
+# sha256 of `record_digest` over the records of the per-path integrator,
+# numpy 2.4 on x86-64; 40 paths at d=2 span one full and one partial block
+PINNED = {
+    "euler_maruyama": (
+        lambda: it.simulate_ensemble(config(2, "euler_maruyama", n_paths=40)),
+        "0048ef5b25fc63c81ae2e89442f5d29a737f5094f53d0f482ee38061e80cf4c9"),
+    "tamed": (
+        lambda: it.simulate_ensemble(config(2, "tamed", n_paths=40)),
+        "01b3036182b9b1fce425cb49de8a7273d4c2f0d1cceeeb040215497db00cd62d"),
+    "semi_implicit": (
+        lambda: it.simulate_ensemble(config(2, "semi_implicit", n_paths=40)),
+        "64b2860352a2923b1b2a86c2cee825bfb2a4807b29520e4bc86fcdefa489eb94"),
+    "d3": (
+        lambda: it.simulate_ensemble(
+            config(3, "tamed", n_paths=3, record_every=5)),
+        "9e600412718e5b923d42abe7b07afaf1450900b8b9aacf9fd1f6a665548ae378"),
+    "diverging": (
+        lambda: it.simulate_ensemble(diverging_config()),
+        "f9849691471bced9a3f04635c9539c532b959a383a10ac0e8116b191ddf2166e"),
+    "paired": (
+        paired_records,
+        "8b5bbf341c84cd46b360bb58c289b7453728eb9ca2d6e19709e890a8b2677ff2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_records_match_pinned(case, monkeypatch):
+    monkeypatch.setenv("SPLF_THREADS", "1")
+    run, digest = PINNED[case]
+    assert record_digest(run()) == digest
