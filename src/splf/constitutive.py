@@ -12,7 +12,6 @@ aliasing is part of the quadrature error budget at small truncations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .spectral import (
     GridTensorField,
     GridVectorField,
     SpectralField,
+    _aligned_modes,
     _GridMap,
     basis_function,
     field_to_coords,
@@ -58,27 +58,18 @@ class FluidParams:
             raise ValueError(f"viscosity must be positive, got nu={self.nu}")
 
 
-@lru_cache(maxsize=None)
-def _workspace(d: int, n: int) -> _GridMap:
-    return grid_map(d, n, pairing_grid_size(n))
-
-
 def _common_map(*fields: SpectralField, M: int | None = None) -> _GridMap:
     d = fields[0].d
     for f in fields:
         if f.d != d:
             raise ValueError("fields live in different dimensions")
     n = max(f.n for f in fields)
-    if M is None:
-        return _workspace(d, n)
-    return grid_map(d, n, M)
+    return grid_map(d, n, pairing_grid_size(n) if M is None else M)
 
 
 def _grid_and_gradient(field: SpectralField, gm: _GridMap):
     """Physical samples V[i] and gradient G[i, j] = d_j v_i on gm's grid."""
-    from .spectral import _aligned_modes
-
-    vhat = _aligned_modes(field, gm)
+    vhat = _aligned_modes(field, gm.n)
     A = gm.scatter(vhat)
     axes = tuple(range(1, gm.d + 1))
     V = np.fft.ifftn(A, axes=axes).real * gm.vol
@@ -222,12 +213,12 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
 
 def drift_coords(x: np.ndarray, d: int, n: int, params: FluidParams) -> np.ndarray:
     """Projected drift of the Galerkin system in basis coordinates."""
-    return _drift_core(x, _workspace(d, n), params)[0]
+    return _drift_core(x, grid_map(d, n, pairing_grid_size(n)), params)[0]
 
 
 def drift_and_dissipation(x: np.ndarray, d: int, n: int, params: FluidParams):
     """Drift coordinates together with < e(X), tau(X) > (shared grid pass)."""
-    return _drift_core(x, _workspace(d, n), params)
+    return _drift_core(x, grid_map(d, n, pairing_grid_size(n)), params)
 
 
 def drift(X: SpectralField, n: int, params: FluidParams) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .exponents import gronwall_exponent, moment_exponent, regularity_weight, uniqueness_threshold
 from .integrator import SimConfig, TrajectoryRecord, expected_initial_energy, initial_coords, simulate_ensemble, simulate_paired
 from .noise import operator_norm, trace_truncated
-from .spectral import coords_to_field, grid_map, gradient_lp_norm, laplacian_lp_norm
+from .spectral import grid_map, norm_grid_size
 
 __all__ = [
     "EnergyBalanceReport",
@@ -278,10 +278,8 @@ def dissipation_functional(record: TrajectoryRecord,
         J = lap2 / (1.0 + grad2) ** lam
     else:
         vals = []
-        for row, g2 in zip(record.coords, grad2):
-            f = coords_to_field(row, config.n, config.d)
-            lap_p = laplacian_lp_norm(f, config.p)
-            grad_p = gradient_lp_norm(f, config.p)
+        for lap_p, grad_p, g2 in zip(_lp_norms(record, config, 2),
+                                     _lp_norms(record, config, 1), grad2):
             vals.append(lap_p ** 2 / ((1.0 + g2) ** lam *
                                       (1.0 + grad_p) ** (2.0 - config.p)))
         J = np.array(vals)
@@ -313,6 +311,16 @@ class GronwallReport:
         return self.violations == 0
 
 
+def _lp_norms(record: TrajectoryRecord, config: SimConfig, order: int) -> list:
+    """||grad X||_{L_p} (order 1) or ||Lap X||_{L_p} (order 2) of every
+    recorded row, by the rectangle rule on the norm_grid_size(n) grid."""
+    gm = grid_map(config.d, config.n, norm_grid_size(config.n))
+    means = gm.lp_means(gm.coords_to_modes(record.coords), gm.derivative(order),
+                        config.p)
+    # one scalar root per row: numpy's array power can differ in the last bit
+    return [float(m ** (1.0 / config.p)) for m in means]
+
+
 def _grad_integral(record: TrajectoryRecord, config: SimConfig) -> np.ndarray:
     """Left-endpoint running integral of ||grad X||_p^(2p/(2p-d))."""
     q = gronwall_exponent(config.p, config.d)
@@ -320,9 +328,7 @@ def _grad_integral(record: TrajectoryRecord, config: SimConfig) -> np.ndarray:
         gm = grid_map(config.d, config.n, 2 * config.n + 1)
         grad_p = np.sqrt(record.coords ** 2 @ gm.lam_coord)
     else:
-        grad_p = np.array([
-            gradient_lp_norm(coords_to_field(row, config.n, config.d), config.p)
-            for row in record.coords])
+        grad_p = np.array(_lp_norms(record, config, 1))
     t = record.times
     out = np.zeros_like(t)
     if len(t) > 1:

@@ -26,8 +26,8 @@ from . import rng
 from .constitutive import FluidParams, drift_and_dissipation
 from .noise import (ExplicitSpectrum, PowerLawSpectrum, gamma_vector,
                     validate_spectrum)
-from .spectral import (TWO_PI_SQ, canonical_rep, grid_map, norm_grid_size,
-                       pairing_grid_size)
+from .spectral import (BLOCK_VALUES, _mode_index, canonical_rep, grid_map,
+                       norm_grid_size, pairing_grid_size)
 
 __all__ = [
     "ConfigError",
@@ -177,14 +177,6 @@ class TrajectoryRecord:
         return self.coords[-1]
 
 
-def _basis_position(d: int, n: int, z: tuple, j: int) -> int:
-    from .spectral import half_space_modes
-
-    modes = half_space_modes(n, d)
-    index = {tuple(int(c) for c in m): k for k, m in enumerate(modes)}
-    return index[z] * (2 * d - 2) + (j - 1)
-
-
 def initial_coords(config: SimConfig, path_index: int) -> np.ndarray:
     """Initial basis coordinates for one path (pure in (seed, path))."""
     gm = grid_map(config.d, config.n, 2 * config.n + 1)
@@ -194,7 +186,8 @@ def initial_coords(config: SimConfig, path_index: int) -> np.ndarray:
         amp = config.init.amplitude
         if config.init.j >= config.d and sign < 0:
             amp = -amp  # sine branch is odd under z -> -z
-        x[_basis_position(config.d, config.n, zc, config.init.j)] = amp
+        k = int(_mode_index(zc, config.n, config.d))
+        x[k * (2 * config.d - 2) + config.init.j - 1] = amp
         return x
     g = rng.stream(config.seed, path_index, 0, rng.PURPOSE_INIT)
     std = config.init.sigma * (1.0 + gm.lam_coord) ** (-config.init.decay / 2.0)
@@ -237,31 +230,13 @@ def step(x: np.ndarray, dt: float, dW: np.ndarray, d: int, n: int,
     return _advance(x[None], dt, dW[None], b[None], stepper, params.nu, lam)[0]
 
 
-class _NormP1:
-    """Evaluator of ||X||_{p,1}^p from coordinates (quadrature for p != 2)."""
-
-    def __init__(self, d: int, n: int, p: float):
-        self.p = p
-        self.gm = grid_map(d, n, norm_grid_size(n))
-        zsq = self.gm.zsq
-        self.w_mode = np.sqrt(1.0 + TWO_PI_SQ * zsq)      # per half-space mode
-        self.w_coord_sq = (1.0 + self.gm.lam_coord)       # per coordinate
-
-    def __call__(self, x: np.ndarray) -> float:
-        if self.p == 2:
-            return float(np.sum(self.w_coord_sq * x * x))
-        vhat = self.gm.coords_to_modes(x) * self.w_mode[:, None]
-        g = self.gm.modes_to_grid(vhat)
-        mag = np.sqrt(np.sum(g ** 2, axis=0))
-        return float(np.mean(mag ** self.p))
-
-
-# Complex grid values that one block of paths may hold in each batched
-# transform.  Larger blocks fall out of cache.  Drift alone, on a 2-core
-# x86 host with numpy 2.4: at d=2, n=2 one path cost 224 us, blocks of 8
-# to 32 cost 58-83 us per path and blocks of 64 to 200 cost 96-110 us; at
-# d=3, n=2 blocks of 8 or more were 1.5-2.4x slower per path than one path.
-BLOCK_VALUES = 20_000
+def _norm_p1_p(coords: np.ndarray, config: SimConfig) -> np.ndarray:
+    """||X||_{p,1}^p of each row of coords (R, K): the exact weighted sum
+    for p = 2, the rectangle rule on the norm_grid_size(n) grid otherwise."""
+    gm = grid_map(config.d, config.n, norm_grid_size(config.n))
+    if config.p == 2:
+        return np.sum((1.0 + gm.lam_coord) * coords * coords, axis=1)
+    return gm.lp_means(gm.coords_to_modes(coords), gm.bessel(1.0), config.p)
 
 
 def block_size(d: int, n: int) -> int:
@@ -284,7 +259,6 @@ class _BlockStepper:
         self.config = config
         self.gamma = gamma_vector(config.gamma, config.n, config.d)
         self.lam = grid_map(config.d, config.n, 2 * config.n + 1).lam_coord
-        self.norm_p1 = _NormP1(config.d, config.n, config.p)
         self.params = config.params
         self.dt = config.dt_eff
         self.n_steps = config.n_steps
@@ -313,8 +287,7 @@ class _BlockStepper:
 
         def record(t):
             for xj, slot, i_diss, i_gam in zip(x, live, int_diss, int_gamma):
-                rows[slot].append((t, xj.copy(), float(xj @ xj), self.norm_p1(xj),
-                                   i_diss, i_gam))
+                rows[slot].append((t, xj.copy(), float(xj @ xj), i_diss, i_gam))
 
         for k in range(self.n_steps):
             if k % c.record_every == 0:
@@ -343,17 +316,18 @@ class _BlockStepper:
                     break
         else:
             record(self.n_steps * dt)
-        return [_to_record(path_index, dt, rows[slot], diverged_step.get(slot))
+        return [_to_record(c, path_index, rows[slot], diverged_step.get(slot))
                 for slot, path_index in enumerate(path_indices)]
 
 
-def _to_record(path_index: int, dt: float, rows: list,
+def _to_record(config: SimConfig, path_index: int, rows: list,
                diverged_step: Optional[int]) -> TrajectoryRecord:
-    times, coords, l2, p1, i_diss, i_gam = (np.array(col) for col in zip(*rows))
+    times, coords, l2, i_diss, i_gam = (np.array(col) for col in zip(*rows))
     return TrajectoryRecord(
-        path_index=path_index, dt=dt, times=times, coords=coords,
-        norm_l2_sq=l2, norm_p1_p=p1, int_diss=i_diss, int_gamma=i_gam,
-        diverged=diverged_step is not None, diverged_step=diverged_step)
+        path_index=path_index, dt=config.dt_eff, times=times, coords=coords,
+        norm_l2_sq=l2, norm_p1_p=_norm_p1_p(coords, config), int_diss=i_diss,
+        int_gamma=i_gam, diverged=diverged_step is not None,
+        diverged_step=diverged_step)
 
 
 def _run_paths(config: SimConfig, indices: Sequence[int]) -> List[TrajectoryRecord]:

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .spectral import TWO_PI_SQ, half_space_modes
+from .spectral import TWO_PI_SQ, _mode_index, half_space_modes
 
 __all__ = [
     "SpectrumError",
@@ -102,11 +102,11 @@ def gamma_vector(spectrum, n: int, d: int) -> np.ndarray:
         per_mode = spectrum.c * (1.0 + TWO_PI_SQ * zsq) ** (-spectrum.s)
         return np.repeat(per_mode, nj)
     if isinstance(spectrum, ExplicitSpectrum):
-        index = {tuple(int(c) for c in z): k for k, z in enumerate(modes)}
         out = np.zeros(len(modes) * nj)
         for z, j, g in spectrum.entries:
-            if z in index:
-                out[index[z] * nj + (j - 1)] = g
+            k = int(_mode_index(z, n, d))
+            if k >= 0:
+                out[k * nj + (j - 1)] = g
         return out
     raise SpectrumError(f"unknown covariance descriptor {type(spectrum).__name__}")
 

@@ -52,6 +52,18 @@ class AliasingError(ValueError):
     """Grid too coarse to represent the requested modes."""
 
 
+class StructureError(ValueError):
+    """A field is not divergence free, or a tensor field not symmetric."""
+
+
+# Complex grid values that one batched transform (a drift block of paths,
+# an L_p chunk of rows) may hold; larger blocks fall out of cache.  Drift
+# alone, 2-core x86 host, numpy 2.4: at d=2, n=2 one path cost 224 us,
+# blocks of 8 to 32 cost 58-83 us per path and blocks of 64 to 200 cost
+# 96-110 us; at d=3, n=2 blocks of 8 or more were 1.5-2.4x slower per path.
+BLOCK_VALUES = 20_000
+
+
 def pairing_grid_size(n: int) -> int:
     """Grid resolution used for nonlinear pairings at truncation n.
 
@@ -66,18 +78,11 @@ def norm_grid_size(n: int) -> int:
     return max(pairing_grid_size(n), 32)
 
 
-def _is_canonical(z) -> bool:
-    """True when the first nonzero component of z is positive."""
-    for c in z:
-        if c != 0:
-            return c > 0
-    return False
-
-
 def canonical_rep(z):
-    """Canonical half-space representative of {z, -z} with its sign."""
+    """Canonical half-space representative of {z, -z} with its sign: the one
+    above 0 in lexicographic order (first nonzero component positive)."""
     z = tuple(int(c) for c in z)
-    if _is_canonical(z):
+    if z > (0,) * len(z):
         return z, 1
     return tuple(-c for c in z), -1
 
@@ -87,9 +92,30 @@ def half_space_modes(n: int, d: int) -> np.ndarray:
     if n < 1 or d < 2:
         raise DimensionError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     modes = [z for z in itertools.product(range(-n, n + 1), repeat=d)
-             if _is_canonical(z)]
-    modes.sort()
+             if z > (0,) * d]
     return np.array(modes, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _mode_table(n: int, d: int) -> np.ndarray:
+    """Dense (2n+1)^d table over the box [-n,n]^d (offset by n): the
+    position of each canonical mode in half_space_modes(n, d), -1 elsewhere."""
+    modes = half_space_modes(n, d)
+    table = np.full((2 * n + 1,) * d, -1, dtype=np.int64)
+    table[tuple((modes + n).T)] = np.arange(len(modes))
+    table.setflags(write=False)
+    return table
+
+
+def _mode_index(z, n: int, d: int) -> np.ndarray:
+    """Positions of wave vectors z (..., d) in half_space_modes(n, d); -1
+    for the zero vector, a non-canonical one or one outside [-n,n]^d."""
+    z = np.asarray(z, dtype=np.int64)
+    if z.shape[-1:] != (d,):
+        raise DimensionError(f"wave vectors need {d} components, got shape {z.shape}")
+    inside = np.all(np.abs(z) <= n, axis=-1)
+    pos = _mode_table(n, d)[tuple(np.moveaxis(np.clip(z, -n, n) + n, -1, 0))]
+    return np.where(inside, pos, -1)
 
 
 def hyperplane_basis(z) -> np.ndarray:
@@ -192,11 +218,17 @@ class SpectralField:
         if modes.shape != coeffs.shape or modes.ndim != 2 or modes.shape[1] != self.d:
             raise DimensionError("modes and coeffs must both have shape (Z, d)")
         if modes.size:
-            assert np.abs(modes).max() <= self.n, "mode outside truncation box"
-            assert all(_is_canonical(z) for z in modes), "non-canonical mode stored"
-            assert np.max(np.abs(np.einsum("zd,zd->z", modes, coeffs))) < 1e-13 * max(
-                1.0, self.n * np.abs(coeffs).max()
-            ), "field is not divergence free"
+            pos = _mode_index(modes, self.n, self.d)
+            if (pos < 0).any():
+                z = modes[pos < 0][0]
+                why = (f"outside the truncation box n={self.n}"
+                       if np.abs(z).max() > self.n else "not canonical")
+                raise DimensionError(f"mode {tuple(int(c) for c in z)} is {why}")
+            if np.unique(pos).size != pos.size:
+                raise DimensionError("a mode is stored twice")
+            if np.max(np.abs(np.einsum("zd,zd->z", modes, coeffs))) >= 1e-13 * max(
+                    1.0, self.n * np.abs(coeffs).max()):
+                raise StructureError("field is not divergence free")
         modes.setflags(write=False)
         coeffs.setflags(write=False)
 
@@ -216,16 +248,16 @@ class SpectralField:
         conjugation; inconsistent duplicates are averaged.
         """
         modes = half_space_modes(n, d)
-        index = {tuple(int(c) for c in z): k for k, z in enumerate(modes)}
         coeffs = np.zeros((len(modes), d), dtype=np.complex128)
         counts = np.zeros(len(modes))
         for z, v in coeff_map.items():
             zc, sign = canonical_rep(z)
-            if zc not in index:
+            k = int(_mode_index(zc, n, d))
+            if k < 0:
                 raise DimensionError(f"mode {z} outside truncation n={n}")
             v = np.asarray(v, dtype=np.complex128)
-            coeffs[index[zc]] += v if sign == 1 else np.conj(v)
-            counts[index[zc]] += 1
+            coeffs[k] += v if sign == 1 else np.conj(v)
+            counts[k] += 1
         coeffs[counts > 1] /= counts[counts > 1, None]
         return SpectralField(d=d, n=n, modes=modes, coeffs=coeffs)
 
@@ -234,10 +266,10 @@ class SpectralField:
     def coeff(self, z) -> np.ndarray:
         """Coefficient vector of an arbitrary wave vector (zero if absent)."""
         zc, sign = canonical_rep(z)
-        hits = np.nonzero((self.modes == np.array(zc)).all(axis=1))[0]
-        if hits.size == 0:
+        k = int(_mode_index(zc, self.n, self.d))
+        if k < 0:
             return np.zeros(self.d, dtype=np.complex128)
-        v = self.coeffs[hits[0]]
+        v = _aligned_modes(self, self.n)[k]
         return v if sign == 1 else np.conj(v)
 
     def coeff_map(self) -> dict:
@@ -253,17 +285,8 @@ class SpectralField:
         if other.d != self.d:
             raise DimensionError("dimension mismatch in field addition")
         n = max(self.n, other.n)
-        out = {}
-        for f in (self, other):
-            for k, z in enumerate(f.modes):
-                zt = tuple(int(c) for c in z)
-                out[zt] = out.get(zt, 0) + f.coeffs[k]
-        modes = half_space_modes(n, self.d)
-        coeffs = np.zeros((len(modes), self.d), dtype=np.complex128)
-        index = {tuple(int(c) for c in z): k for k, z in enumerate(modes)}
-        for zt, v in out.items():
-            coeffs[index[zt]] = v
-        return SpectralField(self.d, n, modes, coeffs)
+        return SpectralField(self.d, n, half_space_modes(n, self.d),
+                             _aligned_modes(self, n) + _aligned_modes(other, n))
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         return self + (-1.0) * other
@@ -291,8 +314,9 @@ class GridTensorField:
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        assert np.allclose(self.values, np.swapaxes(self.values, 0, 1),
-                           atol=1e-12 * max(1.0, np.abs(self.values).max()))
+        if not np.allclose(self.values, np.swapaxes(self.values, 0, 1),
+                           atol=1e-12 * max(1.0, np.abs(self.values).max())):
+            raise StructureError("tensor field is not symmetric")
 
 
 def basis_function(idx: BasisIndex, n: int | None = None) -> SpectralField:
@@ -326,16 +350,17 @@ class _GridMap:
         strides = np.array([M ** (d - 1 - a) for a in range(d)], dtype=np.int64)
         self.pos_flat = (np.mod(self.modes, M) @ strides).astype(np.int64)
         self.neg_flat = (np.mod(-self.modes, M) @ strides).astype(np.int64)
-        k1 = np.fft.fftfreq(M, d=1.0 / M)             # integer wavenumbers
+        # integer wavenumbers; fftfreq alone is off by an ulp for some M (49, 98)
+        k1 = np.rint(np.fft.fftfreq(M, d=1.0 / M))
         kaxes = np.meshgrid(*([k1] * d), indexing="ij")
         self.kvec = np.stack(kaxes)                   # (d, M, ..., M)
         self.ikvec = 2j * np.pi * self.kvec
+        self.ksq = np.sum(self.kvec ** 2, axis=0)
         self.shape = shape
         self.vol = M ** d
         # |z|^2 per basis coordinate, flattened in basis order
         zsq = np.einsum("zd,zd->z", self.modes, self.modes).astype(float)
         self.lam_coord = np.repeat(TWO_PI_SQ * zsq, 2 * d - 2)
-        self.zsq = zsq
 
     # coords <-> half-space mode coefficients.  Every map below also takes
     # leading batch axes (a block of paths) and acts on each row alone.
@@ -389,6 +414,39 @@ class _GridMap:
         """Rectangle rule on the unit torus: plain mean over grid points."""
         return float(np.mean(samples))
 
+    def bessel(self, alpha: float) -> np.ndarray:
+        """Multiplier (1, M, ..., M) of (1 - Laplacian)^{alpha/2}."""
+        return ((1.0 + TWO_PI_SQ * self.ksq) ** (alpha / 2.0))[None]
+
+    def derivative(self, order: int) -> np.ndarray:
+        """Multiplier of the gradient (order 1) or the Laplacian (order 2)."""
+        return self.ikvec if order == 1 else (-TWO_PI_SQ * self.ksq)[None]
+
+    def lp_means(self, vhat: np.ndarray, multiplier: np.ndarray,
+                 p: float) -> np.ndarray:
+        """Grid mean of |m(D) v|^p for each row of vhat (R, Z, d), where |.|
+        is the Frobenius norm over the (d, c) values of the multiplier
+        m (c, M, ..., M) applied to each component.  Rows are transformed
+        in batches of at most BLOCK_VALUES complex values, and each row's
+        mean is taken on its own grid, so no row depends on its batch."""
+        per_row = self.d * multiplier.shape[0] * self.vol
+        rows = max(1, BLOCK_VALUES // per_row)
+        means = []
+        for start in range(0, len(vhat), rows):
+            # products (r, d, c, M..) viewed as (r, d*c, M..): multiplied in
+            # place when c = 1 and transformed in place, then freed before
+            # the next chunk; out-of-place steps raised a d=3 ensemble's
+            # peak RSS by 13% (1.5 MB per row and component on 32^3)
+            A = self.scatter(vhat[start:start + rows])[:, :, None]
+            mA = np.multiply(A, multiplier, out=A if len(multiplier) == 1 else None)
+            del A
+            mA = mA.reshape((len(mA), -1) + self.shape)
+            np.fft.ifftn(mA, axes=self.grid_axes, out=mA)
+            mag = np.sqrt(np.sum((mA.real * self.vol) ** 2, axis=1))
+            del mA
+            means += [np.mean(row) for row in mag ** p]
+        return np.array(means)
+
 
 @lru_cache(maxsize=None)
 def grid_map(d: int, n: int, M: int) -> _GridMap:
@@ -410,13 +468,7 @@ def field_to_coords(field: SpectralField, n: int | None = None) -> np.ndarray:
             raise DimensionError(
                 f"field carries modes beyond basis truncation {n}")
     gm = grid_map(field.d, n, 2 * n + 1)
-    vhat = np.zeros((gm.modes.shape[0], field.d), dtype=np.complex128)
-    index = {tuple(int(c) for c in z): k for k, z in enumerate(gm.modes)}
-    for k, z in enumerate(field.modes):
-        zt = tuple(int(c) for c in z)
-        if zt in index:
-            vhat[index[zt]] = field.coeffs[k]
-    return gm.modes_to_coords(vhat)
+    return gm.modes_to_coords(_aligned_modes(truncate_modes(field, n), n))
 
 
 def coords_to_field(coords: np.ndarray, n: int, d: int) -> SpectralField:
@@ -438,7 +490,7 @@ def to_grid(field: SpectralField, M: int | None = None) -> GridVectorField:
         raise AliasingError(
             f"M={M} below lossless threshold {2 * field.n + 1} for n={field.n}")
     gm = grid_map(field.d, field.n, M)
-    vhat = _aligned_modes(field, gm)
+    vhat = _aligned_modes(field, field.n)
     return GridVectorField(d=field.d, M=M, values=gm.modes_to_grid(vhat))
 
 
@@ -484,17 +536,14 @@ def truncate_modes(field: SpectralField, n: int) -> SpectralField:
                          field.coeffs[keep].copy())
 
 
-def _aligned_modes(field: SpectralField, gm: _GridMap) -> np.ndarray:
-    """Field coefficients re-indexed onto gm's mode table."""
-    if field.n == gm.n and field.modes.shape == gm.modes.shape:
-        return field.coeffs
-    vhat = np.zeros((gm.modes.shape[0], field.d), dtype=np.complex128)
-    index = {tuple(int(c) for c in z): k for k, z in enumerate(gm.modes)}
-    for k, z in enumerate(field.modes):
-        zt = tuple(int(c) for c in z)
-        if zt not in index:
-            raise DimensionError("field mode outside target truncation")
-        vhat[index[zt]] = field.coeffs[k]
+def _aligned_modes(field: SpectralField, n: int) -> np.ndarray:
+    """Field coefficients on half_space_modes(n, d), zero where not stored."""
+    pos = _mode_index(field.modes, n, field.d)
+    if (pos < 0).any():
+        raise DimensionError("field mode outside target truncation")
+    vhat = np.zeros((((2 * n + 1) ** field.d - 1) // 2, field.d),
+                    dtype=np.complex128)
+    vhat[pos] = field.coeffs
     return vhat
 
 
@@ -502,44 +551,37 @@ def inner_product(u: SpectralField, v: SpectralField) -> float:
     """L2 inner product by Parseval: 2 Re sum over stored modes."""
     if u.d != v.d:
         raise DimensionError("dimension mismatch in inner product")
-    if u.n == v.n and u.modes.shape == v.modes.shape:
-        return float(2.0 * np.real(np.einsum("zd,zd->", u.coeffs, np.conj(v.coeffs))))
-    vmap = v.coeff_map()
-    acc = 0.0
-    for k, z in enumerate(u.modes):
-        zt = tuple(int(c) for c in z)
-        if zt in vmap:
-            acc += 2.0 * float(np.real(u.coeffs[k] @ np.conj(vmap[zt])))
-    return acc
+    n = max(u.n, v.n)
+    return float(2.0 * np.real(np.einsum(
+        "zd,zd->", _aligned_modes(u, n), np.conj(_aligned_modes(v, n)))))
 
 
-def _bessel_weights(field: SpectralField, alpha: float) -> np.ndarray:
-    zsq = np.einsum("zd,zd->z", field.modes, field.modes).astype(float)
-    return (1.0 + TWO_PI_SQ * zsq) ** (alpha / 2.0)
+def _grid_lp_norm(field: SpectralField, p: float, M: int | None,
+                  multiplier) -> float:
+    """|| m(D) v ||_{L_p} by the rectangle rule on the M^d grid (default
+    norm_grid_size(n)), where multiplier(gm) is m on the grid of gm."""
+    gm = grid_map(field.d, field.n, norm_grid_size(field.n) if M is None else M)
+    mean = gm.lp_means(_aligned_modes(field, field.n)[None], multiplier(gm), p)[0]
+    return float(mean ** (1.0 / p))
 
 
 def sobolev_norm(field: SpectralField, p: float, alpha: float,
                  M: int | None = None, quadrature: bool = False) -> float:
     """Bessel-potential Sobolev norm || (1-Laplacian)^{alpha/2} v ||_{L_p}.
 
-    The multiplier (1 + 4 pi^2 |z|^2)^{alpha/2} is applied mode by mode.
-    For p = 2 the exact Parseval sum is returned unless quadrature=True;
-    other p use the uniform-grid rectangle rule at resolution M
-    (default max(2(2n+1), 32) per axis).
+    The multiplier is (1 + 4 pi^2 |z|^2)^{alpha/2}.  For p = 2 the exact
+    Parseval sum is returned unless quadrature=True; other p use the
+    uniform-grid rectangle rule at resolution M (default max(2(2n+1), 32)
+    per axis).
     """
     if p < 1:
         raise ValueError(f"L_p norm needs p >= 1, got p={p}")
-    w = _bessel_weights(field, alpha)
     if p == 2 and not quadrature:
+        zsq = np.einsum("zd,zd->z", field.modes, field.modes).astype(float)
+        w = (1.0 + TWO_PI_SQ * zsq) ** (alpha / 2.0)
         return float(np.sqrt(
             2.0 * np.sum(w[:, None] ** 2 * np.abs(field.coeffs) ** 2)))
-    if M is None:
-        M = norm_grid_size(field.n)
-    weighted = SpectralField(field.d, field.n, field.modes,
-                             field.coeffs * w[:, None])
-    g = to_grid(weighted, M)
-    mag = np.sqrt(np.sum(g.values ** 2, axis=0))
-    return float(np.mean(mag ** p) ** (1.0 / p))
+    return _grid_lp_norm(field, p, M, lambda gm: gm.bessel(alpha))
 
 
 def _derivative_lp_norm(field: SpectralField, p: float, order: int,
@@ -552,22 +594,7 @@ def _derivative_lp_norm(field: SpectralField, p: float, order: int,
         fac = (TWO_PI_SQ * zsq) ** order
         return float(np.sqrt(
             2.0 * np.sum(fac[:, None] * np.abs(field.coeffs) ** 2)))
-    if M is None:
-        M = norm_grid_size(field.n)
-    gm = grid_map(field.d, field.n, M)
-    vhat = _aligned_modes(field, gm)
-    A = gm.scatter(vhat)
-    axes = tuple(range(1, field.d + 1))
-    if order == 1:
-        Gh = A[:, None] * gm.ikvec[None, :]
-        G = np.fft.ifftn(Gh, axes=tuple(range(2, field.d + 2))).real * gm.vol
-        mag = np.sqrt(np.sum(G ** 2, axis=(0, 1)))
-    else:
-        ksq = np.sum(gm.kvec ** 2, axis=0)
-        Lh = -TWO_PI_SQ * ksq * A
-        L = np.fft.ifftn(Lh, axes=axes).real * gm.vol
-        mag = np.sqrt(np.sum(L ** 2, axis=0))
-    return float(np.mean(mag ** p) ** (1.0 / p))
+    return _grid_lp_norm(field, p, M, lambda gm: gm.derivative(order))
 
 
 def gradient_lp_norm(field: SpectralField, p: float, M: int | None = None) -> float:

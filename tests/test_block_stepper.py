@@ -24,13 +24,13 @@ from splf import spectral as sp
 def per_path_loop(c, path_index, x0):
     gamma = noise.gamma_vector(c.gamma, c.n, c.d)
     lam = sp.grid_map(c.d, c.n, 2 * c.n + 1).lam_coord
-    norm_p1 = it._NormP1(c.d, c.n, c.p)
     dt = c.dt_eff
     x = x0.copy()
     rows, int_diss, int_gamma, diverged_step = [], 0.0, 0.0, None
 
     def record(t):
-        rows.append((t, x.copy(), float(x @ x), norm_p1(x), int_diss, int_gamma))
+        norm_p1 = it._norm_p1_p(x[None], c)[0]     # the quadrature of one row
+        rows.append((t, x.copy(), float(x @ x), norm_p1, int_diss, int_gamma))
 
     for k in range(c.n_steps):
         if k % c.record_every == 0:
@@ -200,8 +200,10 @@ def paired_records():
     return it.simulate_paired(c, 3, x0, y0)
 
 
-# sha256 of `record_digest` over the records of the per-path integrator,
-# numpy 2.4 on x86-64; 40 paths at d=2 span one full and one partial block
+# sha256 of `record_digest` over the records of the per-path integrator
+# (p2: of the block stepper with a per-row ||X||_{p,1}^p evaluator that
+# preceded the batched quadrature kernel), numpy 2.4 on x86-64; 40 paths
+# at d=2 span one full and one partial block
 PINNED = {
     "euler_maruyama": (
         lambda: it.simulate_ensemble(config(2, "euler_maruyama", n_paths=40)),
@@ -219,6 +221,9 @@ PINNED = {
     "diverging": (
         lambda: it.simulate_ensemble(diverging_config()),
         "f9849691471bced9a3f04635c9539c532b959a383a10ac0e8116b191ddf2166e"),
+    "p2": (
+        lambda: it.simulate_ensemble(config(2, "semi_implicit", p=2.0, n_paths=40)),
+        "07cf9268a3ce5e2edcaf542c8edadba650096f4544be1b65775fdf922236c4cf"),
     "paired": (
         paired_records,
         "8b5bbf341c84cd46b360bb58c289b7453728eb9ca2d6e19709e890a8b2677ff2"),

@@ -2,6 +2,7 @@
 functional and the uniqueness envelope."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -232,3 +233,47 @@ class TestGronwall:
         with pytest.raises(ValueError, match="n_validation"):
             dg.gronwall_experiment(cfg, eps=1e-3, n_calibration=0,
                                    n_validation=dg.CALIBRATION_PATH_OFFSET + 1)
+
+
+def pinned_pair(p, d=2, record_every=1):
+    cfg = base_config(d=d, p=p, nu=0.05, n=2 if d == 2 else 1, T=0.02,
+                      seed=4242, init=it.GaussianInit(sigma=2.0, decay=1.0),
+                      gamma=noise.PowerLawSpectrum(c=0.1, s=3.0),
+                      stepper="tamed", record_every=record_every)
+    x0 = it.initial_coords(cfg, 5)
+    y0 = x0.copy()
+    y0[0] += 1e-3
+    rec_a, _ = it.simulate_paired(cfg, 5, x0, y0)
+    return rec_a, cfg
+
+
+def grad_integral(p, **kw):
+    return (dg._grad_integral(*pinned_pair(p, **kw)),)
+
+
+def dissipation(p, **kw):
+    return dg.dissipation_functional(*pinned_pair(p, **kw))
+
+
+# sha256 of the float64 bytes of the diagnostics, from the row-by-row
+# SpectralField evaluation that preceded the batched quadrature kernel,
+# numpy 2.4 on x86-64
+PINNED_DIAGNOSTICS = {
+    "grad_integral-p2.5": (lambda: grad_integral(2.5),
+        "d197b2ba2610d4ce393b77f2d8f38bd2b274f79670724bceea0580272beee725"),
+    "grad_integral-p1.5": (lambda: grad_integral(1.5),
+        "fef35d68dbeedb93a51c21ba29df0049841d9e513b3fc60fd6465859bcbc155e"),
+    "dissipation-p1.5": (lambda: dissipation(1.5),
+        "b62ea822ba8a97c1596a7dfecfa79b8e3458ba25feab33de480a384245b22d38"),
+    "dissipation-p1.9-d3": (lambda: dissipation(1.9, d=3, record_every=5),
+        "cfb2d0ae4af475a90ed59c0c9ce6ac67e060530934f9573bb3b3bff3d6afbaa8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIAGNOSTICS))
+def test_diagnostics_match_pinned(case):
+    run, digest = PINNED_DIAGNOSTICS[case]
+    h = hashlib.sha256()
+    for a in run():
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    assert h.hexdigest() == digest

@@ -64,6 +64,13 @@ class TestTrace:
         assert g[k] == 0.25
         assert g.sum() == 0.25
 
+    def test_entries_beyond_truncation_ignored(self):
+        spec = noise.ExplicitSpectrum.from_items(
+            [((0, 1), 2, 0.25), ((2, 1), 1, 9.0), ((0, -3), 2, 7.0)])
+        g = noise.gamma_vector(spec, 1, 2)
+        assert g.sum() == 0.25
+        assert noise.gamma_vector(spec, 3, 2).sum() == 0.25 + 9.0 + 7.0
+
 
 class TestSampling:
     def test_zero_spectrum_zero_increment(self):

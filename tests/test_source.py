@@ -1,0 +1,16 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import splf
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so input checks must raise
+    found = []
+    for path in sorted(Path(splf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found

@@ -1,5 +1,10 @@
 """Basis construction, field representation, transforms and norms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,6 +107,29 @@ class TestCoordinates:
         f = random_field(0, d=2, n=4)
         with pytest.raises(sp.DimensionError):
             sp.field_to_coords(f, n=2)
+
+    def test_coeff_map_mode_beyond_n_named(self):
+        with pytest.raises(sp.DimensionError, match=r"\(3, 0\)"):
+            sp.SpectralField.from_coeff_map({(3, 0): [0.0, 1.0]}, d=2, n=2)
+
+
+class TestModeIndex:
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (4, 2), (1, 3), (2, 3)])
+    def test_each_mode_maps_to_its_position(self, n, d):
+        modes = sp.half_space_modes(n, d)
+        assert np.array_equal(sp._mode_index(modes, n, d), np.arange(len(modes)))
+        for k, z in enumerate(modes):
+            assert sp._mode_index(tuple(z), n, d) == k
+        assert np.all(sp._mode_index(-modes, n, d) == -1)
+        assert sp._mode_index(np.zeros(d, dtype=int), n, d) == -1
+        beyond = np.vstack([modes + (n + 1) * np.eye(d, dtype=int)[0],
+                            modes - (2 * n + 1) * np.eye(d, dtype=int)[-1],
+                            [[n + 1] + [0] * (d - 1)], [[-n - 1] * d]])
+        assert np.all(sp._mode_index(beyond, n, d) == -1)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(sp.DimensionError):
+            sp._mode_index((1, 0, 0), 2, 2)
 
 
 class TestGridTransforms:
@@ -284,8 +312,54 @@ class TestInvariants:
     def test_field_rejects_divergent_coeffs(self):
         modes = sp.half_space_modes(1, 2)
         coeffs = modes.astype(np.complex128)  # parallel to z: not div-free
-        with pytest.raises(AssertionError):
+        with pytest.raises(sp.StructureError, match="divergence free"):
             sp.SpectralField(d=2, n=1, modes=modes, coeffs=coeffs)
+
+    @pytest.mark.parametrize("z,why", [((2, 0), "outside the truncation box"),
+                                       ((0, -1), "not canonical"),
+                                       ((0, 0), "not canonical")])
+    def test_field_rejects_bad_modes(self, z, why):
+        modes = np.array([[1, 0], z])
+        coeffs = np.zeros((2, 2), dtype=np.complex128)
+        with pytest.raises(sp.DimensionError, match=f"{z[0]}, {z[1]}.*{why}"):
+            sp.SpectralField(d=2, n=1, modes=modes, coeffs=coeffs)
+
+    def test_field_rejects_repeated_mode(self):
+        modes = np.array([[1, 0], [0, 1], [1, 0]])
+        coeffs = np.zeros((3, 2), dtype=np.complex128)
+        with pytest.raises(sp.DimensionError, match="twice"):
+            sp.SpectralField(d=2, n=1, modes=modes, coeffs=coeffs)
+
+    def test_tensor_rejects_asymmetry(self):
+        values = np.zeros((2, 2, 4, 4))
+        values[0, 1] = 1.0
+        with pytest.raises(sp.StructureError, match="not symmetric"):
+            sp.GridTensorField(d=2, M=4, values=values)
+
+    def test_checks_survive_optimized_mode(self):
+        # python -O strips assert statements; the checks must still raise
+        code = """
+import numpy as np
+from splf import spectral as sp
+modes = sp.half_space_modes(1, 2)
+for build in (
+        lambda: sp.SpectralField(d=2, n=1, modes=modes,
+                                 coeffs=modes.astype(complex)),
+        lambda: sp.SpectralField(d=2, n=1, modes=-modes,
+                                 coeffs=np.zeros((len(modes), 2), complex)),
+        lambda: sp.GridTensorField(d=2, M=2, values=np.arange(16.0).reshape(2, 2, 2, 2))):
+    try:
+        build()
+    except ValueError as exc:
+        print(type(exc).__name__)
+"""
+        src = str(Path(sp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["StructureError", "DimensionError",
+                                      "StructureError"]
 
     def test_fields_immutable(self):
         f = random_field(0)
