@@ -43,14 +43,13 @@ def _sha256(path: Path) -> str:
 
 
 def _write_record_csv(record: TrajectoryRecord, path: Path) -> None:
-    K = record.coords.shape[1] if record.coords.size else 0
+    table = np.column_stack([record.times, record.norm_l2_sq, record.norm_p1_p,
+                             record.int_diss, record.int_gamma, record.coords])
     header = ["t", "normL2sq", "normVp1_p", "int_diss", "int_gammaXX"] + [
-        f"x_{k}" for k in range(K)]
-    lines = [",".join(header)]
-    for i in range(len(record.times)):
-        row = [record.times[i], record.norm_l2_sq[i], record.norm_p1_p[i],
-               record.int_diss[i], record.int_gamma[i], *record.coords[i]]
-        lines.append(",".join(_fmt(v) for v in row))
+        f"x_{k}" for k in range(record.coords.shape[1])]
+    # "%.17g" formats a float exactly as _fmt does
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

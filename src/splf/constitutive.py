@@ -127,7 +127,7 @@ def pairing_stress(phi: SpectralField, v: SpectralField, params: FluidParams,
     _, Gp = _grid_and_gradient(phi, gm)
     tau = _stress_from_strain(_strain_from_gradient(Gv), params)
     ephi = _strain_from_gradient(Gp)
-    return gm.quad_mean(np.sum(tau * ephi, axis=(0, 1)))
+    return float(np.mean(np.sum(tau * ephi, axis=(0, 1))))
 
 
 def convection(v: SpectralField, w: SpectralField, M: int | None = None) -> GridVectorField:
@@ -151,7 +151,7 @@ def pairing_convection(w: SpectralField, v: SpectralField, phi: SpectralField,
     Vv, _ = _grid_and_gradient(v, gm)
     _, Gp = _grid_and_gradient(phi, gm)
     adv = np.einsum("j...,ij...->i...", Vv, Gp)
-    return gm.quad_mean(np.sum(Vw * adv, axis=0))
+    return float(np.mean(np.sum(Vw * adv, axis=0)))
 
 
 def dissipation_pairing(v: SpectralField, params: FluidParams,
@@ -173,8 +173,10 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     the full gradient of every path go through one batched inverse
     transform, the advection and stress go back through one batched
     forward transform; this keeps the per-step cost transform-bound.  Each
-    1-D transform and every reduction acts on one path alone, so a row's
-    result does not depend on the block it was computed in.
+    1-D transform acts on one path alone, and the dissipation is a mean
+    over each row's contiguous grid axis, the same pairwise sum per row as
+    the rectangle rule on that row alone; so a row's result does not depend
+    on the block it was computed in.
     """
     d = gm.d
     block = x.reshape(-1, x.shape[-1])
@@ -196,7 +198,7 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     tau = _stress_from_strain(e, params, axis=1)
     conv = np.einsum("pj...,pij...->pi...", V, G)
     density = np.sum(e * tau, axis=(1, 2))
-    diss = np.array([gm.quad_mean(row) for row in density])
+    diss = density.reshape(P, -1).mean(axis=1)
     up = np.concatenate([conv, tau.reshape((P, d * d) + gm.shape)], axis=1,
                         dtype=np.complex128)
     del conv, tau, e, G, V, down

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -386,6 +386,13 @@ def calibrate_gronwall(pairs: Sequence[Tuple[TrajectoryRecord, TrajectoryRecord]
 
 @dataclass(frozen=True)
 class GronwallExperimentReport:
+    """Envelope constant calibrated on held-out pairs and its validation.
+
+    A pair with a diverged member is not evidence either way: it is left
+    out of the calibration and the validation, counted in n_diverged, and
+    fails the experiment.  worst is None when no validation pair survived.
+    """
+
     c_hat: float
     margin: float
     exponent: float
@@ -393,12 +400,13 @@ class GronwallExperimentReport:
     n_validation: int
     total_violations: int
     pairs_ok: int
-    worst: GronwallReport
+    worst: Optional[GronwallReport]
     in_uniqueness_regime: bool
+    n_diverged: int
 
     @property
     def passed(self) -> bool:
-        return self.total_violations == 0
+        return self.total_violations == 0 and self.n_diverged == 0
 
 
 def _perturbed_pair(config: SimConfig, path_index: int, eps: float):
@@ -416,19 +424,27 @@ def gronwall_experiment(config: SimConfig, eps: float,
     Calibration pairs use path indices offset by CALIBRATION_PATH_OFFSET, so
     their noise and initial data are fresh relative to the validation set;
     more validation pairs than that offset would reuse calibration streams.
+    Diverged records of either set are counted and fail the experiment.
     """
-    if n_validation > CALIBRATION_PATH_OFFSET:
+    if not 1 <= n_validation <= CALIBRATION_PATH_OFFSET:
         raise ValueError(
-            f"n_validation: at most {CALIBRATION_PATH_OFFSET} pairs, got "
-            f"{n_validation}; more would share streams with the calibration pairs")
+            f"n_validation: must be from 1 to {CALIBRATION_PATH_OFFSET} pairs (more "
+            f"would share streams with the calibration pairs), got {n_validation}")
+    if n_calibration < 1:
+        raise ValueError(f"n_calibration: must be at least 1 pair, got {n_calibration}")
     cal_pairs = [_perturbed_pair(config, CALIBRATION_PATH_OFFSET + i, eps)
                  for i in range(n_calibration)]
-    c_hat = calibrate_gronwall(cal_pairs, config)
+    n_diverged = sum(r.diverged for pair in cal_pairs for r in pair)
+    c_hat = calibrate_gronwall(
+        [pair for pair in cal_pairs if not any(r.diverged for r in pair)], config)
     total = 0
     ok = 0
     worst = None
     for i in range(n_validation):
         rec_a, rec_b = _perturbed_pair(config, i, eps)
+        if rec_a.diverged or rec_b.diverged:
+            n_diverged += rec_a.diverged + rec_b.diverged
+            continue
         rep = gronwall_check(rec_a, rec_b, config, c_hat, margin)
         total += rep.violations
         ok += rep.holds
@@ -439,16 +455,21 @@ def gronwall_experiment(config: SimConfig, eps: float,
         exponent=gronwall_exponent(config.p, config.d),
         n_calibration=n_calibration, n_validation=n_validation,
         total_violations=total, pairs_ok=ok, worst=worst,
-        in_uniqueness_regime=worst.in_uniqueness_regime)
+        in_uniqueness_regime=config.p >= float(uniqueness_threshold(config.d)),
+        n_diverged=n_diverged)
 
 
 def identical_noise_separation(config: SimConfig, path_index: int) -> float:
     """Max separation ||Z_t||_2 over a pair with identical data and noise.
 
     The discrete map is deterministic given the noise, so this is zero to
-    roundoff; it is the exact branch of the uniqueness statement.
+    roundoff; it is the exact branch of the uniqueness statement.  A pair
+    with a diverged member returns inf: a path that left the computation
+    shows nothing about uniqueness.
     """
     x0 = initial_coords(config, path_index)
     rec_a, rec_b = simulate_paired(config, path_index, x0, x0.copy())
+    if rec_a.diverged or rec_b.diverged:
+        return math.inf
     z = rec_a.coords - rec_b.coords
     return float(np.sqrt(np.einsum("rk,rk->r", z, z).max()))

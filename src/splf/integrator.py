@@ -100,16 +100,16 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.d, numbers.Integral) or self.d < 2:
             raise ConfigError(f"d: must be an integer >= 2, got {self.d}")
-        if not self.p > 1:
-            raise ConfigError(f"p: must exceed 1, got {self.p}")
-        if not self.nu > 0:
-            raise ConfigError(f"nu: must be positive, got {self.nu}")
+        if not 1 < self.p < math.inf:
+            raise ConfigError(f"p: must be finite and exceed 1, got {self.p}")
+        if not 0 < self.nu < math.inf:
+            raise ConfigError(f"nu: must be positive and finite, got {self.nu}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ConfigError(f"n: must be an integer >= 1, got {self.n}")
-        if not self.dt > 0:
-            raise ConfigError(f"dt: must be positive, got {self.dt}")
-        if not self.T >= self.dt:
-            raise ConfigError(f"T: must be at least dt, got T={self.T}, dt={self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt: must be positive and finite, got {self.dt}")
+        if not self.dt <= self.T < math.inf:
+            raise ConfigError(f"T: must be finite and at least dt={self.dt}, got {self.T}")
         if not (isinstance(self.n_paths, numbers.Integral) and self.n_paths >= 1):
             raise ConfigError(f"n_paths: must be an integer >= 1, got {self.n_paths}")
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2 ** 64):
@@ -119,10 +119,12 @@ class SimConfig:
             raise ConfigError(
                 f"stepper: unknown scheme {self.stepper!r}, choose from {STEPPERS}")
         if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
-            raise ConfigError(f"record_every: must be an integer >= 1")
+            raise ConfigError(f"record_every: must be an integer >= 1, got {self.record_every}")
         if not self.norm_ceiling > 0:
-            raise ConfigError(f"norm_ceiling: must be positive")
+            raise ConfigError(f"norm_ceiling: must be positive, got {self.norm_ceiling}")
         if isinstance(self.init, SingleModeInit):
+            if not math.isfinite(self.init.amplitude):
+                raise ConfigError(f"init.amplitude: must be finite, got {self.init.amplitude}")
             if len(self.init.z) != self.d:
                 raise ConfigError(f"init.z: wrong dimension for d={self.d}")
             if all(c == 0 for c in self.init.z):
@@ -132,8 +134,10 @@ class SimConfig:
             if not 1 <= self.init.j <= 2 * self.d - 2:
                 raise ConfigError(f"init.j: outside 1..{2 * self.d - 2}")
         elif isinstance(self.init, GaussianInit):
-            if self.init.sigma < 0:
-                raise ConfigError("init.sigma: must be nonnegative")
+            if not 0 <= self.init.sigma < math.inf:
+                raise ConfigError(f"init.sigma: must be finite and >= 0, got {self.init.sigma}")
+            if not math.isfinite(self.init.decay):
+                raise ConfigError(f"init.decay: must be finite, got {self.init.decay}")
         else:
             raise ConfigError(f"init: unknown descriptor {type(self.init).__name__}")
         validate_spectrum(self.gamma, self.d)
@@ -209,8 +213,7 @@ def _advance(x: np.ndarray, dt: float, dW: np.ndarray, b: np.ndarray,
     if stepper == "euler_maruyama":
         return x + dt * b + dW
     if stepper == "tamed":
-        # one 1-D norm per row, so a row's step ignores the rows beside it
-        shrink = 1.0 + dt * np.array([np.linalg.norm(row) for row in b])
+        shrink = 1.0 + dt * np.sqrt(np.vecdot(b, b))
         return x + dt * b / shrink[:, None] + dW
     # semi-implicit: exact per-mode solve of the Stokes part
     return (x + dt * (b + nu * lam * x) + dW) / (1.0 + dt * nu * lam)
@@ -249,10 +252,13 @@ def block_size(d: int, n: int) -> int:
 class _BlockStepper:
     """Integrates a block of paths together, one drift pass per step.
 
-    Every reduction that feeds a path's record (norms, dot products,
-    quadrature means) runs on that path's row alone, so a record is
-    bit-identical whatever block it was computed in.  A path that diverges
-    is frozen at that step and leaves the block.
+    Every reduction that feeds a path's record is row-wise by construction:
+    `np.vecdot` over the block calls the same dot product once per row that
+    `row @ row` and `np.linalg.norm(row)` call, and a mean over a row's
+    contiguous last axis is that row's own pairwise sum.  So a record is
+    bit-identical whatever block it was computed in; the pinned record
+    digests in the tests guard this.  A path that diverges is frozen at
+    that step and leaves the block.
     """
 
     def __init__(self, config: SimConfig):
@@ -286,30 +292,28 @@ class _BlockStepper:
         int_gamma = np.zeros(len(live))
 
         def record(t):
-            for xj, slot, i_diss, i_gam in zip(x, live, int_diss, int_gamma):
-                rows[slot].append((t, xj.copy(), float(xj @ xj), i_diss, i_gam))
+            for xj, slot, l2, i_diss, i_gam in zip(
+                    x, live, np.vecdot(x, x), int_diss, int_gamma):
+                rows[slot].append((t, xj.copy(), l2, i_diss, i_gam))
 
         for k in range(self.n_steps):
             if k % c.record_every == 0:
                 record(k * dt)
             b, diss = drift_and_dissipation(x, c.d, c.n, self.params)
-            keep = np.isfinite(b).all(axis=1)
-            if not keep.all():
-                diverged_step.update((int(slot), k) for slot in live[~keep])
-                x, b, diss, int_diss, int_gamma, live = (
-                    a[keep] for a in (x, b, diss, int_diss, int_gamma, live))
-                if not live.size:
-                    break
+            # a row whose drift is not finite diverges at step k; every
+            # stepper then gives it a non-finite state, so it leaves the
+            # block below with the rows whose norm fails at step k + 1
+            fail_step = np.where(np.isfinite(b).all(axis=1), k + 1, k)
             int_diss += dt * diss
-            int_gamma += dt * np.array([self.gamma @ (xj * xj) for xj in x])
+            int_gamma += dt * np.vecdot(x * x, self.gamma)
             labels = [path_indices[slot] for slot in live]
             draws = {q: self.increment(q, k) for q in set(labels)}
             dW = np.array([draws[q] for q in labels])
             x = _advance(x, dt, dW, b, c.stepper, c.nu, self.lam)
-            nrm = np.array([np.linalg.norm(xj) for xj in x])
+            nrm = np.sqrt(np.vecdot(x, x))
             keep = np.isfinite(nrm) & (nrm <= c.norm_ceiling)
             if not keep.all():
-                diverged_step.update((int(slot), k + 1) for slot in live[~keep])
+                diverged_step.update(zip(live[~keep].tolist(), fail_step[~keep].tolist()))
                 x, int_diss, int_gamma, live = (
                     a[keep] for a in (x, int_diss, int_gamma, live))
                 if not live.size:
@@ -392,8 +396,5 @@ def simulate_ensemble(config: SimConfig,
     chunks = [indices[i::workers] for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         results = list(ex.map(_worker, [(config, ch) for ch in chunks]))
-    by_index = {}
-    for chunk, recs in zip(chunks, results):
-        for i, r in zip(chunk, recs):
-            by_index[i] = r
+    by_index = {r.path_index: r for recs in results for r in recs}
     return [by_index[i] for i in indices]

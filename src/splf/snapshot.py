@@ -26,15 +26,20 @@ class SnapshotError(ValueError):
     """Malformed snapshot bytes."""
 
 
+def _mode_dtype(d: int) -> np.dtype:
+    """One packed mode record: d int32 wave vector components, then 2d
+    float64 values (real, imag interleaved)."""
+    return np.dtype([("z", "<i4", (d,)), ("c", "<f8", (2 * d,))])
+
+
 def field_to_bytes(field: SpectralField) -> bytes:
     head = MAGIC + struct.pack("<IIII", VERSION, field.d, field.n,
                                field.modes.shape[0])
-    z = field.modes.astype("<i4")
-    c = np.empty((field.modes.shape[0], 2 * field.d), dtype="<f8")
-    c[:, 0::2] = field.coeffs.real
-    c[:, 1::2] = field.coeffs.imag
-    body = b"".join(zr.tobytes() + cr.tobytes() for zr, cr in zip(z, c))
-    return head + body
+    body = np.empty(field.modes.shape[0], dtype=_mode_dtype(field.d))
+    body["z"] = field.modes
+    body["c"][:, 0::2] = field.coeffs.real
+    body["c"][:, 1::2] = field.coeffs.imag
+    return head + body.tobytes()
 
 
 def bytes_to_field(blob: bytes) -> SpectralField:
@@ -43,22 +48,14 @@ def bytes_to_field(blob: bytes) -> SpectralField:
     version, d, n, count = struct.unpack_from("<IIII", blob, 4)
     if version != VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
-    rec = 4 * d + 16 * d
-    expected = 20 + count * rec
+    expected = 20 + count * (4 * d + 16 * d)
     if len(blob) != expected:
         raise SnapshotError(
             f"snapshot length {len(blob)} != expected {expected}")
-    modes = np.empty((count, d), dtype=np.int64)
-    coeffs = np.empty((count, d), dtype=np.complex128)
-    off = 20
-    for k in range(count):
-        z = np.frombuffer(blob, dtype="<i4", count=d, offset=off)
-        off += 4 * d
-        c = np.frombuffer(blob, dtype="<f8", count=2 * d, offset=off)
-        off += 16 * d
-        modes[k] = z
-        coeffs[k] = c[0::2] + 1j * c[1::2]
-    return SpectralField(d=int(d), n=int(n), modes=modes, coeffs=coeffs)
+    body = np.frombuffer(blob, dtype=_mode_dtype(d), count=count, offset=20)
+    c = body["c"]
+    return SpectralField(d=int(d), n=int(n), modes=body["z"].astype(np.int64),
+                         coeffs=c[:, 0::2] + 1j * c[:, 1::2])
 
 
 def write_snapshot(field: SpectralField, path) -> None:

@@ -410,10 +410,6 @@ class _GridMap:
         A = np.fft.fftn(values, axes=self.grid_axes) / self.vol
         return self.gather(A)
 
-    def quad_mean(self, samples: np.ndarray) -> float:
-        """Rectangle rule on the unit torus: plain mean over grid points."""
-        return float(np.mean(samples))
-
     def bessel(self, alpha: float) -> np.ndarray:
         """Multiplier (1, M, ..., M) of (1 - Laplacian)^{alpha/2}."""
         return ((1.0 + TWO_PI_SQ * self.ksq) ** (alpha / 2.0))[None]
@@ -427,8 +423,9 @@ class _GridMap:
         """Grid mean of |m(D) v|^p for each row of vhat (R, Z, d), where |.|
         is the Frobenius norm over the (d, c) values of the multiplier
         m (c, M, ..., M) applied to each component.  Rows are transformed
-        in batches of at most BLOCK_VALUES complex values, and each row's
-        mean is taken on its own grid, so no row depends on its batch."""
+        in batches of at most BLOCK_VALUES complex values; each row's mean
+        is one pairwise sum over its own contiguous grid axis, so no row
+        depends on its batch."""
         per_row = self.d * multiplier.shape[0] * self.vol
         rows = max(1, BLOCK_VALUES // per_row)
         means = []
@@ -444,8 +441,8 @@ class _GridMap:
             np.fft.ifftn(mA, axes=self.grid_axes, out=mA)
             mag = np.sqrt(np.sum((mA.real * self.vol) ** 2, axis=1))
             del mA
-            means += [np.mean(row) for row in mag ** p]
-        return np.array(means)
+            means.append((mag ** p).reshape(len(mag), -1).mean(axis=1))
+        return np.concatenate(means)
 
 
 @lru_cache(maxsize=None)

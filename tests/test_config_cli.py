@@ -8,7 +8,8 @@ import pytest
 
 from splf import cli
 from splf.config import parse_config, parse_config_string
-from splf.integrator import ConfigError, GaussianInit, SingleModeInit
+from splf.integrator import (ConfigError, GaussianInit, SingleModeInit,
+                             TrajectoryRecord)
 from splf.noise import ExplicitSpectrum, PowerLawSpectrum
 
 MINIMAL = """
@@ -178,6 +179,56 @@ class TestCliSimulate:
         assert np.array_equal(row[5:], rec.coords[2])
 
 
+DIVERGING = """
+[model]
+d = 2
+p = 4.0
+nu = 1.0
+n = 2
+
+[time]
+dt = 2e-3
+T = 0.1
+
+[ensemble]
+n_paths = 8
+seed = 20240611
+stepper = euler_maruyama
+record_every = 1
+norm_ceiling = 40
+
+[init]
+kind = gaussian
+sigma = 0.4
+decay = 1.0
+
+[gamma]
+kind = power
+c = 0.5
+s = 3.0
+"""
+
+
+def test_csv_bytes_match_python_format(tmp_path):
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.2250738585072e-308,
+               1.7976931348623157e308, 0.1, -1 / 3, 1e22, 123456789.0]
+    rows = np.array([special, special[::-1]])
+    rec = TrajectoryRecord(
+        path_index=0, dt=0.1, times=np.array([0.0, 0.1]), coords=rows,
+        norm_l2_sq=np.array([np.nan, 2.5]), norm_p1_p=np.array([-0.0, np.inf]),
+        int_diss=np.array([5e-324, 1.0]), int_gamma=np.array([0.0, -np.inf]))
+    path = tmp_path / "rec.csv"
+    cli._write_record_csv(rec, path)
+    header = "t,normL2sq,normVp1_p,int_diss,int_gammaXX," + ",".join(
+        f"x_{k}" for k in range(len(special)))
+    lines = [header]
+    for i in range(2):
+        vals = [rec.times[i], rec.norm_l2_sq[i], rec.norm_p1_p[i],
+                rec.int_diss[i], rec.int_gamma[i], *rows[i]]
+        lines.append(",".join(format(float(v), ".17g") for v in vals))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 class TestCliChecks:
     def test_uniqueness_exact_branch(self, tmp_path, capsys):
         cfg = small_ini(tmp_path, n_paths=3)
@@ -197,6 +248,23 @@ class TestCliChecks:
         assert "branch=gronwall" in out
         report = json.loads((tmp_path / "rep" / "uniqueness_report.json").read_text())
         assert report["n_validation"] == 3
+
+    @pytest.mark.parametrize("args", [["--eps", "0"],
+                                      ["--eps", "1e-3", "--calibration", "8"]])
+    def test_uniqueness_fails_on_diverged_pairs(self, tmp_path, capsys, args):
+        # 5 of the 8 paths cross the norm ceiling
+        path = tmp_path / "diverging.ini"
+        path.write_text(DIVERGING)
+        code = cli.main(["uniqueness-check", "--config", str(path), *args])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("uniqueness-check,fail,")
+
+    def test_uniqueness_calibration_count_named(self, tmp_path, capsys):
+        cfg = small_ini(tmp_path, n_paths=3, record_every=1)
+        code = cli.main(["uniqueness-check", "--config", str(cfg),
+                         "--eps", "1e-3", "--calibration", "0"])
+        assert code == 2
+        assert "n_calibration" in capsys.readouterr().err
 
     def test_energy_check_emits_verdict(self, tmp_path, capsys):
         # small ensemble: only the verdict wiring is under test here

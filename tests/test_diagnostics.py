@@ -234,6 +234,36 @@ class TestGronwall:
             dg.gronwall_experiment(cfg, eps=1e-3, n_calibration=0,
                                    n_validation=dg.CALIBRATION_PATH_OFFSET + 1)
 
+    @pytest.mark.parametrize("n_calibration,n_validation,name", [
+        (64, 0, "n_validation"), (-3, 5, "n_calibration"),
+        (0, 5, "n_calibration")])
+    def test_counts_must_be_positive(self, monkeypatch, n_calibration,
+                                     n_validation, name):
+        def no_pairs(*args):
+            raise AssertionError("pairs were run before the check")
+
+        monkeypatch.setattr(dg, "simulate_paired", no_pairs)
+        with pytest.raises(ValueError, match=name):
+            dg.gronwall_experiment(base_config(record_every=1), eps=1e-3,
+                                   n_calibration=n_calibration,
+                                   n_validation=n_validation)
+
+    def test_diverged_pairs_fail_both_branches(self):
+        # explicit Euler on the stiff p=4 stress: paths 0, 3, 5, 6 and 7
+        # cross the norm ceiling, paths 1, 2 and 4 do not
+        cfg = base_config(p=4.0, dt=2e-3, T=0.1, n_paths=8, seed=20240611,
+                          init=it.GaussianInit(sigma=0.4, decay=1.0),
+                          gamma=noise.PowerLawSpectrum(c=0.5, s=3.0),
+                          record_every=1, norm_ceiling=40.0)
+        assert dg.identical_noise_separation(cfg, 0) == np.inf
+        assert dg.identical_noise_separation(cfg, 1) == 0.0
+        rep = dg.gronwall_experiment(cfg, eps=1e-3, n_calibration=8,
+                                     n_validation=8)
+        assert rep.n_diverged > 0 and not rep.passed
+        clean = dataclasses.replace(rep, total_violations=0, n_diverged=0)
+        assert clean.passed
+        assert not dataclasses.replace(clean, n_diverged=1).passed
+
 
 def pinned_pair(p, d=2, record_every=1):
     cfg = base_config(d=d, p=p, nu=0.05, n=2 if d == 2 else 1, T=0.02,

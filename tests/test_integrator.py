@@ -43,6 +43,21 @@ class TestConfig:
         with pytest.raises(it.ConfigError, match="init.j"):
             base_config(init=it.SingleModeInit(z=(1, 0), j=5, amplitude=1.0))
 
+    @pytest.mark.parametrize("field,kw,shown", [
+        ("p", dict(p=np.inf), "inf"), ("nu", dict(nu=np.inf), "inf"),
+        ("dt", dict(dt=np.inf, T=np.inf), "inf"), ("T", dict(T=np.inf), "inf"),
+        ("init.sigma", dict(init=it.GaussianInit(sigma=np.nan, decay=1.0)), "nan"),
+        ("init.decay", dict(init=it.GaussianInit(sigma=1.0, decay=np.nan)), "nan"),
+        ("init.amplitude",
+         dict(init=it.SingleModeInit(z=(1, 0), j=1, amplitude=-np.inf)), "-inf"),
+        ("record_every", dict(record_every=0), "0"),
+        ("norm_ceiling", dict(norm_ceiling=-1.0), "-1.0")])
+    def test_bad_values_named(self, field, kw, shown):
+        # non-finite inputs would pass the range checks (T = inf) or run
+        # with every path diverging (nu = inf, sigma = nan)
+        with pytest.raises(it.ConfigError, match=f"^{field}: .*got {shown}$"):
+            base_config(**kw)
+
     def test_seed_beyond_64_bits_rejected(self):
         # the seed fills one 64-bit key word; larger seeds would alias
         base_config(seed=2 ** 64 - 1)

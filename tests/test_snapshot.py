@@ -49,6 +49,17 @@ class TestLayout:
             off += 8 + 32
         assert zs == sorted(zs)
 
+    def test_bytes_match_struct_layout(self):
+        f = random_field(2, d=3, n=2)
+        want = sn.MAGIC + struct.pack("<IIII", sn.VERSION, 3, 2, len(f.modes))
+        for z, c in zip(f.modes, f.coeffs):
+            want += struct.pack("<3i", *z)
+            want += struct.pack("<6d", *(v for x in c for v in (x.real, x.imag)))
+        assert sn.field_to_bytes(f) == want
+        g = sn.bytes_to_field(want)
+        assert np.array_equal(g.modes, f.modes)
+        assert np.array_equal(g.coeffs, f.coeffs)
+
     def test_known_coefficient_bytes(self):
         # one mode with a hand-placed coefficient survives byte-level checks
         idx = sp.make_basis(1, 2)[0]
