@@ -31,9 +31,12 @@ from .spectral import coords_to_field
 __all__ = ["main"]
 
 
+# Floats with 17 significant digits: lossless binary64 round trip.
+_FLOAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    """Floats with 17 significant digits: lossless binary64 round trip."""
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
 
 
 def _sha256(path: Path) -> str:
@@ -47,8 +50,7 @@ def _write_record_csv(record: TrajectoryRecord, path: Path) -> None:
                              record.int_diss, record.int_gamma, record.coords])
     header = ["t", "normL2sq", "normVp1_p", "int_diss", "int_gammaXX"] + [
         f"x_{k}" for k in range(record.coords.shape[1])]
-    # "%.17g" formats a float exactly as _fmt does
-    row = ",".join(["%.17g"] * table.shape[1])
+    row = ",".join([_FLOAT] * table.shape[1])
     lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
@@ -78,17 +80,31 @@ def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
     return path
 
 
-def _report_to_jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _report_to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
+def _json_default(obj):
+    """A report dataclass as a dict, numpy arrays and scalars as JSON lists
+    and numbers."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_report_to_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _verdict(args, config: SimConfig, outputs: OutputOptions, started: float,
+             passed: bool, fields, report) -> int:
+    """Print `command,status,fields...`; with --out also write the report
+    as `energy_report.json` or `uniqueness_report.json` and a manifest;
+    return the exit code."""
+    status = "pass" if passed else "fail"
+    print(",".join([args.command, status, *fields]))
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        rp = out_dir / f"{args.command.removesuffix('-check')}_report.json"
+        rp.write_text(json.dumps(report, indent=2, default=_json_default) + "\n")
+        _write_manifest(out_dir, config, outputs, [], [rp], started,
+                        verdict=status)
+    return 0 if passed else 1
 
 
 def _cmd_simulate(args) -> int:
@@ -117,9 +133,7 @@ def _cmd_energy_check(args) -> int:
     config, outputs = parse_config(args.config)
     started = time.time()
     report = energy_experiment(config)
-    status = "pass" if report.passed else "fail"
-    print(",".join([
-        "energy-check", status,
+    return _verdict(args, config, outputs, started, report.passed, [
         f"lhs={_fmt(report.main.lhs_mean)}",
         f"rhs={_fmt(report.main.rhs)}",
         f"stderr={_fmt(report.main.lhs_stderr)}",
@@ -128,15 +142,7 @@ def _cmd_energy_check(args) -> int:
         f"shrink_ratio={_fmt(report.shrink_ratio)}",
         f"paths={report.main.n_paths}",
         f"diverged={report.main.n_diverged}",
-    ]))
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rp = out_dir / "energy_report.json"
-        rp.write_text(json.dumps(_report_to_jsonable(report), indent=2) + "\n")
-        _write_manifest(out_dir, config, outputs, [], [rp], started,
-                        verdict=status)
-    return 0 if report.passed else 1
+    ], report)
 
 
 def _cmd_uniqueness_check(args) -> int:
@@ -145,62 +151,42 @@ def _cmd_uniqueness_check(args) -> int:
     if args.eps == 0.0:
         worst = max(identical_noise_separation(config, i)
                     for i in range(config.n_paths))
-        ok = worst < 1e-12
-        status = "pass" if ok else "fail"
-        print(f"uniqueness-check,{status},branch=exact,"
-              f"max_separation={_fmt(worst)},paths={config.n_paths}")
-        report_obj = {"branch": "exact", "max_separation": worst,
-                      "paths": config.n_paths}
-        passed = ok
-    else:
-        report = gronwall_experiment(config, eps=args.eps,
-                                     n_calibration=args.calibration,
-                                     n_validation=config.n_paths,
-                                     margin=args.margin)
-        status = "pass" if report.passed else "fail"
-        regime = "in" if report.in_uniqueness_regime else "outside-threshold"
-        print(",".join([
-            "uniqueness-check", status, "branch=gronwall",
-            f"eps={_fmt(args.eps)}",
-            f"c_hat={_fmt(report.c_hat)}",
-            f"exponent={_fmt(report.exponent)}",
-            f"margin={_fmt(report.margin)}",
-            f"violations={report.total_violations}",
-            f"pairs_ok={report.pairs_ok}/{report.n_validation}",
-            f"regime={regime}",
-        ]))
-        report_obj = _report_to_jsonable(report)
-        passed = report.passed
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rp = out_dir / "uniqueness_report.json"
-        rp.write_text(json.dumps(report_obj, indent=2) + "\n")
-        _write_manifest(out_dir, config, outputs, [], [rp], started,
-                        verdict=status)
-    return 0 if passed else 1
+        return _verdict(args, config, outputs, started, worst < 1e-12, [
+            "branch=exact",
+            f"max_separation={_fmt(worst)}",
+            f"paths={config.n_paths}",
+        ], {"branch": "exact", "max_separation": worst, "paths": config.n_paths})
+    report = gronwall_experiment(config, eps=args.eps,
+                                 n_calibration=args.calibration,
+                                 n_validation=config.n_paths,
+                                 margin=args.margin)
+    regime = "in" if report.in_uniqueness_regime else "outside-threshold"
+    return _verdict(args, config, outputs, started, report.passed, [
+        "branch=gronwall",
+        f"eps={_fmt(args.eps)}",
+        f"c_hat={_fmt(report.c_hat)}",
+        f"exponent={_fmt(report.exponent)}",
+        f"margin={_fmt(report.margin)}",
+        f"violations={report.total_violations}",
+        f"pairs_ok={report.pairs_ok}/{report.n_validation}",
+        f"regime={regime}",
+    ], report)
 
 
 def _cmd_exponents(args) -> int:
-    d = args.d
     if args.p is None:
-        c = critical_exponents(d)
-        rows = [("d", str(d)), ("p1", str(c.p1)), ("p2", str(c.p2)),
-                ("p3", repr(c.p3)),
-                ("uniqueness_threshold", str(uniqueness_threshold(d)))]
-        if args.csv:
-            print(",".join(k for k, _ in rows))
-            print(",".join(v for _, v in rows))
-        else:
-            for k, v in rows:
-                print(f"{k:>22}: {v}")
-        return 0
-    report = exponent_report(d, args.p)
-    if args.csv:
-        print(",".join(report.HEADER))
-        print(",".join(str(v) for v in report.as_row()))
+        c = critical_exponents(args.d)
+        header = ("d", "p1", "p2", "p3", "uniqueness_threshold")
+        row = (args.d, c.p1, c.p2, repr(c.p3), uniqueness_threshold(args.d))
     else:
-        for k, v in zip(report.HEADER, report.as_row()):
+        report = exponent_report(args.d, args.p)
+        header, row = report.HEADER, report.as_row()
+    values = [str(v) for v in row]
+    if args.csv:
+        print(",".join(header))
+        print(",".join(values))
+    else:
+        for k, v in zip(header, values):
             print(f"{k:>22}: {v}")
     return 0
 

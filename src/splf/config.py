@@ -9,6 +9,7 @@ invariant violations name the offending section and key.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -24,28 +25,6 @@ class OutputOptions:
     snapshots: bool = False
 
 
-class _Section:
-    def __init__(self, parser, name):
-        self.name = name
-        if name not in parser:
-            raise ConfigError(f"[{name}]: section missing")
-        self.sec = parser[name]
-
-    def get(self, key, conv, default=None):
-        if key not in self.sec:
-            if default is not None:
-                return default
-            raise ConfigError(f"[{self.name}] {key}: key missing")
-        raw = self.sec[key]
-        try:
-            return conv(raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"[{self.name}] {key}: cannot parse {raw!r} ({exc})")
-
-    def has(self, key):
-        return key in self.sec
-
-
 def _as_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -55,48 +34,70 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _as_int_vector(raw: str):
-    return tuple(int(tok) for tok in raw.split())
+# (parse, format) between INI text and a value, by the field's annotation
+_TYPES = {
+    "int": (int, str),
+    "float": (float, repr),
+    "str": (str, str),
+    "bool": (_as_bool, lambda v: str(v).lower()),
+    "tuple": (lambda raw: tuple(int(tok) for tok in raw.split()),
+              lambda v: " ".join(str(c) for c in v)),
+}
+
+# The sections of a config file in file order.  Each key is named after
+# the field it sets.  [model], [time] and [ensemble] list their SimConfig
+# fields; [init] and [gamma] set the SimConfig field of their own name and
+# map their `kind` key to the descriptor class whose fields follow it.  The
+# optional [outputs] section holds OutputOptions' fields.  A key left out
+# of the file takes the field's own default.
+_SCHEMA = (
+    ("model", ("d", "p", "nu", "n")),
+    ("time", ("dt", "T")),
+    ("ensemble", ("n_paths", "seed", "stepper", "record_every", "norm_ceiling")),
+    ("init", {"single_mode": SingleModeInit, "gaussian": GaussianInit}),
+    ("gamma", {"power": PowerLawSpectrum, "explicit": ExplicitSpectrum}),
+)
 
 
-def _parse_init(parser, d):
-    sec = _Section(parser, "init")
-    kind = sec.get("kind", str)
-    if kind == "single_mode":
-        return SingleModeInit(z=sec.get("z", _as_int_vector),
-                              j=sec.get("j", int),
-                              amplitude=sec.get("amplitude", float))
-    if kind == "gaussian":
-        return GaussianInit(sigma=sec.get("sigma", float),
-                            decay=sec.get("decay", float))
-    raise ConfigError(f"[init] kind: unknown kind {kind!r}")
+def _fields(cls, names=None):
+    return [f for f in dataclasses.fields(cls) if names is None or f.name in names]
 
 
-def _parse_gamma(parser, d):
-    sec = _Section(parser, "gamma")
-    kind = sec.get("kind", str)
-    if kind == "power":
-        return PowerLawSpectrum(c=sec.get("c", float), s=sec.get("s", float))
-    if kind == "explicit":
-        raw = sec.get("entries", str, default="")
-        items = []
-        for lineno, line in enumerate(raw.strip().splitlines()):
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != d + 2:
-                raise ConfigError(
-                    f"[gamma] entries line {lineno + 1}: need d z-components, "
-                    f"j and a value ({d + 2} tokens), got {len(toks)}")
-            try:
-                z = tuple(int(t) for t in toks[:d])
-                j = int(toks[d])
-                g = float(toks[d + 1])
-            except ValueError as exc:
-                raise ConfigError(f"[gamma] entries line {lineno + 1}: {exc}")
-            items.append((z, j, g))
-        return ExplicitSpectrum.from_items(items)
-    raise ConfigError(f"[gamma] kind: unknown kind {kind!r}")
+def _value(keys, section: str, key: str, parse):
+    if key not in keys:
+        raise ConfigError(f"[{section}] {key}: key missing")
+    raw = keys[key]
+    try:
+        return parse(raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})")
+
+
+def _read(keys, section: str, cls, names=None) -> dict:
+    """Keyword arguments of cls from the keys of one section."""
+    return {f.name: _value(keys, section, f.name, _TYPES[f.type][0])
+            for f in _fields(cls, names)
+            if f.name in keys or f.default is dataclasses.MISSING}
+
+
+def _explicit_entries(raw: str, d: int) -> ExplicitSpectrum:
+    items = []
+    for lineno, line in enumerate(raw.strip().splitlines()):
+        toks = line.split()
+        if not toks:
+            continue
+        if len(toks) != d + 2:
+            raise ConfigError(
+                f"[gamma] entries line {lineno + 1}: need d z-components, "
+                f"j and a value ({d + 2} tokens), got {len(toks)}")
+        try:
+            z = tuple(int(t) for t in toks[:d])
+            j = int(toks[d])
+            g = float(toks[d + 1])
+        except ValueError as exc:
+            raise ConfigError(f"[gamma] entries line {lineno + 1}: {exc}")
+        items.append((z, j, g))
+    return ExplicitSpectrum.from_items(items)
 
 
 def parse_config_string(text: str):
@@ -106,36 +107,29 @@ def parse_config_string(text: str):
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}")
-    model = _Section(parser, "model")
-    time = _Section(parser, "time")
-    ens = _Section(parser, "ensemble")
-    d = model.get("d", int)
-    p = model.get("p", float)
-    config = SimConfig(
-        d=d, p=p,
-        nu=model.get("nu", float),
-        n=model.get("n", int),
-        dt=time.get("dt", float),
-        T=time.get("T", float),
-        n_paths=ens.get("n_paths", int),
-        seed=ens.get("seed", int),
-        stepper=ens.get("stepper", str, default="tamed"),
-        record_every=ens.get("record_every", int, default=1),
-        norm_ceiling=ens.get("norm_ceiling", float, default=1e6),
-        init=_parse_init(parser, d),
-        gamma=_parse_gamma(parser, d),
-    )
-    if not admissible_existence(p, d):
+    values = {}
+    for section, spec in _SCHEMA:
+        if section not in parser:
+            raise ConfigError(f"[{section}]: section missing")
+        keys = parser[section]
+        if isinstance(spec, tuple):
+            values.update(_read(keys, section, SimConfig, spec))
+            continue
+        kind = _value(keys, section, "kind", str)
+        if kind not in spec:
+            raise ConfigError(f"[{section}] kind: unknown kind {kind!r}")
+        if spec[kind] is ExplicitSpectrum:
+            values[section] = _explicit_entries(keys.get("entries", ""), values["d"])
+        else:
+            values[section] = spec[kind](**_read(keys, section, spec[kind]))
+    config = SimConfig(**values)
+    if not admissible_existence(config.p, config.d):
         warnings.warn(
-            f"(p={p}, d={d}) lies outside the known existence range; the run "
-            "proceeds but is not covered by the well-posedness theory",
-            stacklevel=2)
-    outputs = OutputOptions()
-    if "outputs" in parser:
-        out = _Section(parser, "outputs")
-        outputs = OutputOptions(snapshots=out.get("snapshots", _as_bool,
-                                                  default=False))
-    return config, outputs
+            f"(p={config.p}, d={config.d}) lies outside the known existence "
+            "range; the run proceeds but is not covered by the well-posedness "
+            "theory", stacklevel=2)
+    keys = parser["outputs"] if parser.has_section("outputs") else {}
+    return config, OutputOptions(**_read(keys, "outputs", OutputOptions))
 
 
 def parse_config(path) -> tuple:
@@ -148,43 +142,27 @@ def parse_config(path) -> tuple:
     return parse_config_string(text)
 
 
+def _key_lines(obj, names=None) -> list:
+    return [f"{f.name} = {_TYPES[f.type][1](getattr(obj, f.name))}"
+            for f in _fields(type(obj), names)]
+
+
 def config_to_ini(config: SimConfig, outputs: OutputOptions = OutputOptions()) -> str:
     """Serialize a config back to INI text (manifest snapshot)."""
-    lines = [
-        "[model]",
-        f"d = {config.d}",
-        f"p = {config.p!r}",
-        f"nu = {config.nu!r}",
-        f"n = {config.n}",
-        "",
-        "[time]",
-        f"dt = {config.dt!r}",
-        f"T = {config.T!r}",
-        "",
-        "[ensemble]",
-        f"n_paths = {config.n_paths}",
-        f"seed = {config.seed}",
-        f"stepper = {config.stepper}",
-        f"record_every = {config.record_every}",
-        f"norm_ceiling = {config.norm_ceiling!r}",
-        "",
-        "[init]",
-    ]
-    init = config.init
-    if isinstance(init, SingleModeInit):
-        lines += ["kind = single_mode",
-                  "z = " + " ".join(str(c) for c in init.z),
-                  f"j = {init.j}", f"amplitude = {init.amplitude!r}"]
-    else:
-        lines += ["kind = gaussian", f"sigma = {init.sigma!r}",
-                  f"decay = {init.decay!r}"]
-    lines += ["", "[gamma]"]
-    gamma = config.gamma
-    if isinstance(gamma, PowerLawSpectrum):
-        lines += ["kind = power", f"c = {gamma.c!r}", f"s = {gamma.s!r}"]
-    else:
-        lines += ["kind = explicit", "entries ="]
-        for z, j, g in gamma.entries:
-            lines.append("    " + " ".join(str(c) for c in z) + f" {j} {g!r}")
-    lines += ["", "[outputs]", f"snapshots = {str(outputs.snapshots).lower()}", ""]
+    lines = []
+    for section, spec in _SCHEMA:
+        lines.append(f"[{section}]")
+        if isinstance(spec, tuple):
+            lines += _key_lines(config, spec)
+        else:
+            obj = getattr(config, section)
+            lines += [f"kind = {k}" for k, cls in spec.items() if isinstance(obj, cls)]
+            if isinstance(obj, ExplicitSpectrum):
+                lines.append("entries =")
+                lines += ["    " + " ".join(str(c) for c in z) + f" {j} {g!r}"
+                          for z, j, g in obj.entries]
+            else:
+                lines += _key_lines(obj)
+        lines.append("")
+    lines += ["[outputs]", *_key_lines(outputs), ""]
     return "\n".join(lines)

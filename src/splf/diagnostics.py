@@ -336,6 +336,17 @@ def _grad_integral(record: TrajectoryRecord, config: SimConfig) -> np.ndarray:
     return out
 
 
+def _separation_and_integral(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
+                             config: SimConfig):
+    """||Z_t||^2 along a pair and the gradient integral I_t of its first
+    member; the pair must share one time grid."""
+    if rec_a.times.shape != rec_b.times.shape or not np.array_equal(
+            rec_a.times, rec_b.times):
+        raise ValueError("paired records have mismatched time grids")
+    z = rec_a.coords - rec_b.coords
+    return np.einsum("rk,rk->r", z, z), _grad_integral(rec_a, config)
+
+
 def gronwall_check(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
                    config: SimConfig, c_hat: float,
                    margin: float = 0.5) -> GronwallReport:
@@ -345,12 +356,7 @@ def gronwall_check(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
     uniqueness regime p >= 1 + d/2 the report is still produced but labeled
     out of regime.
     """
-    if rec_a.times.shape != rec_b.times.shape or not np.array_equal(
-            rec_a.times, rec_b.times):
-        raise ValueError("paired records have mismatched time grids")
-    z = rec_a.coords - rec_b.coords
-    sep = np.einsum("rk,rk->r", z, z)
-    I = _grad_integral(rec_a, config)
+    sep, I = _separation_and_integral(rec_a, rec_b, config)
     env = sep[0] * np.exp(c_hat * (1.0 + margin) * I)
     tol = 1e-12 * max(1.0, float(sep[0]))
     violations = int(np.sum(sep > env + tol))
@@ -371,11 +377,9 @@ def calibrate_gronwall(pairs: Sequence[Tuple[TrajectoryRecord, TrajectoryRecord]
     """
     c_max = 0.0
     for rec_a, rec_b in pairs:
-        z = rec_a.coords - rec_b.coords
-        sep = np.einsum("rk,rk->r", z, z)
+        sep, I = _separation_and_integral(rec_a, rec_b, config)
         if sep[0] <= 0:
             continue
-        I = _grad_integral(rec_a, config)
         mask = I > 0
         if not mask.any():
             continue

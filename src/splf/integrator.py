@@ -52,11 +52,13 @@ class ConfigError(ValueError):
 
 
 class StepFailure(RuntimeError):
-    def __init__(self, step_index: int, norm: float):
-        self.step_index = step_index
+    """step() met a non-finite drift.  step() does not know which step of a
+    path it takes, so step_index is None."""
+
+    def __init__(self, norm: float):
+        self.step_index = None
         self.norm = norm
-        super().__init__(
-            f"non-finite state or drift at step {step_index} (|X|_2 = {norm})")
+        super().__init__(f"non-finite state or drift (|X|_2 = {norm})")
 
 
 @dataclass(frozen=True)
@@ -228,7 +230,7 @@ def step(x: np.ndarray, dt: float, dW: np.ndarray, d: int, n: int,
         raise ConfigError(f"stepper: unknown scheme {stepper!r}")
     b, _ = drift_and_dissipation(x, d, n, params)
     if not np.all(np.isfinite(b)):
-        raise StepFailure(0, float(np.linalg.norm(x)))
+        raise StepFailure(float(np.linalg.norm(x)))
     lam = grid_map(d, n, 2 * n + 1).lam_coord
     return _advance(x[None], dt, dW[None], b[None], stepper, params.nu, lam)[0]
 

@@ -48,6 +48,14 @@ def bytes_to_field(blob: bytes) -> SpectralField:
     version, d, n, count = struct.unpack_from("<IIII", blob, 4)
     if version != VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
+    if d < 2:
+        raise SnapshotError(f"snapshot header d: must be at least 2, got {d}")
+    if 20 * d > np.iinfo(np.intc).max:
+        raise SnapshotError(
+            f"snapshot header d: a mode record of 20*d bytes is too large "
+            f"for numpy, got {d}")
+    if n < 1:
+        raise SnapshotError(f"snapshot header n: must be at least 1, got {n}")
     expected = 20 + count * (4 * d + 16 * d)
     if len(blob) != expected:
         raise SnapshotError(

@@ -1,5 +1,6 @@
 """Config parsing and the command line front end."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from splf import cli
-from splf.config import parse_config, parse_config_string
-from splf.integrator import (ConfigError, GaussianInit, SingleModeInit,
-                             TrajectoryRecord)
+from splf.config import (OutputOptions, config_to_ini, parse_config,
+                         parse_config_string)
+from splf.integrator import (ConfigError, GaussianInit, SimConfig,
+                             SingleModeInit, TrajectoryRecord)
 from splf.noise import ExplicitSpectrum, PowerLawSpectrum
 
 MINIMAL = """
@@ -107,6 +109,88 @@ class TestParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="config file"):
             parse_config("/nonexistent/run.ini")
+
+
+PINNED_INI = [
+    (SimConfig(d=3, p=2.5, nu=0.1, n=2, dt=1e-3, T=0.01, n_paths=3,
+               seed=2 ** 64 - 1,
+               init=SingleModeInit(z=(1, 0, -1), j=2, amplitude=0.3),
+               gamma=ExplicitSpectrum.from_items([((1, 0, 0), 1, 0.5),
+                                                  ((0, -1, 1), 4, 0.25)]),
+               stepper="semi_implicit", record_every=3,
+               norm_ceiling=float("inf")),
+     OutputOptions(snapshots=True),
+     "[model]\nd = 3\np = 2.5\nnu = 0.1\nn = 2\n\n"
+     "[time]\ndt = 0.001\nT = 0.01\n\n"
+     "[ensemble]\nn_paths = 3\nseed = 18446744073709551615\n"
+     "stepper = semi_implicit\nrecord_every = 3\nnorm_ceiling = inf\n\n"
+     "[init]\nkind = single_mode\nz = 1 0 -1\nj = 2\namplitude = 0.3\n\n"
+     "[gamma]\nkind = explicit\nentries =\n    1 0 0 1 0.5\n    0 1 -1 4 0.25\n\n"
+     "[outputs]\nsnapshots = true\n"),
+    (SimConfig(d=2, p=3.0, nu=1.0, n=2, dt=1e-3, T=0.1, n_paths=10, seed=1,
+               init=GaussianInit(sigma=0.5, decay=2.0),
+               gamma=PowerLawSpectrum(c=0.1, s=3.0)),
+     OutputOptions(),
+     "[model]\nd = 2\np = 3.0\nnu = 1.0\nn = 2\n\n"
+     "[time]\ndt = 0.001\nT = 0.1\n\n"
+     "[ensemble]\nn_paths = 10\nseed = 1\nstepper = tamed\n"
+     "record_every = 1\nnorm_ceiling = 1000000.0\n\n"
+     "[init]\nkind = gaussian\nsigma = 0.5\ndecay = 2.0\n\n"
+     "[gamma]\nkind = power\nc = 0.1\ns = 3.0\n\n"
+     "[outputs]\nsnapshots = false\n"),
+]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("config,outputs,text", PINNED_INI,
+                             ids=["explicit", "power"])
+    def test_config_to_ini_text(self, config, outputs, text):
+        assert config_to_ini(config, outputs) == text
+
+    @pytest.mark.parametrize("config,outputs,text", PINNED_INI,
+                             ids=["explicit", "power"])
+    def test_text_parses_back(self, config, outputs, text):
+        assert parse_config_string(text) == (config, outputs)
+
+    def test_omitted_keys_take_dataclass_defaults(self):
+        # MINIMAL leaves out stepper, record_every, norm_ceiling and [outputs]
+        cfg, out = parse_config_string(MINIMAL)
+        for obj in (cfg, out):
+            for f in dataclasses.fields(obj):
+                if f.default is not dataclasses.MISSING:
+                    assert getattr(obj, f.name) == f.default, f.name
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("[time]", "[timing]", "[time]: section missing"),
+        ("nu = 1.0\n", "", "[model] nu: key missing"),
+        ("j = 1\n", "", "[init] j: key missing"),
+        ("dt = 1e-3", "dt = fast",
+         "[time] dt: cannot parse 'fast' (could not convert string to float: 'fast')"),
+        ("n_paths = 10", "n_paths = 1.5",
+         "[ensemble] n_paths: cannot parse '1.5' "
+         "(invalid literal for int() with base 10: '1.5')"),
+        ("z = 1 0", "z = 1 x",
+         "[init] z: cannot parse '1 x' (invalid literal for int() with base 10: 'x')"),
+        ("kind = single_mode", "kind = random", "[init] kind: unknown kind 'random'"),
+        ("kind = power", "kind = white", "[gamma] kind: unknown kind 'white'"),
+        ("kind = power\nc = 0.1\ns = 3.0", "kind = explicit\nentries =\n    1 0 0.5",
+         "[gamma] entries line 1: need d z-components, j and a value (4 tokens), got 3"),
+        ("kind = power\nc = 0.1\ns = 3.0",
+         "kind = explicit\nentries =\n    1 0 1 0.5\n    1 x 1 0.5",
+         "[gamma] entries line 2: invalid literal for int() with base 10: 'x'"),
+        ("s = 3.0", "s = 3.0\n[outputs]\nsnapshots = maybe",
+         "[outputs] snapshots: cannot parse 'maybe' (not a boolean: 'maybe')"),
+        ("[model]", "[model]\nd = 2\n[model]",
+         "config syntax: While reading from '<string>' [line  4]: "
+         "section 'model' already exists"),
+    ], ids=["section", "key", "descriptor-key", "float", "int", "vector",
+            "init-kind", "gamma-kind", "entries-arity", "entries-token", "bool",
+            "syntax"])
+    def test_single_fault_messages(self, old, new, message):
+        text = MINIMAL.replace(old, new, 1)
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(text)
+        assert str(err.value) == message
 
 
 class TestCliExponents:
@@ -266,6 +350,24 @@ class TestCliChecks:
         assert code == 2
         assert "n_calibration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,name,digest", [
+        (["energy-check"], "energy_report.json",
+         "a0ff066922ad37f070efbc458ea7759bd87a8b432948f59a1301c557ddc4754d"),
+        (["uniqueness-check", "--eps", "0"], "uniqueness_report.json",
+         "6c98cd40a4b15f570ecfb6286985c8391547bc8e3b8c24005190568b9566eb08"),
+        (["uniqueness-check", "--eps", "1e-4", "--calibration", "4"],
+         "uniqueness_report.json",
+         "07dcca30759411bc22e31255ec338a1ce0e1ed4597eb6927437d47b539f111b8"),
+    ], ids=["energy", "exact", "gronwall"])
+    def test_report_bytes_pinned(self, tmp_path, capsys, args, name, digest):
+        cfg = small_ini(tmp_path, n_paths=3, record_every=1)
+        out = tmp_path / "rep"
+        assert cli.main([*args, "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["verdict"] == "pass"
+        assert manifest["outputs"] == [{"file": name, "sha256": digest}]
+
     def test_energy_check_emits_verdict(self, tmp_path, capsys):
         # small ensemble: only the verdict wiring is under test here
         cfg = small_ini(tmp_path, n_paths=32, record_every=100)
@@ -276,3 +378,31 @@ class TestCliChecks:
         assert code in (0, 1)
         report = json.loads((tmp_path / "rep" / "energy_report.json").read_text())
         assert "shrink_ratio" in report
+
+
+# The names that perfbench/spans.py and perfbench/child.py replace with
+# wrappers on splf.cli: the commands must look them up there at call time.
+PERFBENCH_HOOKS = ["simulate_ensemble", "energy_experiment", "gronwall_experiment",
+                   "identical_noise_separation", "coords_to_field", "write_snapshot",
+                   "_write_record_csv", "_sha256", "_write_manifest"]
+
+
+def test_commands_call_hooked_names_through_module(tmp_path, monkeypatch, capsys):
+    calls = dict.fromkeys(PERFBENCH_HOOKS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in PERFBENCH_HOOKS:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    cfg = small_ini(tmp_path, n_paths=2, record_every=50)
+    for i, argv in enumerate([["simulate"], ["energy-check"],
+                              ["uniqueness-check", "--eps", "0"],
+                              ["uniqueness-check", "--eps", "1e-3",
+                               "--calibration", "2"]]):
+        code = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / str(i))])
+        assert code in (0, 1)
+    assert all(calls.values()), calls

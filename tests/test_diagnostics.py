@@ -214,6 +214,21 @@ class TestGronwall:
         with pytest.raises(ValueError, match="mismatched"):
             dg.gronwall_check(a, b, cfg, c_hat=0.0)
 
+    @pytest.mark.parametrize("grid", ["dt/2", "same length"])
+    def test_calibration_rejects_mismatched_pairs(self, grid):
+        cfg = base_config(record_every=1)
+        x0 = it.initial_coords(cfg, 0)
+        a, b = it.simulate_paired(cfg, 0, x0, x0 + 1e-6)
+        if grid == "dt/2":
+            b = it.simulate(dataclasses.replace(cfg, dt=cfg.dt / 2), 0)
+        else:
+            b = dataclasses.replace(b, times=b.times * 1.5)
+        for check in (lambda: dg.calibrate_gronwall([(a, b)], cfg),
+                      lambda: dg.gronwall_check(a, b, cfg, c_hat=0.0)):
+            with pytest.raises(ValueError,
+                               match="paired records have mismatched time grids"):
+                check()
+
     def test_calibration_covers_validation_of_same_law(self):
         gamma = noise.PowerLawSpectrum(c=1e-6, s=3.0)
         cfg = base_config(gamma=gamma, nu=0.05, T=0.02,

@@ -153,6 +153,15 @@ class TestStep:
         with pytest.raises(it.ConfigError):
             it.step(np.zeros(K), 1e-3, np.zeros(K), 2, 2, cfg.params, "rk4")
 
+    def test_non_finite_state_raises_without_step_index(self):
+        cfg = base_config()
+        K = it.initial_coords(cfg, 0).size
+        with np.errstate(invalid="ignore"), pytest.raises(it.StepFailure) as err:
+            it.step(np.full(K, np.inf), 1e-3, np.zeros(K), 2, 2, cfg.params)
+        assert err.value.step_index is None
+        assert err.value.norm == np.inf
+        assert str(err.value) == "non-finite state or drift (|X|_2 = inf)"
+
 
 class TestSimulate:
     def test_zero_everything_stays_zero(self):

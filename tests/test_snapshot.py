@@ -86,3 +86,17 @@ class TestErrors:
         blob = sn.field_to_bytes(f)[:-8]
         with pytest.raises(sn.SnapshotError, match="length"):
             sn.bytes_to_field(blob)
+
+    @pytest.mark.parametrize("d,n,message", [
+        (0, 1, "header d: must be at least 2, got 0"),
+        (1, 1, "header d: must be at least 2, got 1"),
+        (2, 0, "header n: must be at least 1, got 0"),
+        # 20·d bytes per mode record must fit numpy's C int item size
+        (107374183, 1, "header d: .*too large.*got 107374183"),
+        (2 ** 31, 1, "header d: .*too large.*got 2147483648"),
+        (2 ** 32 - 1, 1, "header d: .*too large.*got 4294967295"),
+    ])
+    def test_bad_header_dimensions_named(self, d, n, message):
+        blob = sn.MAGIC + struct.pack("<IIII", sn.VERSION, d, n, 0)
+        with pytest.raises(sn.SnapshotError, match=message):
+            sn.bytes_to_field(blob)
