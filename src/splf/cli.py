@@ -2,9 +2,12 @@
 
 Subcommands: simulate, energy-check, uniqueness-check, exponents.  Every
 run writes a manifest with the config snapshot, seed, code version, wall
-times, per-path divergence flags and content digests of all output files,
-so a run is reproducible from its manifest alone.  SPLF_THREADS caps the
-worker count for ensemble runs.
+times, the numpy, Python and platform versions, and content digests of all
+output files, so a run is reproducible from its manifest alone.  The
+manifest of `simulate` also lists each path's divergence flag; the
+manifests of the checks list no paths.  Reports are strict JSON (RFC 8259):
+a non-finite number is written as the string "inf", "-inf" or "nan".
+SPLF_THREADS caps the worker count for ensemble runs.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
+import platform
 import sys
 import time
 from pathlib import Path
@@ -66,6 +71,11 @@ def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
         "config_ini": config_to_ini(config, outputs),
         "started_unix": started,
         "finished_unix": time.time(),
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        # not platform.platform(): it starts a `uname -p` process
+        "platform": "-".join([platform.system(), platform.release(),
+                              platform.machine()]),
         "paths": [
             {"path_index": r.path_index, "diverged": r.diverged,
              "diverged_step": r.diverged_step}
@@ -76,18 +86,26 @@ def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
     if verdict is not None:
         manifest["verdict"] = verdict
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
     return path
 
 
-def _json_default(obj):
-    """A report dataclass as a dict, numpy arrays and scalars as JSON lists
-    and numbers."""
+def _jsonable(obj):
+    """A report as JSON values: dataclasses as dicts, numpy arrays and
+    scalars as lists and numbers, and a non-finite float as the string
+    "inf", "-inf" or "nan", which RFC 8259 JSON has no number for."""
     if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
 
 
 def _verdict(args, config: SimConfig, outputs: OutputOptions, started: float,
@@ -101,7 +119,7 @@ def _verdict(args, config: SimConfig, outputs: OutputOptions, started: float,
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         rp = out_dir / f"{args.command.removesuffix('-check')}_report.json"
-        rp.write_text(json.dumps(report, indent=2, default=_json_default) + "\n")
+        rp.write_text(json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n")
         _write_manifest(out_dir, config, outputs, [], [rp], started,
                         verdict=status)
     return 0 if passed else 1
@@ -149,8 +167,7 @@ def _cmd_uniqueness_check(args) -> int:
     config, outputs = parse_config(args.config)
     started = time.time()
     if args.eps == 0.0:
-        worst = max(identical_noise_separation(config, i)
-                    for i in range(config.n_paths))
+        worst = identical_noise_separation(config, range(config.n_paths))
         return _verdict(args, config, outputs, started, worst < 1e-12, [
             "branch=exact",
             f"max_separation={_fmt(worst)}",

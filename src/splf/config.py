@@ -101,8 +101,12 @@ def _explicit_entries(raw: str, d: int) -> ExplicitSpectrum:
 
 
 def parse_config_string(text: str):
-    """Parse INI text into (SimConfig, OutputOptions)."""
-    parser = configparser.ConfigParser()
+    """Parse INI text into (SimConfig, OutputOptions).
+
+    Values are read verbatim: `%` starts no interpolation, so a value
+    holding one fails to parse with an error that names its key.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

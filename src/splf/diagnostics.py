@@ -12,6 +12,7 @@ by step-halving control runs rather than assumed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -413,11 +414,15 @@ class GronwallExperimentReport:
         return self.total_violations == 0 and self.n_diverged == 0
 
 
-def _perturbed_pair(config: SimConfig, path_index: int, eps: float):
-    x0 = initial_coords(config, path_index)
+def _perturbed_pairs(config: SimConfig, path_indices: Sequence[int], eps: float):
+    """(rec_a, rec_b) of each pair: a starts from its path's initial
+    condition, b from the same state moved by eps along the first basis
+    element; all pairs run in one batched call."""
+    x0 = np.array([initial_coords(config, i) for i in path_indices])
     y0 = x0.copy()
-    y0[0] += eps  # perturb along the first basis element
-    return simulate_paired(config, path_index, x0, y0)
+    y0[:, 0] += eps
+    recs = simulate_paired(config, path_indices, x0, y0)
+    return list(zip(recs[::2], recs[1::2]))
 
 
 def gronwall_experiment(config: SimConfig, eps: float,
@@ -436,16 +441,15 @@ def gronwall_experiment(config: SimConfig, eps: float,
             f"would share streams with the calibration pairs), got {n_validation}")
     if n_calibration < 1:
         raise ValueError(f"n_calibration: must be at least 1 pair, got {n_calibration}")
-    cal_pairs = [_perturbed_pair(config, CALIBRATION_PATH_OFFSET + i, eps)
-                 for i in range(n_calibration)]
+    cal_pairs = _perturbed_pairs(
+        config, range(CALIBRATION_PATH_OFFSET, CALIBRATION_PATH_OFFSET + n_calibration), eps)
     n_diverged = sum(r.diverged for pair in cal_pairs for r in pair)
     c_hat = calibrate_gronwall(
         [pair for pair in cal_pairs if not any(r.diverged for r in pair)], config)
     total = 0
     ok = 0
     worst = None
-    for i in range(n_validation):
-        rec_a, rec_b = _perturbed_pair(config, i, eps)
+    for rec_a, rec_b in _perturbed_pairs(config, range(n_validation), eps):
         if rec_a.diverged or rec_b.diverged:
             n_diverged += rec_a.diverged + rec_b.diverged
             continue
@@ -463,17 +467,22 @@ def gronwall_experiment(config: SimConfig, eps: float,
         n_diverged=n_diverged)
 
 
-def identical_noise_separation(config: SimConfig, path_index: int) -> float:
-    """Max separation ||Z_t||_2 over a pair with identical data and noise.
+def identical_noise_separation(config: SimConfig, path_index) -> float:
+    """Max separation ||Z_t||_2 over a pair with identical data and noise,
+    or over the pairs of a sequence of path indices, run in one batch.
 
     The discrete map is deterministic given the noise, so this is zero to
-    roundoff; it is the exact branch of the uniqueness statement.  A pair
-    with a diverged member returns inf: a path that left the computation
-    shows nothing about uniqueness.
+    roundoff; it is the exact branch of the uniqueness statement.  If a
+    pair has a diverged member the result is inf: a path that left the
+    computation shows nothing about uniqueness.
     """
-    x0 = initial_coords(config, path_index)
-    rec_a, rec_b = simulate_paired(config, path_index, x0, x0.copy())
-    if rec_a.diverged or rec_b.diverged:
+    indices = [path_index] if isinstance(path_index, numbers.Integral) else path_index
+    x0 = np.array([initial_coords(config, i) for i in indices])
+    recs = simulate_paired(config, indices, x0, x0.copy())
+    if any(r.diverged for r in recs):
         return math.inf
-    z = rec_a.coords - rec_b.coords
-    return float(np.sqrt(np.einsum("rk,rk->r", z, z).max()))
+    worst = 0.0
+    for rec_a, rec_b in zip(recs[::2], recs[1::2]):
+        z = rec_a.coords - rec_b.coords
+        worst = max(worst, float(np.sqrt(np.einsum("rk,rk->r", z, z).max())))
+    return worst

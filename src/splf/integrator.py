@@ -164,7 +164,11 @@ class TrajectoryRecord:
 
     Running integrals use the left-endpoint rule matching the discrete Ito
     identity of the explicit schemes, so they are nondecreasing and the
-    discrete energy balance closes up to the stepper's own bias.
+    discrete energy balance closes up to the stepper's own bias.  The norm
+    quadrature ||X||_{p,1}^p is filled in for the records of an ensemble
+    (`simulate`, `simulate_ensemble`); the records of `simulate_paired`
+    carry None there, since no consumer of a pair reads it.  `_norm_p1_p`
+    computes it from `coords` bit for bit.
     """
 
     path_index: int
@@ -172,7 +176,7 @@ class TrajectoryRecord:
     times: np.ndarray       # (R,)
     coords: np.ndarray      # (R, K)
     norm_l2_sq: np.ndarray  # (R,)  ||X||_2^2
-    norm_p1_p: np.ndarray   # (R,)  ||X||_{p,1}^p
+    norm_p1_p: Optional[np.ndarray]  # (R,)  ||X||_{p,1}^p; None on pair records
     int_diss: np.ndarray    # (R,)  int_0^t < e(X), tau(X) > ds
     int_gamma: np.ndarray   # (R,)  int_0^t < Gamma X, X > ds
     diverged: bool = False
@@ -331,21 +335,28 @@ def _to_record(config: SimConfig, path_index: int, rows: list,
     times, coords, l2, i_diss, i_gam = (np.array(col) for col in zip(*rows))
     return TrajectoryRecord(
         path_index=path_index, dt=config.dt_eff, times=times, coords=coords,
-        norm_l2_sq=l2, norm_p1_p=_norm_p1_p(coords, config), int_diss=i_diss,
-        int_gamma=i_gam, diverged=diverged_step is not None,
-        diverged_step=diverged_step)
+        norm_l2_sq=l2, norm_p1_p=None, int_diss=i_diss, int_gamma=i_gam,
+        diverged=diverged_step is not None, diverged_step=diverged_step)
+
+
+def _run_blocks(config: SimConfig, labels: Sequence[int], x0: np.ndarray,
+                rows: int) -> List[TrajectoryRecord]:
+    """Records of the initial rows x0 (N, K) with path labels `labels`,
+    integrated `rows` rows per block, in row order."""
+    stepper = _BlockStepper(config)
+    records = []
+    for start in range(0, len(labels), rows):
+        records += stepper.run(labels[start:start + rows], x0[start:start + rows])
+    return records
 
 
 def _run_paths(config: SimConfig, indices: Sequence[int]) -> List[TrajectoryRecord]:
     """Records of the given paths from their own initial conditions,
-    integrated block by block."""
-    stepper = _BlockStepper(config)
-    size = block_size(config.d, config.n)
-    records = []
-    for start in range(0, len(indices), size):
-        chunk = indices[start:start + size]
-        x0 = np.array([initial_coords(config, i) for i in chunk])
-        records += stepper.run(chunk, x0)
+    integrated block by block, with their ||X||_{p,1}^p filled in."""
+    x0 = np.array([initial_coords(config, i) for i in indices])
+    records = _run_blocks(config, indices, x0, block_size(config.d, config.n))
+    for rec in records:
+        rec.norm_p1_p = _norm_p1_p(rec.coords, config)
     return records
 
 
@@ -354,16 +365,27 @@ def simulate(config: SimConfig, path_index: int) -> TrajectoryRecord:
     return _run_paths(config, [path_index])[0]
 
 
-def simulate_paired(config: SimConfig, path_index: int,
-                    init_a: np.ndarray, init_b: np.ndarray):
-    """Two trajectories driven by the identical noise stream.
+def simulate_paired(config: SimConfig, path_index, init_a, init_b):
+    """Trajectory pairs, the two members of a pair driven by one noise stream.
 
-    Initial conditions are basis coordinate vectors; the same increments
-    (keyed by this path_index) feed both runs step for step.
+    With an integer path_index: the records (rec_a, rec_b) of the pair whose
+    initial basis coordinates are init_a and init_b; the increments keyed
+    by path_index feed both runs step for step.  With a sequence of N path
+    indices and (N, K) arrays init_a and init_b: the 2N records of the N
+    pairs as one flat list [a_0, b_0, a_1, b_1, ...].
+
+    Pairs run as adjacent rows of full blocks, max(1, block_size // 2) pairs
+    to a block; a record does not depend on which pairs share its block.
+    Pair records carry norm_p1_p=None.
     """
-    x0 = np.array([init_a, init_b], dtype=float)
-    rec_a, rec_b = _BlockStepper(config).run([path_index, path_index], x0)
-    return rec_a, rec_b
+    if isinstance(path_index, numbers.Integral):
+        rec_a, rec_b = simulate_paired(config, [path_index], [init_a], [init_b])
+        return rec_a, rec_b
+    labels = [i for i in path_index for _ in range(2)]
+    x0 = np.stack([np.asarray(init_a, dtype=float),
+                   np.asarray(init_b, dtype=float)], axis=1)
+    pairs = max(1, block_size(config.d, config.n) // 2)
+    return _run_blocks(config, labels, x0.reshape(len(labels), -1), 2 * pairs)
 
 
 def _worker(payload):

@@ -216,7 +216,7 @@ def test_criterion_8_structural_invariants():
     for i in range(3):
         sweeps.append((cfg_energy, it.simulate(cfg_energy, i)))
     cfg_g = gronwall_config()
-    a, b = dg._perturbed_pair(cfg_g, 0, 1e-3)
+    [(a, b)] = dg._perturbed_pairs(cfg_g, [0], 1e-3)
     sweeps += [(cfg_g, a), (cfg_g, b)]
     worst_div = worst_conj = 0.0
     for cfg, rec in sweeps:

@@ -10,6 +10,7 @@ integrator that preceded the block stepper, and `test_records_match_pinned`
 checks the current records against them.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -88,13 +89,20 @@ def assert_blocks_match_oracle(c):
     return records
 
 
+def with_norm(rec, c):
+    """The record with the ||X||_{p,1}^p column that the ensemble route
+    fills in and the stepper and the pair route leave out."""
+    assert rec.norm_p1_p is None
+    return dataclasses.replace(rec, norm_p1_p=it._norm_p1_p(rec.coords, c))
+
+
 def run_in_blocks(c, size):
     stepper = it._BlockStepper(c)
     records = []
     for start in range(0, c.n_paths, size):
         chunk = list(range(start, min(start + size, c.n_paths)))
         records += stepper.run(chunk, np.array([it.initial_coords(c, i) for i in chunk]))
-    return records
+    return [with_norm(rec, c) for rec in records]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -127,8 +135,43 @@ def test_pairs_share_one_stream(d, stepper):
     y0 = x0.copy()
     y0[0] += 1e-3
     rec_a, rec_b = it.simulate_paired(c, 3, x0, y0)
-    assert_matches(rec_a, per_path_loop(c, 3, x0))
-    assert_matches(rec_b, per_path_loop(c, 3, y0))
+    assert_matches(with_norm(rec_a, c), per_path_loop(c, 3, x0))
+    assert_matches(with_norm(rec_b, c), per_path_loop(c, 3, y0))
+
+
+def assert_same_record(got, want):
+    assert (got.path_index, got.diverged, got.diverged_step) == (
+        want.path_index, want.diverged, want.diverged_step)
+    assert got.norm_p1_p is None and want.norm_p1_p is None
+    for name in ("times", "coords", "norm_l2_sq", "int_diss", "int_gamma"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("case", ["tamed", "diverging"])
+def test_pair_records_do_not_depend_on_their_block(case):
+    # 19 pairs fill one block of 16 and start a second; on the diverging
+    # input, pairs that diverge at different steps share a block with
+    # pairs that do not
+    c = config(2, "tamed") if case == "tamed" else diverging_config()
+    n = 19
+    assert it.block_size(c.d, c.n) // 2 == 16
+    x0 = np.array([it.initial_coords(c, i) for i in range(n)])
+    y0 = x0.copy()
+    y0[:, 0] += 1e-3
+    batched = it.simulate_paired(c, range(n), x0, y0)
+    first16 = it.simulate_paired(c, range(16), x0[:16], y0[:16])
+    assert len(batched) == 2 * n and len(first16) == 32
+    assert [r.path_index for r in batched] == [i for i in range(n) for _ in "ab"]
+    for i in range(n):
+        alone = it.simulate_paired(c, i, x0[i], y0[i])
+        assert isinstance(alone, tuple) and len(alone) == 2
+        for member in range(2):
+            assert_same_record(batched[2 * i + member], alone[member])
+            if i < 16:
+                assert_same_record(first16[2 * i + member], alone[member])
+    if case == "diverging":
+        in_block = [r.diverged_step for r in batched[:32]]
+        assert None in in_block and len(set(in_block) - {None}) > 1
 
 
 def test_ensemble_and_single_paths_match_oracle():
@@ -197,7 +240,7 @@ def paired_records():
     x0 = it.initial_coords(c, 3)
     y0 = x0.copy()
     y0[0] += 1e-3
-    return it.simulate_paired(c, 3, x0, y0)
+    return [with_norm(rec, c) for rec in it.simulate_paired(c, 3, x0, y0)]
 
 
 # sha256 of `record_digest` over the records of the per-path integrator

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -183,9 +184,13 @@ class TestSchema:
         ("[model]", "[model]\nd = 2\n[model]",
          "config syntax: While reading from '<string>' [line  4]: "
          "section 'model' already exists"),
+        ("amplitude = 1.0", "amplitude = 50%",
+         "[init] amplitude: cannot parse '50%' (could not convert string to float: '50%')"),
+        ("c = 0.1", "c = %(x)s",
+         "[gamma] c: cannot parse '%(x)s' (could not convert string to float: '%(x)s')"),
     ], ids=["section", "key", "descriptor-key", "float", "int", "vector",
             "init-kind", "gamma-kind", "entries-arity", "entries-token", "bool",
-            "syntax"])
+            "syntax", "percent", "interpolation"])
     def test_single_fault_messages(self, old, new, message):
         text = MINIMAL.replace(old, new, 1)
         with pytest.raises(ConfigError) as err:
@@ -236,6 +241,36 @@ class TestCliSimulate:
             assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
         header = csvs[0].read_text().splitlines()[0]
         assert header.startswith("t,normL2sq,normVp1_p,int_diss,int_gammaXX,x_0")
+
+    def test_manifest_records_environment(self, tmp_path):
+        cfg = small_ini(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["platform"] == "-".join(
+            [platform.system(), platform.release(), platform.machine()])
+        # digests of the outputs from before the manifest held these keys,
+        # numpy 2.4 on x86-64
+        assert {e["file"]: e["sha256"] for e in manifest["outputs"]} == {
+            "path_000000.csv":
+                "704333322b9169c77dde35aab60baf891f3e2722830458d7d71c4bcff5ea3928",
+            "path_000000_final.splf":
+                "9f3b01574d58753bbb12298d28ffb96c71c2612924cb837a330f2a7b6737abf5",
+            "path_000001.csv":
+                "7207c9acb928bccd8048d1aac1413d81cdd4e460754179ba494a0ff1a6c525a3",
+            "path_000001_final.splf":
+                "930bc84e52ba6d30e087aef1b6a7280df94b9b28b21f79b4e268e47d4720f037",
+            "path_000002.csv":
+                "70e3be282cfbade292985616b43ecb5f264fd3d7166ac825bc42cf8b9d3582c2",
+            "path_000002_final.splf":
+                "d62966ef6fbee2c8693d0fb1b4e3b539a02339c1f3d795996159564821a51993",
+            "path_000003.csv":
+                "c0aaa691bf4b422af992ee484b2d58bb645b11d64959ca1451548a8d7a8997a1",
+            "path_000003_final.splf":
+                "bff04e3f6a8270ba8392960caa514c3bbbe7e6a83629d10f1988e9e07119e7a0",
+        }
 
     def test_rerun_reproduces_digests(self, tmp_path):
         cfg = small_ini(tmp_path)
@@ -313,6 +348,10 @@ def test_csv_bytes_match_python_format(tmp_path):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def reject_constant(token):
+    raise ValueError(f"not RFC 8259 JSON: {token}")
+
+
 class TestCliChecks:
     def test_uniqueness_exact_branch(self, tmp_path, capsys):
         cfg = small_ini(tmp_path, n_paths=3)
@@ -339,9 +378,20 @@ class TestCliChecks:
         # 5 of the 8 paths cross the norm ceiling
         path = tmp_path / "diverging.ini"
         path.write_text(DIVERGING)
-        code = cli.main(["uniqueness-check", "--config", str(path), *args])
+        out = tmp_path / "rep"
+        code = cli.main(["uniqueness-check", "--config", str(path), *args,
+                         "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().out.startswith("uniqueness-check,fail,")
+        # strict JSON: no bare Infinity or NaN, even for max_separation=inf
+        report, _ = (json.loads((out / name).read_text(), parse_constant=reject_constant)
+                     for name in ("uniqueness_report.json", "manifest.json"))
+        if args[1] == "0":
+            assert report["max_separation"] == "inf"
+
+    def test_non_finite_report_values_are_strings(self):
+        report = {"x": np.array([np.inf, -np.inf, np.nan, 0.5]), "y": (np.float64(-np.inf),)}
+        assert cli._jsonable(report) == {"x": ["inf", "-inf", "nan", 0.5], "y": ["-inf"]}
 
     def test_uniqueness_calibration_count_named(self, tmp_path, capsys):
         cfg = small_ini(tmp_path, n_paths=3, record_every=1)
@@ -406,3 +456,38 @@ def test_commands_call_hooked_names_through_module(tmp_path, monkeypatch, capsys
         code = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / str(i))])
         assert code in (0, 1)
     assert all(calls.values()), calls
+
+
+def test_pair_and_ensemble_hooks_see_every_record(tmp_path, monkeypatch, capsys):
+    # perfbench/child.py's DivergedCounter sums `rec.diverged` over whatever
+    # these two names return, so every record of a check must pass through
+    # them, as an iterable of records
+    from splf import diagnostics
+
+    seen = {"simulate_paired": [], "simulate_ensemble": []}
+
+    def wrapped(name, fn):
+        def wrapper(*args, **kwargs):
+            records = fn(*args, **kwargs)
+            assert all(isinstance(rec, TrajectoryRecord) for rec in records)
+            seen[name] += [rec.path_index for rec in records]
+            return records
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(diagnostics, name, wrapped(name, getattr(diagnostics, name)))
+    cfg = small_ini(tmp_path, n_paths=3, record_every=50)
+    expected = {
+        ("energy-check",): {"simulate_paired": [],
+                            "simulate_ensemble": [0, 1, 2] * 2},
+        ("uniqueness-check", "--eps", "0"): {
+            "simulate_paired": [0, 0, 1, 1, 2, 2], "simulate_ensemble": []},
+        ("uniqueness-check", "--eps", "1e-3", "--calibration", "2"): {
+            "simulate_paired": [1_000_000] * 2 + [1_000_001] * 2 + [0, 0, 1, 1, 2, 2],
+            "simulate_ensemble": []},
+    }
+    for argv, want in expected.items():
+        for name in seen:
+            seen[name] = []
+        assert cli.main([*argv, "--config", str(cfg)]) in (0, 1)
+        assert seen == want, argv
