@@ -261,6 +261,12 @@ PINNED = {
         lambda: it.simulate_ensemble(
             config(3, "tamed", n_paths=3, record_every=5)),
         "9e600412718e5b923d42abe7b07afaf1450900b8b9aacf9fd1f6a665548ae378"),
+    # the shape of the simulate-d3 benchmark (n=2, p=1.9); digest taken
+    # before `lp_means` transformed only the grid lines that can hold data
+    "d3-n2": (
+        lambda: it.simulate_ensemble(
+            config(3, "tamed", n=2, p=1.9, n_paths=2, record_every=1)),
+        "0bb6f93b94528dcdca381f006c054606d0429f50ecfa8db96f21406d45f2e096"),
     "diverging": (
         lambda: it.simulate_ensemble(diverging_config()),
         "f9849691471bced9a3f04635c9539c532b959a383a10ac0e8116b191ddf2166e"),

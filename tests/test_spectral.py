@@ -159,6 +159,75 @@ class TestGridTransforms:
             sp.from_grid(sp.to_grid(f, 16), 8)
 
 
+BAND_GRIDS = [(2, 2, 5), (2, 2, 10), (2, 2, 32), (2, 4, 49), (3, 1, 16),
+              (3, 2, 15), (3, 2, 32)]
+MULTIPLIERS = {"bessel": lambda gm: gm.bessel(1.0),
+               "gradient": lambda gm: gm.derivative(1),
+               "laplacian": lambda gm: gm.derivative(2)}
+
+
+def band_rows(gm):
+    """A zero row, single-mode rows at three corners of the band and one
+    row with every mode, as half-space coefficients (R, Z, d)."""
+    d, n = gm.d, gm.n
+    corners = [(0,) * (d - 1) + (1,), (n,) + (-n,) * (d - 1), (n,) * d]
+    vhat = np.zeros((len(corners) + 2,) + gm.modes.shape, dtype=np.complex128)
+    for r, z in enumerate(corners, start=1):
+        k = sp._mode_index(np.array([z]), n, d)[0]
+        vhat[r, k] = np.arange(1, d + 1) * (0.5 - 1.25j)
+    rng = np.random.default_rng(d * 100 + n * 10 + gm.M)
+    vhat[-1] = rng.standard_normal(gm.modes.shape) + 1j * rng.standard_normal(
+        gm.modes.shape)
+    return vhat
+
+
+def lp_means_oracle(gm, vhat, multiplier, p):
+    """The quadrature with a full transform: scatter, multiply the whole
+    grid, np.fft.ifftn."""
+    A = gm.scatter(vhat)[:, :, None] * multiplier
+    A = A.reshape((len(A), -1) + gm.shape)
+    values = np.fft.ifftn(A, axes=gm.grid_axes).real * gm.vol
+    mag = np.sqrt(np.sum(values ** 2, axis=1))
+    return (mag ** p).reshape(len(mag), -1).mean(axis=1)
+
+
+class TestBandedTransform:
+    """`_GridMap._banded_ifftn` skips the grid lines that still hold only
+    zeros.  That is exact only while np.fft.ifftn runs its 1-D transforms
+    last grid axis first, so these compare bytes (signed zeros count) with
+    np.fft.ifftn on grids with even, odd, smooth and prime-power M."""
+
+    @pytest.mark.parametrize("mult", sorted(MULTIPLIERS))
+    @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
+    def test_matches_ifftn_byte_for_byte(self, d, n, M, mult):
+        gm = sp.grid_map(d, n, M)
+        A = gm._multiplied(band_rows(gm), MULTIPLIERS[mult](gm))
+        want = np.fft.ifftn(A, axes=gm.grid_axes)
+        got = gm._banded_ifftn(A)
+        assert got is A
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mult", sorted(MULTIPLIERS))
+    @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
+    def test_lp_means_match_full_transform(self, d, n, M, mult):
+        gm = sp.grid_map(d, n, M)
+        vhat, m = band_rows(gm), MULTIPLIERS[mult](gm)
+        for p in (1.5, 2.5):
+            got = gm.lp_means(vhat, m, p)
+            assert got.tobytes() == lp_means_oracle(gm, vhat, m, p).tobytes()
+
+    def test_multiplied_places_only_the_modes(self):
+        gm = sp.grid_map(2, 2, 10)
+        vhat, m = band_rows(gm), gm.derivative(1)
+        A = gm._multiplied(vhat, m).reshape(len(vhat), gm.d, gm.d, gm.vol)
+        want = (gm.scatter(vhat)[:, :, None] * m).reshape(A.shape)
+        assert np.array_equal(A, want)
+        outside = np.ones(gm.vol, dtype=bool)
+        outside[gm.pos_flat] = outside[gm.neg_flat] = False
+        zeros = A[..., outside]
+        assert not (np.signbit(zeros.real).any() or np.signbit(zeros.imag).any())
+
+
 class TestLerayProjection:
     def test_div_free_unchanged(self):
         f = random_field(3, d=2, n=3)
