@@ -4,9 +4,10 @@ Subcommands: simulate, energy-check, uniqueness-check, exponents.  Every
 run writes a manifest with the config snapshot, seed, code version, wall
 times, the numpy, Python and platform versions, and content digests of all
 output files, so a run is reproducible from its manifest alone.  The
-manifest of `simulate` also lists each path's divergence flag; the
-manifests of the checks list no paths.  Reports are strict JSON (RFC 8259):
-a non-finite number is written as the string "inf", "-inf" or "nan".
+manifest of `simulate` also lists each path's divergence flag; that of a
+check lists the run, path index and step of each diverged record.
+Reports are strict JSON (RFC 8259): a non-finite number is written as the
+string "inf", "-inf" or "nan".
 SPLF_THREADS caps the worker count for ensemble runs.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import OutputOptions, config_to_ini, parse_config
-from .diagnostics import (energy_experiment, gronwall_experiment,
+from .diagnostics import (MANIFEST_ONLY, energy_experiment, gronwall_experiment,
                           identical_noise_separation)
 from .exponents import critical_exponents, exponent_report, uniqueness_threshold
 from .integrator import SimConfig, TrajectoryRecord, simulate_ensemble
@@ -61,7 +62,7 @@ def _write_record_csv(record: TrajectoryRecord, path: Path) -> None:
 
 
 def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
-                    records, files, started: float, verdict=None) -> Path:
+                    paths, files, started: float, verdict=None) -> Path:
     manifest = {
         "tool": "splf",
         "version": __version__,
@@ -76,11 +77,7 @@ def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
         # not platform.platform(): it starts a `uname -p` process
         "platform": "-".join([platform.system(), platform.release(),
                               platform.machine()]),
-        "paths": [
-            {"path_index": r.path_index, "diverged": r.diverged,
-             "diverged_step": r.diverged_step}
-            for r in records
-        ],
+        "paths": paths,
         "outputs": [{"file": f.name, "sha256": _sha256(f)} for f in files],
     }
     if verdict is not None:
@@ -94,9 +91,11 @@ def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
 def _jsonable(obj):
     """A report as JSON values: dataclasses as dicts, numpy arrays and
     scalars as lists and numbers, and a non-finite float as the string
-    "inf", "-inf" or "nan", which RFC 8259 JSON has no number for."""
+    "inf", "-inf" or "nan", which RFC 8259 JSON has no number for.  Fields
+    marked MANIFEST_ONLY are left out."""
     if dataclasses.is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+               if f.metadata != MANIFEST_ONLY}
     if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
     if isinstance(obj, dict):
@@ -109,10 +108,10 @@ def _jsonable(obj):
 
 
 def _verdict(args, config: SimConfig, outputs: OutputOptions, started: float,
-             passed: bool, fields, report) -> int:
+             passed: bool, fields, report, diverged) -> int:
     """Print `command,status,fields...`; with --out also write the report
-    as `energy_report.json` or `uniqueness_report.json` and a manifest;
-    return the exit code."""
+    as `energy_report.json` or `uniqueness_report.json` and a manifest
+    that lists the diverged records; return the exit code."""
     status = "pass" if passed else "fail"
     print(",".join([args.command, status, *fields]))
     if args.out:
@@ -120,7 +119,7 @@ def _verdict(args, config: SimConfig, outputs: OutputOptions, started: float,
         out_dir.mkdir(parents=True, exist_ok=True)
         rp = out_dir / f"{args.command.removesuffix('-check')}_report.json"
         rp.write_text(json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n")
-        _write_manifest(out_dir, config, outputs, [], [rp], started,
+        _write_manifest(out_dir, config, outputs, list(diverged), [rp], started,
                         verdict=status)
     return 0 if passed else 1
 
@@ -141,7 +140,9 @@ def _cmd_simulate(args) -> int:
             write_snapshot(coords_to_field(r.final_coords, config.n, config.d),
                            snap_path)
             files.append(snap_path)
-    _write_manifest(out_dir, config, outputs, records, files, started)
+    paths = [{"path_index": r.path_index, "diverged": r.diverged,
+              "diverged_step": r.diverged_step} for r in records]
+    _write_manifest(out_dir, config, outputs, paths, files, started)
     n_div = sum(r.diverged for r in records)
     print(f"simulate,done,paths={len(records)},diverged={n_div},out={out_dir}")
     return 0
@@ -160,19 +161,21 @@ def _cmd_energy_check(args) -> int:
         f"shrink_ratio={_fmt(report.shrink_ratio)}",
         f"paths={report.main.n_paths}",
         f"diverged={report.main.n_diverged}",
-    ], report)
+    ], report, report.diverged)
 
 
 def _cmd_uniqueness_check(args) -> int:
     config, outputs = parse_config(args.config)
     started = time.time()
     if args.eps == 0.0:
-        worst = identical_noise_separation(config, range(config.n_paths))
+        diverged = []
+        worst = identical_noise_separation(config, range(config.n_paths), diverged)
         return _verdict(args, config, outputs, started, worst < 1e-12, [
             "branch=exact",
             f"max_separation={_fmt(worst)}",
             f"paths={config.n_paths}",
-        ], {"branch": "exact", "max_separation": worst, "paths": config.n_paths})
+        ], {"branch": "exact", "max_separation": worst, "paths": config.n_paths},
+            diverged)
     report = gronwall_experiment(config, eps=args.eps,
                                  n_calibration=args.calibration,
                                  n_validation=config.n_paths,
@@ -187,7 +190,7 @@ def _cmd_uniqueness_check(args) -> int:
         f"violations={report.total_violations}",
         f"pairs_ok={report.pairs_ok}/{report.n_validation}",
         f"regime={regime}",
-    ], report)
+    ], report, report.diverged)
 
 
 def _cmd_exponents(args) -> int:

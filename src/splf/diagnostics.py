@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,9 +44,20 @@ __all__ = [
 
 CALIBRATION_PATH_OFFSET = 1_000_000
 
+# A report field with this metadata is listed in the manifest of a check,
+# not written to its JSON report.
+MANIFEST_ONLY = {"manifest_only": True}
+
 
 def _alive(records: Sequence[TrajectoryRecord]) -> List[TrajectoryRecord]:
     return [r for r in records if not r.diverged]
+
+
+def _diverged(run: str, records: Sequence[TrajectoryRecord]) -> tuple:
+    """The manifest entry of each diverged record; a pair's two records
+    share its path index."""
+    return tuple({"run": run, "path_index": r.path_index, "diverged_step": r.diverged_step}
+                 for r in records if r.diverged)
 
 
 def _energy_functional(r: TrajectoryRecord) -> float:
@@ -120,6 +131,7 @@ class EnergyExperimentReport:
     shrink_ratio: float
     balance_ok: bool
     shrink_ok: bool
+    diverged: tuple = field(default=(), metadata=MANIFEST_ONLY)  # runs "main", "control"
 
     @property
     def passed(self) -> bool:
@@ -133,9 +145,12 @@ def energy_experiment(config: SimConfig,
                       shrink_range: Tuple[float, float] = (1.5, 2.5)
                       ) -> EnergyExperimentReport:
     """Run the ensemble at dt and at dt/2 and test the energy identity."""
-    main = energy_balance(simulate_ensemble(config), config)
+    records = simulate_ensemble(config)
+    main, diverged = energy_balance(records, config), _diverged("main", records)
     half_cfg = replace(config, dt=config.dt / 2.0)
-    control = energy_balance(simulate_ensemble(half_cfg), half_cfg)
+    records = simulate_ensemble(half_cfg)
+    control = energy_balance(records, half_cfg)
+    diverged += _diverged("control", records)
     gap = main.lhs_mean - control.lhs_mean
     gap_se = math.hypot(main.lhs_stderr, control.lhs_stderr)
     allowance = 2.2 * abs(gap) + 3.0 * gap_se
@@ -151,7 +166,7 @@ def energy_experiment(config: SimConfig,
         main=main, control=control, gap=gap, gap_stderr=gap_se,
         bias_allowance=allowance, residual=residual,
         residual_control=residual_control, shrink_ratio=float(shrink),
-        balance_ok=balance_ok, shrink_ok=shrink_ok)
+        balance_ok=balance_ok, shrink_ok=shrink_ok, diverged=diverged)
 
 
 def energy_defect(record: TrajectoryRecord) -> float:
@@ -278,12 +293,8 @@ def dissipation_functional(record: TrajectoryRecord,
     if config.p >= 2:
         J = lap2 / (1.0 + grad2) ** lam
     else:
-        vals = []
-        for lap_p, grad_p, g2 in zip(_lp_norms(record, config, 2),
-                                     _lp_norms(record, config, 1), grad2):
-            vals.append(lap_p ** 2 / ((1.0 + g2) ** lam *
-                                      (1.0 + grad_p) ** (2.0 - config.p)))
-        J = np.array(vals)
+        lap_p, grad_p = _lp_norms(record, config, 2), _lp_norms(record, config, 1)
+        J = lap_p ** 2 / ((1.0 + grad2) ** lam * (1.0 + grad_p) ** (2.0 - config.p))
     t = record.times
     integral = float(np.sum(J[:-1] * np.diff(t))) if len(t) > 1 else 0.0
     return J, integral
@@ -312,14 +323,13 @@ class GronwallReport:
         return self.violations == 0
 
 
-def _lp_norms(record: TrajectoryRecord, config: SimConfig, order: int) -> list:
+def _lp_norms(record: TrajectoryRecord, config: SimConfig, order: int) -> np.ndarray:
     """||grad X||_{L_p} (order 1) or ||Lap X||_{L_p} (order 2) of every
     recorded row, by the rectangle rule on the norm_grid_size(n) grid."""
     gm = grid_map(config.d, config.n, norm_grid_size(config.n))
     means = gm.lp_means(gm.coords_to_modes(record.coords), gm.derivative(order),
                         config.p)
-    # one scalar root per row: numpy's array power can differ in the last bit
-    return [float(m ** (1.0 / config.p)) for m in means]
+    return means ** (1.0 / config.p)
 
 
 def _grad_integral(record: TrajectoryRecord, config: SimConfig) -> np.ndarray:
@@ -329,7 +339,7 @@ def _grad_integral(record: TrajectoryRecord, config: SimConfig) -> np.ndarray:
         gm = grid_map(config.d, config.n, 2 * config.n + 1)
         grad_p = np.sqrt(record.coords ** 2 @ gm.lam_coord)
     else:
-        grad_p = np.array(_lp_norms(record, config, 1))
+        grad_p = _lp_norms(record, config, 1)
     t = record.times
     out = np.zeros_like(t)
     if len(t) > 1:
@@ -408,6 +418,7 @@ class GronwallExperimentReport:
     worst: Optional[GronwallReport]
     in_uniqueness_regime: bool
     n_diverged: int
+    diverged: tuple = field(default=(), metadata=MANIFEST_ONLY)  # "calibration", "validation"
 
     @property
     def passed(self) -> bool:
@@ -443,15 +454,16 @@ def gronwall_experiment(config: SimConfig, eps: float,
         raise ValueError(f"n_calibration: must be at least 1 pair, got {n_calibration}")
     cal_pairs = _perturbed_pairs(
         config, range(CALIBRATION_PATH_OFFSET, CALIBRATION_PATH_OFFSET + n_calibration), eps)
-    n_diverged = sum(r.diverged for pair in cal_pairs for r in pair)
     c_hat = calibrate_gronwall(
         [pair for pair in cal_pairs if not any(r.diverged for r in pair)], config)
+    val_pairs = _perturbed_pairs(config, range(n_validation), eps)
+    diverged = (_diverged("calibration", [r for pair in cal_pairs for r in pair])
+                + _diverged("validation", [r for pair in val_pairs for r in pair]))
     total = 0
     ok = 0
     worst = None
-    for rec_a, rec_b in _perturbed_pairs(config, range(n_validation), eps):
+    for rec_a, rec_b in val_pairs:
         if rec_a.diverged or rec_b.diverged:
-            n_diverged += rec_a.diverged + rec_b.diverged
             continue
         rep = gronwall_check(rec_a, rec_b, config, c_hat, margin)
         total += rep.violations
@@ -464,21 +476,25 @@ def gronwall_experiment(config: SimConfig, eps: float,
         n_calibration=n_calibration, n_validation=n_validation,
         total_violations=total, pairs_ok=ok, worst=worst,
         in_uniqueness_regime=config.p >= float(uniqueness_threshold(config.d)),
-        n_diverged=n_diverged)
+        n_diverged=len(diverged), diverged=diverged)
 
 
-def identical_noise_separation(config: SimConfig, path_index) -> float:
+def identical_noise_separation(config: SimConfig, path_index,
+                               diverged: Optional[list] = None) -> float:
     """Max separation ||Z_t||_2 over a pair with identical data and noise,
     or over the pairs of a sequence of path indices, run in one batch.
 
     The discrete map is deterministic given the noise, so this is zero to
     roundoff; it is the exact branch of the uniqueness statement.  If a
     pair has a diverged member the result is inf: a path that left the
-    computation shows nothing about uniqueness.
+    computation shows nothing about uniqueness.  A `diverged` list gets
+    the manifest entry (run "exact") of each diverged record.
     """
     indices = [path_index] if isinstance(path_index, numbers.Integral) else path_index
     x0 = np.array([initial_coords(config, i) for i in indices])
     recs = simulate_paired(config, indices, x0, x0.copy())
+    if diverged is not None:
+        diverged.extend(_diverged("exact", recs))
     if any(r.diverged for r in recs):
         return math.inf
     worst = 0.0

@@ -56,11 +56,12 @@ class StructureError(ValueError):
     """A field is not divergence free, or a tensor field not symmetric."""
 
 
-# Complex grid values that one batched transform (a drift block of paths,
-# an L_p chunk of rows) may hold; larger blocks fall out of cache.  Drift
-# alone, 2-core x86 host, numpy 2.4: at d=2, n=2 one path cost 224 us,
-# blocks of 8 to 32 cost 58-83 us per path and blocks of 64 to 200 cost
-# 96-110 us; at d=3, n=2 blocks of 8 or more were 1.5-2.4x slower per path.
+# Grid values that one batched pass may hold: complex FFT values of a drift
+# block of paths, or real values of an L_p chunk of rows (one d=3 row of
+# 3 x 32^3; four d=2 gradient rows of 4 x 32^2, where budgets from 5000 to
+# 160000 gave no clear change).  Drift, 2-core x86 host, numpy 2.4: at d=2,
+# n=2 one path cost 224 us, blocks of 8 to 32 58-83 us per path and of 64
+# to 200 96-110 us; at d=3, n=2 blocks of 8 or more were 1.5-2.4x slower.
 BLOCK_VALUES = 20_000
 
 
@@ -357,12 +358,16 @@ class _GridMap:
         self.ikvec = 2j * np.pi * self.kvec
         self.ksq = np.sum(self.kvec ** 2, axis=0)
         self.shape = shape
-        # per grid axis, last first: the basic-slice views of the lines that
-        # can hold data before that axis is transformed (`_banded_ifftn`)
-        halves = (slice(0, n + 1), slice(M - n, M))
-        self._bands = [(a - d, [(Ellipsis,) + band + (slice(None),) * (d - a)
-                                for band in itertools.product(halves, repeat=a)])
-                       for a in reversed(range(d))]
+        # band synthesis (`lp_means`): modes at `box_pos`, partners at
+        # `box_neg` of the (2n+1)^d box offset by n; W (2n+2, M) has rows
+        # c_k cos and -c_k sin, for the real and imaginary parts of a complex
+        # value, with c_0 = 1 and c_k = 2 for the pair k, -k
+        box = (2 * n + 1) ** np.arange(d - 1, -1, -1)
+        self.box_pos, self.box_neg = (n + self.modes) @ box, (n - self.modes) @ box
+        phase = 2.0 * np.pi / M * (np.outer(np.arange(M), np.arange(-n, n + 1)) % M)
+        self.F = np.exp(1j * phase)                                 # (M, 2n+1)
+        c = np.where(np.arange(n + 1) == 0, 1.0, 2.0)
+        self.W = (c * np.exp(-1j * phase[:, n:])).view(np.float64).T
         self.vol = M ** d
         # |z|^2 per basis coordinate, flattened in basis order
         zsq = np.einsum("zd,zd->z", self.modes, self.modes).astype(float)
@@ -424,64 +429,40 @@ class _GridMap:
         """Multiplier of the gradient (order 1) or the Laplacian (order 2)."""
         return self.ikvec if order == 1 else (-TWO_PI_SQ * self.ksq)[None]
 
-    def _multiplied(self, vhat: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        """The spectral array (r, d*c, M, ..., M) of the multiplier m
-        (c, M, ..., M) applied to each component of the rows vhat (r, Z, d):
-        m(k) v(k) at each half-space mode k, m(-k) conj(v(k)) at -k and +0
-        everywhere else.  Equal, except for the sign of some zeros, to the
-        scattered rows times m on the whole grid."""
-        cols = np.swapaxes(vhat, -1, -2)[:, :, None]         # (r, d, 1, Z)
-        m = multiplier.reshape(len(multiplier), self.vol)
-        A = np.zeros(cols.shape[:2] + (len(m), self.vol), dtype=np.complex128)
-        A[..., self.pos_flat] = cols * m[:, self.pos_flat]
-        A[..., self.neg_flat] = np.conj(cols) * m[:, self.neg_flat]
-        return A.reshape((len(A), -1) + self.shape)
-
-    def _banded_ifftn(self, A: np.ndarray) -> np.ndarray:
-        """np.fft.ifftn(A, axes=self.grid_axes, out=A), bit for bit, on an
-        array whose nonzero entries all lie in the band |k_a| <= n of every
-        grid axis and whose other entries are +0.
-
-        ifftn is a sequence of one-dimensional ifft calls, last grid axis
-        first.  When grid axis a is transformed, axes 0..a-1 are still
-        spectral, so a line whose index on one of them lies outside
-        {0..n} u {M-n..M-1} holds only +0, and the ifft of such a line is
-        that line again.  Only the other lines are transformed, in place,
-        through the 2^a views that pick one half of the band on each of
-        those axes; M >= 2n+1 keeps the two halves apart."""
-        for axis, views in self._bands:
-            for view in views:
-                v = A[view]
-                np.fft.ifft(v, axis=axis, out=v)
-        return A
-
     def lp_means(self, vhat: np.ndarray, multiplier: np.ndarray,
                  p: float) -> np.ndarray:
         """Grid mean of |m(D) v|^p for each row of vhat (R, Z, d), where |.|
         is the Frobenius norm over the (d, c) values of the multiplier
-        m (c, M, ..., M) applied to each component.  Rows are transformed
-        in batches of at most BLOCK_VALUES complex values; each row's mean
-        is one pairwise sum over its own contiguous grid axis, so no row
-        depends on its batch.
+        m (c, M, ..., M) applied to each component.
 
-        m is applied at the modes alone (`_multiplied`), and the grid
-        values come from `_banded_ifftn`, which transforms only the lines
-        that can hold data: at d=3, n=2 on the 32^3 grid, 1209 of the 3072
-        lines per component.  The result is byte-identical to multiplying
-        the whole scattered grid and calling np.fft.ifftn: the two inputs
-        differ only in the sign of some zeros, which the squares remove."""
-        per_row = self.d * multiplier.shape[0] * self.vol
-        rows = max(1, BLOCK_VALUES // per_row)
+        Separable synthesis on the band: each row's multiplied coefficients
+        fill the (2n+1)^d box of wave vectors, grid axes 0..d-2 are
+        contracted with the complex DFT matrix F and the last, over k >= 0
+        alone, with the real cos/sin matrix W; the squares are summed over
+        the components and raised to p/2.  A row takes 0.43-0.64 ms at
+        d=3, n=2 on the 32^3 grid (2 cores, numpy 2.4), and the values are
+        within 1e-15 relative of np.fft.ifftn.  Rows go in batches of at
+        most BLOCK_VALUES grid values; matmul calls BLAS once per row, einsum
+        sums each point alone and a mean over a row's contiguous grid axis
+        is that row's pairwise sum, so no row depends on its batch."""
+        d, n, L, M = self.d, self.n, 2 * self.n + 1, self.M
+        m = multiplier.reshape(len(multiplier), self.vol)
+        m_pos, m_neg = (m[:, flat].T[:, None] for flat in (self.pos_flat, self.neg_flat))
+        comps = d * len(m)
+        rows = max(1, BLOCK_VALUES // (comps * self.vol))
         means = []
         for start in range(0, len(vhat), rows):
-            # one zeroed chunk, transformed in place and freed before the
-            # next; out-of-place steps raised a d=3 ensemble's peak RSS by
-            # 13% (1.5 MB per row and component on 32^3)
-            mA = self._banded_ifftn(self._multiplied(vhat[start:start + rows],
-                                                     multiplier))
-            mag = np.sqrt(np.sum((mA.real * self.vol) ** 2, axis=1))
-            del mA
-            means.append((mag ** p).reshape(len(mag), -1).mean(axis=1))
+            v = vhat[start:start + rows, :, :, None]                 # (r, Z, d, 1)
+            r = len(v)
+            A = np.zeros((r, L ** d, d, len(m)), dtype=np.complex128)
+            A[:, self.box_pos] = v * m_pos
+            A[:, self.box_neg] = np.conj(v) * m_neg
+            A = A.reshape(r, -1, L, comps)[:, :, n:].swapaxes(-1, -2)  # k_last >= 0
+            for a in range(d - 1):               # (r, M^a, L, ...) -> (r, M^a, M, ...)
+                A = self.F @ A.reshape(r, M ** a, L, -1)
+            values = (A.reshape(r, -1, n + 1).view(np.float64) @ self.W).reshape(r, -1, comps, M)
+            sq = np.einsum("...cx,...cx->...x", values, values)
+            means.append(np.power(sq, p / 2.0, out=sq).reshape(r, -1).mean(axis=1))
         return np.concatenate(means)
 
 

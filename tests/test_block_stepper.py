@@ -5,9 +5,10 @@
 It calls the same drift kernel as the stepper, at one path per call, so it
 shows that every record equals the one-path computation bit for bit, for
 any block size and composition.  It cannot see a change in the kernel's
-own arithmetic: `PINNED` holds digests of records from the per-path
-integrator that preceded the block stepper, and `test_records_match_pinned`
-checks the current records against them.
+own arithmetic: `PINNED` holds, per case, a digest of the trajectory alone
+(pinned from the per-path integrator that preceded the block stepper, or
+for later cases from the block stepper) and one of the whole record, and
+`test_records_match_pinned` checks the current records against both.
 """
 
 import dataclasses
@@ -219,12 +220,14 @@ def test_labels_at_or_above_2_64_rejected():
         rng.Streams(1).at(2 ** 64, 0)
 
 
-def record_digest(records):
+def record_digest(records, norm=True):
+    """sha256 of every record field; with norm=False, of every field but
+    the ||X||_{p,1}^p quadrature, that is of the trajectory alone."""
     h = hashlib.sha256()
     for r in records:
         h.update(repr((r.path_index, r.diverged_step)).encode())
-        for a in (r.times, r.coords, r.norm_l2_sq, r.norm_p1_p, r.int_diss,
-                  r.int_gamma):
+        for a in (r.times, r.coords, r.norm_l2_sq,
+                  *((r.norm_p1_p,) if norm else ()), r.int_diss, r.int_gamma):
             h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     return h.hexdigest()
 
@@ -243,44 +246,55 @@ def paired_records():
     return [with_norm(rec, c) for rec in it.simulate_paired(c, 3, x0, y0)]
 
 
-# sha256 of `record_digest` over the records of the per-path integrator
-# (p2: of the block stepper with a per-row ||X||_{p,1}^p evaluator that
-# preceded the batched quadrature kernel), numpy 2.4 on x86-64; 40 paths
-# at d=2 span one full and one partial block
+# (run, record digest, trajectory digest), numpy 2.4 on x86-64; 40 paths
+# at d=2 span one full and one partial block.  The trajectory digest
+# (`record_digest(..., norm=False)`) leaves out the ||X||_{p,1}^p column;
+# it was taken before `lp_means` moved from zero-padded FFTs to the
+# separable band synthesis.  The record digests take that column from the
+# separable synthesis (p2: from the exact p = 2 sum).
 PINNED = {
     "euler_maruyama": (
         lambda: it.simulate_ensemble(config(2, "euler_maruyama", n_paths=40)),
-        "0048ef5b25fc63c81ae2e89442f5d29a737f5094f53d0f482ee38061e80cf4c9"),
+        "29a23159dbafc8f9274efcb6c5fbc56b3e4a7e6adef226b4786b2939cffd3615",
+        "072c18f66908f31e33449a6b2ba72d777a87655aee87af92967c84004c71505e"),
     "tamed": (
         lambda: it.simulate_ensemble(config(2, "tamed", n_paths=40)),
-        "01b3036182b9b1fce425cb49de8a7273d4c2f0d1cceeeb040215497db00cd62d"),
+        "d8da71feb6b64899e835126c8c0e685d75cdb693210208b6f3b1ee6cc58feacd",
+        "17c8003f1cb0b5318616d9105a03099aa61e24e11a4367134591e09f92447dad"),
     "semi_implicit": (
         lambda: it.simulate_ensemble(config(2, "semi_implicit", n_paths=40)),
-        "64b2860352a2923b1b2a86c2cee825bfb2a4807b29520e4bc86fcdefa489eb94"),
+        "d62d2e7f9a5679e95bd19ede29942c4d8bc75dbd3cbdb7e571aace2969a1907e",
+        "441b93e68fcb75f47abf9ce62dd1fa54f0a882862f1dead2edad84726af12eea"),
     "d3": (
         lambda: it.simulate_ensemble(
             config(3, "tamed", n_paths=3, record_every=5)),
-        "9e600412718e5b923d42abe7b07afaf1450900b8b9aacf9fd1f6a665548ae378"),
-    # the shape of the simulate-d3 benchmark (n=2, p=1.9); digest taken
-    # before `lp_means` transformed only the grid lines that can hold data
+        "36da18b5cca95be5fbe0c9c8cdb372b1e285545653ef63c97b6458b678fbf4d2",
+        "d5cfeeba88e57b6d236044c4f10b72634aa32f3ac58f2684d153e5e3e1062aaf"),
+    # the shape of the simulate-d3 benchmark (n=2, p=1.9)
     "d3-n2": (
         lambda: it.simulate_ensemble(
             config(3, "tamed", n=2, p=1.9, n_paths=2, record_every=1)),
-        "0bb6f93b94528dcdca381f006c054606d0429f50ecfa8db96f21406d45f2e096"),
+        "eb6687a83d63cf2ac0064eb83c6383917c165df33dd60ceebceb6199539c374d",
+        "bee4d91fc0f0904260c0966a5226741ff660d9d72cc2967b2467143af5334127"),
     "diverging": (
         lambda: it.simulate_ensemble(diverging_config()),
-        "f9849691471bced9a3f04635c9539c532b959a383a10ac0e8116b191ddf2166e"),
+        "ef4f21d482a665996fc5298c8296a3c4ded4a15c391380105684525fd35b9ab0",
+        "4057160184e5b8dbdbc9e6971854ee308a9ded1ab84675e8ef52cff13f65a5f8"),
     "p2": (
         lambda: it.simulate_ensemble(config(2, "semi_implicit", p=2.0, n_paths=40)),
-        "07cf9268a3ce5e2edcaf542c8edadba650096f4544be1b65775fdf922236c4cf"),
+        "07cf9268a3ce5e2edcaf542c8edadba650096f4544be1b65775fdf922236c4cf",
+        "dadce53abfe961a47762114d1bae6067f8941f51ea9ea021444cc90bac6d1766"),
     "paired": (
         paired_records,
-        "8b5bbf341c84cd46b360bb58c289b7453728eb9ca2d6e19709e890a8b2677ff2"),
+        "5b5e8ab72b36774d367f5a9958c9a1d5999fd1856d8b89d889ce467a4af01661",
+        "d8ab1845e555337529a5e11e35399d202f23e0b1290dd6ba1e94c4103eb2bdfa"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_records_match_pinned(case, monkeypatch):
     monkeypatch.setenv("SPLF_THREADS", "1")
-    run, digest = PINNED[case]
-    assert record_digest(run()) == digest
+    run, digest, trajectory = PINNED[case]
+    records = run()
+    assert record_digest(records, norm=False) == trajectory
+    assert record_digest(records) == digest

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from splf import cli
+from splf import diagnostics as dg
 from splf.config import (OutputOptions, config_to_ini, parse_config,
                          parse_config_string)
 from splf.integrator import (ConfigError, GaussianInit, SimConfig,
-                             SingleModeInit, TrajectoryRecord)
+                             SingleModeInit, TrajectoryRecord, initial_coords,
+                             simulate_ensemble, simulate_paired)
 from splf.noise import ExplicitSpectrum, PowerLawSpectrum
 
 MINIMAL = """
@@ -388,6 +390,39 @@ class TestCliChecks:
                      for name in ("uniqueness_report.json", "manifest.json"))
         if args[1] == "0":
             assert report["max_separation"] == "inf"
+
+    @pytest.mark.parametrize("args", [["energy-check"],
+                                      ["uniqueness-check", "--eps", "0"],
+                                      ["uniqueness-check", "--eps", "1e-3",
+                                       "--calibration", "8"]],
+                             ids=["energy", "exact", "gronwall"])
+    def test_check_manifest_names_diverged_paths(self, tmp_path, capsys, args):
+        path = tmp_path / "diverging.ini"
+        path.write_text(DIVERGING)
+        out = tmp_path / "rep"
+        assert cli.main([*args, "--config", str(path), "--out", str(out)]) == 1
+        line = capsys.readouterr().out
+        listed = json.loads((out / "manifest.json").read_text())["paths"]
+        # the runs again, apart from the check
+        config, _ = parse_config(path)
+        if args[0] == "energy-check":
+            runs = [("main", config), ("control", dataclasses.replace(config, dt=config.dt / 2))]
+            records = [(run, r) for run, c in runs for r in simulate_ensemble(c)]
+            main = records[:config.n_paths]
+            assert line.endswith(f",diverged={sum(r.diverged for _, r in main)}\n")
+        elif args[2] == "0":
+            indices = range(config.n_paths)
+            x0 = np.array([initial_coords(config, i) for i in indices])
+            records = [("exact", r) for r in simulate_paired(config, indices, x0, x0.copy())]
+        else:
+            report = json.loads((out / "uniqueness_report.json").read_text())
+            assert report["n_diverged"] == len(listed)
+            pairs = dg._perturbed_pairs(config, range(config.n_paths), 1e-3)
+            records = [("validation", r) for pair in pairs for r in pair]
+            listed = [p for p in listed if p["run"] != "calibration"]
+        want = [{"run": run, "path_index": r.path_index, "diverged_step": r.diverged_step}
+                for run, r in records if r.diverged]
+        assert want and listed == want
 
     def test_non_finite_report_values_are_strings(self):
         report = {"x": np.array([np.inf, -np.inf, np.nan, 0.5]), "y": (np.float64(-np.inf),)}

@@ -300,18 +300,20 @@ def dissipation(p, **kw):
     return dg.dissipation_functional(*pinned_pair(p, **kw))
 
 
-# sha256 of the float64 bytes of the diagnostics, from the row-by-row
-# SpectralField evaluation that preceded the batched quadrature kernel,
-# numpy 2.4 on x86-64
+# sha256 of the float64 bytes of the diagnostics, numpy 2.4 on x86-64:
+# from the row-by-row SpectralField evaluation that preceded the batched
+# quadrature kernel, except the three cases that read an L_p quadrature
+# (p != 2 in `_lp_norms`), re-pinned when the kernel moved from zero-padded
+# FFTs to the separable band synthesis (grad_integral-p2.5 kept its bytes)
 PINNED_DIAGNOSTICS = {
     "grad_integral-p2.5": (lambda: grad_integral(2.5),
         "d197b2ba2610d4ce393b77f2d8f38bd2b274f79670724bceea0580272beee725"),
     "grad_integral-p1.5": (lambda: grad_integral(1.5),
-        "fef35d68dbeedb93a51c21ba29df0049841d9e513b3fc60fd6465859bcbc155e"),
+        "b7f6903e5601498a9e7185468b0cd14557a16c0c5cc7f3d714a13addd3b5576b"),
     "dissipation-p1.5": (lambda: dissipation(1.5),
-        "b62ea822ba8a97c1596a7dfecfa79b8e3458ba25feab33de480a384245b22d38"),
+        "9baaed602db6605b58b4e3234500bcdb06fa20acc250b7ea7a0c324a70b797d2"),
     "dissipation-p1.9-d3": (lambda: dissipation(1.9, d=3, record_every=5),
-        "cfb2d0ae4af475a90ed59c0c9ce6ac67e060530934f9573bb3b3bff3d6afbaa8"),
+        "2cc67211db2ec0d56248342e4ce9aa457bce1f9d30d61d876d5cfcab04cfa3a2"),
 }
 
 
