@@ -3,7 +3,8 @@
 INI syntax via configparser, one key per simulation field, grouped in the
 sections [model], [time], [ensemble], [init], [gamma] and optional
 [outputs].  See the README for the documented schema.  Parsing errors and
-invariant violations name the offending section and key.
+invariant violations name the offending section and key; so does a key or
+section that the schema does not know.
 """
 
 from __future__ import annotations
@@ -80,6 +81,17 @@ def _read(keys, section: str, cls, names=None) -> dict:
             if f.name in keys or f.default is dataclasses.MISSING}
 
 
+def _known(parser, keys, section: str, names) -> None:
+    """Fail on a key of the section that is not in names.  configparser
+    stores keys through optionxform (lower case by default), so the names
+    are compared in the same form.  It also copies the keys of a [DEFAULT]
+    section into every section; that section fails on its own."""
+    allowed = {parser.optionxform(name) for name in names}
+    for key in keys:
+        if key not in allowed and key not in parser.defaults():
+            raise ConfigError(f"[{section}] {key}: unknown key")
+
+
 def _explicit_entries(raw: str, d: int) -> ExplicitSpectrum:
     items = []
     for lineno, line in enumerate(raw.strip().splitlines()):
@@ -104,7 +116,8 @@ def parse_config_string(text: str):
     """Parse INI text into (SimConfig, OutputOptions).
 
     Values are read verbatim: `%` starts no interpolation, so a value
-    holding one fails to parse with an error that names its key.
+    holding one fails to parse with an error that names its key.  A key
+    or section that the schema does not name fails too.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -118,6 +131,7 @@ def parse_config_string(text: str):
         keys = parser[section]
         if isinstance(spec, tuple):
             values.update(_read(keys, section, SimConfig, spec))
+            _known(parser, keys, section, spec)
             continue
         kind = _value(keys, section, "kind", str)
         if kind not in spec:
@@ -126,6 +140,12 @@ def parse_config_string(text: str):
             values[section] = _explicit_entries(keys.get("entries", ""), values["d"])
         else:
             values[section] = spec[kind](**_read(keys, section, spec[kind]))
+        _known(parser, keys, section, ["kind"] + [f.name for f in _fields(spec[kind])])
+    known = [name for name, _ in _SCHEMA] + ["outputs"]
+    default = [parser.default_section] if parser.defaults() else []
+    for section in default + parser.sections():
+        if section not in known:
+            raise ConfigError(f"[{section}]: unknown section")
     config = SimConfig(**values)
     if not admissible_existence(config.p, config.d):
         warnings.warn(
@@ -133,7 +153,9 @@ def parse_config_string(text: str):
             "range; the run proceeds but is not covered by the well-posedness "
             "theory", stacklevel=2)
     keys = parser["outputs"] if parser.has_section("outputs") else {}
-    return config, OutputOptions(**_read(keys, "outputs", OutputOptions))
+    outputs = OutputOptions(**_read(keys, "outputs", OutputOptions))
+    _known(parser, keys, "outputs", [f.name for f in _fields(OutputOptions)])
+    return config, outputs
 
 
 def parse_config(path) -> tuple:

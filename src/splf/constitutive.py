@@ -70,12 +70,9 @@ def _common_map(*fields: SpectralField, M: int | None = None) -> _GridMap:
 def _grid_and_gradient(field: SpectralField, gm: _GridMap):
     """Physical samples V[i] and gradient G[i, j] = d_j v_i on gm's grid."""
     vhat = _aligned_modes(field, gm.n)
-    A = gm.scatter(vhat)
-    axes = tuple(range(1, gm.d + 1))
-    V = np.fft.ifftn(A, axes=axes).real * gm.vol
-    Gh = A[:, None] * gm.ikvec[None, :]
-    G = np.fft.ifftn(Gh, axes=tuple(range(2, gm.d + 2))).real * gm.vol
-    return V, G
+    grad = vhat[:, :, None] * gm.derivative(1).T[:, None]      # (Z, i, j)
+    G = gm.modes_to_grid(grad.reshape(len(vhat), -1))
+    return gm.modes_to_grid(vhat), G.reshape((gm.d, gm.d) + gm.shape)
 
 
 def _strain_from_gradient(G: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -169,27 +166,27 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     """Drift coordinates and dissipation < e, tau > in one grid pass.
 
     x is one coordinate vector (K,) or a block of paths (P, K); the block
-    gives drift rows (P, K) and one dissipation per row.  Field values and
-    the full gradient of every path go through one batched inverse
-    transform, the advection and stress go back through one batched
-    forward transform; this keeps the per-step cost transform-bound.  Each
-    1-D transform acts on one path alone, and the dissipation is a mean
-    over each row's contiguous grid axis, the same pairwise sum per row as
-    the rectangle rule on that row alone; so a row's result does not depend
-    on the block it was computed in.
+    gives drift rows (P, K) and one dissipation per row.  The gradient
+    v_i(z) 2 pi i z_j is formed at the modes; field values and gradient of
+    every path go through one batched inverse transform, the advection and
+    stress go back through one batched forward transform, and the
+    divergence 2 pi i z_j tau_ij(z) and the subtraction of the advection
+    are taken on the gathered modes alone.  Each 1-D transform acts on one
+    path alone, and the dissipation is a mean over each row's contiguous
+    grid axis, the same pairwise sum per row as the rectangle rule on that
+    row alone; so a row's result does not depend on the block it was
+    computed in.
     """
     d = gm.d
     block = x.reshape(-1, x.shape[-1])
     P = block.shape[0]
-    vhat = gm.coords_to_modes(block)
-    A = gm.scatter(vhat)                                  # (P, d, M..)
-    Gh = (A[:, :, None] * gm.ikvec).reshape((P, d * d) + gm.shape)
-    spec = np.concatenate([A, Gh], axis=1)
-    # in-place transforms (numpy >= 2) whose inputs are freed first let
-    # each step reuse the block's buffers: on energy-d2 this cut run_s
-    # from 1.12 s to 0.87 s and peak RSS from 41.8 to 40.3 MB against
-    # out-of-place transforms
-    del A, Gh
+    vhat = gm.coords_to_modes(block)                      # (P, Z, d)
+    ik = gm.derivative(1).T                               # (Z, d)
+    grad = (vhat[..., None] * ik[:, None]).reshape(P, -1, d * d)
+    spec = gm.scatter(np.concatenate([vhat, grad], axis=-1))  # (P, d + d^2, M..)
+    # in-place transforms (numpy >= 2) let each step reuse the block's
+    # buffers: on energy-d2 this cut run_s from 1.12 s to 0.87 s and peak
+    # RSS from 41.8 to 40.3 MB against out-of-place transforms
     down = np.fft.ifftn(spec, axes=gm.grid_axes, out=spec).real * gm.vol
     del spec
     V = down[:, :d]
@@ -203,11 +200,10 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
                         dtype=np.complex128)
     del conv, tau, e, G, V, down
     np.fft.fftn(up, axes=gm.grid_axes, out=up)
-    up /= gm.vol
-    conv_hat = up[:, :d]
-    tau_hat = up[:, d:].reshape((P, d, d) + gm.shape)
-    div_tau_hat = np.einsum("j...,pij...->pi...", gm.ikvec, tau_hat)
-    b = gm.modes_to_coords(gm.gather(div_tau_hat - conv_hat))
+    band = gm.gather(up)                                  # (P, Z, d + d^2)
+    band /= gm.vol
+    div_tau = np.einsum("zj,pzij->pzi", ik, band[..., d:].reshape(P, -1, d, d))
+    b = gm.modes_to_coords(div_tau - band[..., :d])
     if x.ndim == 1:
         return b[0], float(diss[0])
     return b, diss

@@ -44,6 +44,10 @@ __all__ = [
 
 CALIBRATION_PATH_OFFSET = 1_000_000
 
+# The residual of a first-order scheme halves with dt: energy_experiment
+# accepts a ratio of residuals at dt and dt/2 in this range.
+SHRINK_RANGE = (1.5, 2.5)
+
 # A report field with this metadata is listed in the manifest of a check,
 # not written to its JSON report.
 MANIFEST_ONLY = {"manifest_only": True}
@@ -141,9 +145,7 @@ class EnergyExperimentReport:
         return self.balance_ok and self.shrink_ok and no_divergence
 
 
-def energy_experiment(config: SimConfig,
-                      shrink_range: Tuple[float, float] = (1.5, 2.5)
-                      ) -> EnergyExperimentReport:
+def energy_experiment(config: SimConfig) -> EnergyExperimentReport:
     """Run the ensemble at dt and at dt/2 and test the energy identity."""
     records = simulate_ensemble(config)
     main, diverged = energy_balance(records, config), _diverged("main", records)
@@ -161,7 +163,7 @@ def energy_experiment(config: SimConfig,
     else:
         shrink = math.inf if residual else 2.0
     balance_ok = abs(residual) <= 3.0 * main.lhs_stderr + allowance
-    shrink_ok = shrink_range[0] <= shrink <= shrink_range[1]
+    shrink_ok = SHRINK_RANGE[0] <= shrink <= SHRINK_RANGE[1]
     return EnergyExperimentReport(
         main=main, control=control, gap=gap, gap_stderr=gap_se,
         bias_allowance=allowance, residual=residual,

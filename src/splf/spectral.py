@@ -338,7 +338,9 @@ def basis_function(idx: BasisIndex, n: int | None = None) -> SpectralField:
 
 class _GridMap:
     """Precomputed scatter/gather tables between half-space modes and an
-    M^d FFT grid, plus the coordinate maps for the real basis."""
+    M^d FFT grid, plus the coordinate maps for the real basis.  Fourier
+    multipliers are symbols m(z) at the modes, shape (c, Z); each is the
+    symbol of a real operator, m(-z) = conj(m(z)), so partners need none."""
 
     def __init__(self, d: int, n: int, M: int):
         if M < 2 * n + 1:
@@ -347,17 +349,10 @@ class _GridMap:
         self.modes = half_space_modes(n, d)           # (Z, d)
         self.E = _hyperplane_stack(n, d)              # (Z, d-1, d)
         self.K = self.modes.shape[0] * (2 * d - 2)
-        shape = (M,) * d
+        self.shape = (M,) * d
         strides = np.array([M ** (d - 1 - a) for a in range(d)], dtype=np.int64)
         self.pos_flat = (np.mod(self.modes, M) @ strides).astype(np.int64)
         self.neg_flat = (np.mod(-self.modes, M) @ strides).astype(np.int64)
-        # integer wavenumbers; fftfreq alone is off by an ulp for some M (49, 98)
-        k1 = np.rint(np.fft.fftfreq(M, d=1.0 / M))
-        kaxes = np.meshgrid(*([k1] * d), indexing="ij")
-        self.kvec = np.stack(kaxes)                   # (d, M, ..., M)
-        self.ikvec = 2j * np.pi * self.kvec
-        self.ksq = np.sum(self.kvec ** 2, axis=0)
-        self.shape = shape
         # band synthesis (`lp_means`): modes at `box_pos`, partners at
         # `box_neg` of the (2n+1)^d box offset by n; W (2n+2, M) has rows
         # c_k cos and -c_k sin, for the real and imaginary parts of a complex
@@ -369,9 +364,9 @@ class _GridMap:
         c = np.where(np.arange(n + 1) == 0, 1.0, 2.0)
         self.W = (c * np.exp(-1j * phase[:, n:])).view(np.float64).T
         self.vol = M ** d
-        # |z|^2 per basis coordinate, flattened in basis order
-        zsq = np.einsum("zd,zd->z", self.modes, self.modes).astype(float)
-        self.lam_coord = np.repeat(TWO_PI_SQ * zsq, 2 * d - 2)
+        # |z|^2 per mode, and per basis coordinate flattened in basis order
+        self.zsq = np.einsum("zd,zd->z", self.modes, self.modes).astype(float)
+        self.lam_coord = np.repeat(TWO_PI_SQ * self.zsq, 2 * d - 2)
 
     # coords <-> half-space mode coefficients.  Every map below also takes
     # leading batch axes (a block of paths) and acts on each row alone.
@@ -422,41 +417,44 @@ class _GridMap:
         return self.gather(A)
 
     def bessel(self, alpha: float) -> np.ndarray:
-        """Multiplier (1, M, ..., M) of (1 - Laplacian)^{alpha/2}."""
-        return ((1.0 + TWO_PI_SQ * self.ksq) ** (alpha / 2.0))[None]
+        """Symbol (1, Z) of (1 - Laplacian)^{alpha/2}: (1 + 4 pi^2 |z|^2)^{alpha/2}."""
+        return ((1.0 + TWO_PI_SQ * self.zsq) ** (alpha / 2.0))[None]
 
     def derivative(self, order: int) -> np.ndarray:
-        """Multiplier of the gradient (order 1) or the Laplacian (order 2)."""
-        return self.ikvec if order == 1 else (-TWO_PI_SQ * self.ksq)[None]
+        """Symbol of the gradient (order 1, (d, Z): 2 pi i z) or the
+        Laplacian (order 2, (1, Z): -4 pi^2 |z|^2)."""
+        if order == 1:
+            return 2j * np.pi * self.modes.T.astype(float)
+        return (-TWO_PI_SQ * self.zsq)[None]
 
     def lp_means(self, vhat: np.ndarray, multiplier: np.ndarray,
                  p: float) -> np.ndarray:
         """Grid mean of |m(D) v|^p for each row of vhat (R, Z, d), where |.|
-        is the Frobenius norm over the (d, c) values of the multiplier
-        m (c, M, ..., M) applied to each component.
+        is the Frobenius norm over the (d, c) values of the symbol m (c, Z)
+        applied to each component.
 
         Separable synthesis on the band: each row's multiplied coefficients
-        fill the (2n+1)^d box of wave vectors, grid axes 0..d-2 are
-        contracted with the complex DFT matrix F and the last, over k >= 0
-        alone, with the real cos/sin matrix W; the squares are summed over
-        the components and raised to p/2.  A row takes 0.43-0.64 ms at
-        d=3, n=2 on the 32^3 grid (2 cores, numpy 2.4), and the values are
-        within 1e-15 relative of np.fft.ifftn.  Rows go in batches of at
-        most BLOCK_VALUES grid values; matmul calls BLAS once per row, einsum
-        sums each point alone and a mean over a row's contiguous grid axis
-        is that row's pairwise sum, so no row depends on its batch."""
-        d, n, L, M = self.d, self.n, 2 * self.n + 1, self.M
-        m = multiplier.reshape(len(multiplier), self.vol)
-        m_pos, m_neg = (m[:, flat].T[:, None] for flat in (self.pos_flat, self.neg_flat))
-        comps = d * len(m)
+        fill the (2n+1)^d box of wave vectors, v m at the modes and conj(v m)
+        at their partners; grid axes 0..d-2 are contracted with the complex
+        DFT matrix F and the last, over k >= 0 alone, with the real cos/sin
+        matrix W; the squares are summed over the components and raised to
+        p/2.  A row takes 0.43-0.64 ms at d=3, n=2 on the 32^3 grid (2 cores,
+        numpy 2.4), and the values are within 1e-15 relative of np.fft.ifftn.
+        Rows go in batches of at most BLOCK_VALUES grid values; matmul calls
+        BLAS once per row, einsum sums each point alone and a mean over a
+        row's contiguous grid axis is that row's pairwise sum, so no row
+        depends on its batch."""
+        d, n, L, M, c = self.d, self.n, 2 * self.n + 1, self.M, len(multiplier)
+        m = multiplier.T[:, None]                                    # (Z, 1, c)
+        comps = d * c
         rows = max(1, BLOCK_VALUES // (comps * self.vol))
         means = []
         for start in range(0, len(vhat), rows):
             v = vhat[start:start + rows, :, :, None]                 # (r, Z, d, 1)
             r = len(v)
-            A = np.zeros((r, L ** d, d, len(m)), dtype=np.complex128)
-            A[:, self.box_pos] = v * m_pos
-            A[:, self.box_neg] = np.conj(v) * m_neg
+            A = np.zeros((r, L ** d, d, c), dtype=np.complex128)
+            A[:, self.box_pos] = vm = v * m
+            A[:, self.box_neg] = np.conj(vm)
             A = A.reshape(r, -1, L, comps)[:, :, n:].swapaxes(-1, -2)  # k_last >= 0
             for a in range(d - 1):               # (r, M^a, L, ...) -> (r, M^a, M, ...)
                 A = self.F @ A.reshape(r, M ** a, L, -1)
@@ -577,7 +575,7 @@ def inner_product(u: SpectralField, v: SpectralField) -> float:
 def _grid_lp_norm(field: SpectralField, p: float, M: int | None,
                   multiplier) -> float:
     """|| m(D) v ||_{L_p} by the rectangle rule on the M^d grid (default
-    norm_grid_size(n)), where multiplier(gm) is m on the grid of gm."""
+    norm_grid_size(n)), where multiplier(gm) is the symbol m at gm's modes."""
     gm = grid_map(field.d, field.n, norm_grid_size(field.n) if M is None else M)
     mean = gm.lp_means(_aligned_modes(field, field.n)[None], multiplier(gm), p)[0]
     return float(mean ** (1.0 / p))

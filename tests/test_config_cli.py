@@ -190,9 +190,14 @@ class TestSchema:
          "[init] amplitude: cannot parse '50%' (could not convert string to float: '50%')"),
         ("c = 0.1", "c = %(x)s",
          "[gamma] c: cannot parse '%(x)s' (could not convert string to float: '%(x)s')"),
+        ("seed = 1", "seed = 1\nrecord_evry = 100", "[ensemble] record_evry: unknown key"),
+        ("s = 3.0", "s = 3.0\n[output]\nsnapshots = true", "[output]: unknown section"),
+        ("s = 3.0", "s = 3.0\nsigma = 3", "[gamma] sigma: unknown key"),
+        ("[model]", "[DEFAULT]\nseed = 1\n[model]", "[DEFAULT]: unknown section"),
     ], ids=["section", "key", "descriptor-key", "float", "int", "vector",
             "init-kind", "gamma-kind", "entries-arity", "entries-token", "bool",
-            "syntax", "percent", "interpolation"])
+            "syntax", "percent", "interpolation", "unknown-key",
+            "unknown-section", "descriptor-unknown-key", "default-section"])
     def test_single_fault_messages(self, old, new, message):
         text = MINIMAL.replace(old, new, 1)
         with pytest.raises(ConfigError) as err:

@@ -11,7 +11,7 @@ import sympy as sy
 from splf import constitutive as co
 from splf import spectral as sp
 
-from test_spectral import random_field
+from test_spectral import grid_wave_numbers, random_field
 
 
 def symbolic_mode(idx):
@@ -251,3 +251,40 @@ class TestDrift:
         f = random_field(0, d=2, n=4)
         with pytest.raises(sp.DimensionError):
             co.drift(f, 2, co.FluidParams(2.0, 1.0))
+
+
+def drift_full_grid(x, gm, params):
+    """The drift with a full-grid 2 pi i k multiplier, as an oracle: the
+    gradient of the scattered block and the divergence of the transformed
+    stress are taken on the whole M^d grid, and the band is gathered last."""
+    d, P = gm.d, len(x)
+    ikvec = 2j * np.pi * grid_wave_numbers(gm)
+    A = gm.scatter(gm.coords_to_modes(x))
+    Gh = (A[:, :, None] * ikvec).reshape((P, d * d) + gm.shape)
+    down = np.fft.ifftn(np.concatenate([A, Gh], axis=1), axes=gm.grid_axes).real * gm.vol
+    V, G = down[:, :d], down[:, d:].reshape((P, d, d) + gm.shape)
+    e = co._strain_from_gradient(G, axis=1)
+    tau = co._stress_from_strain(e, params, axis=1)
+    conv = np.einsum("pj...,pij...->pi...", V, G)
+    diss = np.sum(e * tau, axis=(1, 2)).reshape(P, -1).mean(axis=1)
+    up = np.concatenate([conv, tau.reshape((P, d * d) + gm.shape)], axis=1,
+                        dtype=np.complex128)
+    up = np.fft.fftn(up, axes=gm.grid_axes) / gm.vol
+    tau_hat = up[:, d:].reshape((P, d, d) + gm.shape)
+    div_tau_hat = np.einsum("j...,pij...->pi...", ikvec, tau_hat)
+    return gm.modes_to_coords(gm.gather(div_tau_hat - up[:, :d])), diss
+
+
+@pytest.mark.parametrize("P", [1, 5, 32])
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_drift_matches_full_grid_oracle_byte_for_byte(d, n, P):
+    # the drift forms the gradient and the divergence at the modes alone;
+    # on random full-band blocks its rows and dissipations are the bytes of
+    # the full-grid route
+    params = co.FluidParams(p=2.5, nu=0.7)
+    gm = sp.grid_map(d, n, sp.pairing_grid_size(n))
+    x = np.random.default_rng(100 * d + 10 * n + P).standard_normal((P, gm.K))
+    b, diss = co.drift_and_dissipation(x, d, n, params)
+    want_b, want_diss = drift_full_grid(x, gm, params)
+    assert b.tobytes() == want_b.tobytes()
+    assert diss.tobytes() == want_diss.tobytes()

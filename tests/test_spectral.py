@@ -166,6 +166,22 @@ MULTIPLIERS = {"bessel": lambda gm: gm.bessel(1.0),
                "laplacian": lambda gm: gm.derivative(2)}
 
 
+def grid_wave_numbers(gm):
+    """Integer wave vectors (d, M, ..., M) of gm's FFT grid, in np.fft order."""
+    k = np.arange(gm.M)
+    k = np.where(k < (gm.M + 1) // 2, k, k - gm.M).astype(float)
+    return np.stack(np.meshgrid(*([k] * gm.d), indexing="ij"))
+
+
+def full_grid_multiplier(gm, mult):
+    """The multiplier of MULTIPLIERS[mult] on gm's whole grid, (c, M, ..., M)."""
+    k = grid_wave_numbers(gm)
+    ksq = np.sum(k ** 2, axis=0)
+    return {"bessel": ((1.0 + sp.TWO_PI_SQ * ksq) ** 0.5)[None],
+            "gradient": 2j * np.pi * k,
+            "laplacian": (-sp.TWO_PI_SQ * ksq)[None]}[mult]
+
+
 def band_rows(gm):
     """A zero row, single-mode rows at three corners of the band and one
     row with every mode, as half-space coefficients (R, Z, d)."""
@@ -203,22 +219,22 @@ class TestBandedTransform:
     def test_matches_ifftn_byte_for_byte(self, d, n, M, mult):
         # The kernel reads only k_last >= 0 and takes the rest as the
         # conjugate, so the multiplied band must stay conjugate-symmetric:
-        # multiplying the half-space coefficients by m(k) and then
-        # scattering gives the same grid values as multiplying the whole
-        # scattered array by m: equal value for value, where only the sign
-        # of a zero may differ (a real m is promoted to m + 0j).
+        # multiplying the half-space coefficients by the symbol m(z) and
+        # then scattering (the partner gets the conjugate) gives the same
+        # grid values as multiplying the whole scattered array by m on the
+        # full grid: equal value for value, where only the sign of a zero
+        # may differ (a real m is promoted to m + 0j).
         gm = sp.grid_map(d, n, M)
         vhat, m = band_rows(gm), MULTIPLIERS[mult](gm)
-        m_pos = m.reshape(len(m), gm.vol)[:, gm.pos_flat].T[:, None]  # (Z, 1, c)
-        got = gm.modes_to_grid((vhat[..., None] * m_pos).reshape(len(vhat), len(gm.modes), -1))
-        A = gm.scatter(vhat)[:, :, None] * m
+        got = gm.modes_to_grid((vhat[..., None] * m.T[:, None]).reshape(len(vhat), len(gm.modes), -1))
+        A = gm.scatter(vhat)[:, :, None] * full_grid_multiplier(gm, mult)
         want = np.fft.ifftn(A.reshape((len(A), -1) + gm.shape), axes=gm.grid_axes).real * gm.vol
         assert np.array_equal(got, want)
 
-    def test_multiplied_places_only_the_modes(self):
+    def test_box_and_grid_hold_each_mode_and_partner_once(self):
         # The (2n+1)^d box the kernel fills: each mode at `box_pos`, its
         # partner at `box_neg`, every cell once, only k = 0 left empty; and
-        # the multiplier is read at the same wave vectors.
+        # `pos_flat`/`neg_flat` place them at the same wave vectors of the grid.
         gm = sp.grid_map(2, 2, 10)
         d, n = gm.d, gm.n
         axis = np.arange(-n, n + 1)
@@ -228,7 +244,7 @@ class TestBandedTransform:
         used = np.concatenate([gm.box_pos, gm.box_neg])
         assert len(np.unique(used)) == len(used) == len(box) - 1
         assert not np.any(box[np.setdiff1d(np.arange(len(box)), used)])
-        kvec = gm.kvec.reshape(d, gm.vol)
+        kvec = grid_wave_numbers(gm).reshape(d, gm.vol)
         assert np.array_equal(kvec[:, gm.pos_flat].T, gm.modes)
         assert np.array_equal(kvec[:, gm.neg_flat].T, -gm.modes)
 
@@ -239,7 +255,7 @@ class TestBandedTransform:
         vhat, m = band_rows(gm), MULTIPLIERS[mult](gm)
         for p in (1.5, 2.5):
             got = gm.lp_means(vhat, m, p)
-            want = lp_means_oracle(gm, vhat, m, p)
+            want = lp_means_oracle(gm, vhat, full_grid_multiplier(gm, mult), p)
             assert got[0] == 0.0 and want[0] == 0.0
             assert np.all(np.abs(got[1:] - want[1:]) <= 1e-14 * want[1:])
 
@@ -254,6 +270,20 @@ class TestBandedTransform:
         got = gm.lp_means(vhat, m, 1.5)
         for r in range(len(vhat)):
             assert got[r:r + 1].tobytes() == gm.lp_means(vhat[r:r + 1], m, 1.5).tobytes()
+
+
+class TestSymbols:
+    @pytest.mark.parametrize("mult", sorted(MULTIPLIERS))
+    @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
+    def test_symbol_is_the_grid_multiplier_at_the_modes(self, d, n, M, mult):
+        # (c, Z) at the half-space modes, the full-grid values there, and
+        # their conjugates at the partners: the symbol of a real operator
+        gm = sp.grid_map(d, n, M)
+        m, full = MULTIPLIERS[mult](gm), full_grid_multiplier(gm, mult)
+        full = full.reshape(len(full), gm.vol)
+        assert m.shape == (len(full), len(gm.modes))
+        assert m.tobytes() == full[:, gm.pos_flat].tobytes()
+        assert np.array_equal(np.conj(m), full[:, gm.neg_flat])
 
 
 class TestLerayProjection:
