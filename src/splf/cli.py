@@ -2,8 +2,8 @@
 
 Subcommands: simulate, energy-check, uniqueness-check, exponents.  Every
 run writes a manifest with the config snapshot, seed, code version, wall
-times, the numpy, Python and platform versions, and content digests of all
-output files, so a run is reproducible from its manifest alone.  The
+times, the numpy, BLAS, Python and platform versions, and content digests
+of all output files, so a run is reproducible from its manifest alone.  The
 manifest of `simulate` also lists each path's divergence flag; that of a
 check lists the run, path index and step of each diverged record.
 Reports are strict JSON (RFC 8259): a non-finite number is written as the
@@ -61,6 +61,13 @@ def _write_record_csv(record: TrajectoryRecord, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _blas() -> dict:
+    """Name and version of the BLAS numpy was built with: the drift's
+    matrix products, and so the digests, depend on it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas["name"], "version": blas["version"]}
+
+
 def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
                     paths, files, started: float, verdict=None) -> Path:
     manifest = {
@@ -73,6 +80,7 @@ def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
         "started_unix": started,
         "finished_unix": time.time(),
         "numpy_version": np.__version__,
+        "blas": _blas(),
         "python_version": platform.python_version(),
         # not platform.platform(): it starts a `uname -p` process
         "platform": "-".join([platform.system(), platform.release(),

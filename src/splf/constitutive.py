@@ -12,6 +12,7 @@ aliasing is part of the quadrature error budget at small truncations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,33 +163,50 @@ def dissipation_pairing(v: SpectralField, params: FluidParams,
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _symmetric_components(d: int):
+    """Row and column of the d(d+1)/2 components i <= j of a symmetric
+    tensor, and the (d, d) table of each (i, j)'s position among them."""
+    i, j = np.triu_indices(d)
+    sym = np.empty((d, d), dtype=np.int64)
+    sym[i, j] = sym[j, i] = np.arange(len(i))
+    return i, j, sym
+
+
 def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     """Drift coordinates and dissipation < e, tau > in one grid pass.
 
     x is one coordinate vector (K,) or a block of paths (P, K); the block
-    gives drift rows (P, K) and one dissipation per row.  The gradient
-    v_i(z) 2 pi i z_j is formed at the modes; field values and gradient of
-    every path go through one batched inverse transform, the advection and
-    stress go back through one batched forward transform, and the
-    divergence 2 pi i z_j tau_ij(z) and the subtraction of the advection
-    are taken on the gathered modes alone.  Each 1-D transform acts on one
-    path alone, and the dissipation is a mean over each row's contiguous
-    grid axis, the same pairwise sum per row as the rectangle rule on that
-    row alone; so a row's result does not depend on the block it was
-    computed in.
+    gives drift rows (P, K) and one dissipation per row.  Both passes are
+    per-axis DFT matrix products on the band, with the components before
+    the grid axes.  Down: the field v and its gradient v_i(z) 2 pi i z_j,
+    formed at the modes, fill the half box of wave vectors (gm.half,
+    gm.flip, gm.plane_partner); grid axes 0..d-2 are contracted with F and
+    the last, over k >= 0, with the real cos/sin matrix W, which gives real
+    grid values.  Up, the adjoint: the advection and the d(d+1)/2 stress
+    components tau_ij with i <= j (e, and so tau, is exactly symmetric) are
+    contracted on the last axis with the real Wa and on axes d-2..0 with
+    Fa = conj(F)^T, and read at the modes, conjugated where z_last < 0; the
+    divergence 2 pi i z_j tau_ij(z) and the subtraction of the advection are
+    taken there.  Every matmul calls BLAS once per row's slice, einsum sums
+    each point alone and the dissipation is a mean over each row's
+    contiguous grid axis, that row's own pairwise sum; so a row's result
+    does not depend on the block it was computed in.
     """
-    d = gm.d
+    d, n, M, L = gm.d, gm.n, gm.M, 2 * gm.n + 1
     block = x.reshape(-1, x.shape[-1])
     P = block.shape[0]
-    vhat = gm.coords_to_modes(block)                      # (P, Z, d)
-    ik = gm.derivative(1).T                               # (Z, d)
-    grad = (vhat[..., None] * ik[:, None]).reshape(P, -1, d * d)
-    spec = gm.scatter(np.concatenate([vhat, grad], axis=-1))  # (P, d + d^2, M..)
-    # in-place transforms (numpy >= 2) let each step reuse the block's
-    # buffers: on energy-d2 this cut run_s from 1.12 s to 0.87 s and peak
-    # RSS from 41.8 to 40.3 MB against out-of-place transforms
-    down = np.fft.ifftn(spec, axes=gm.grid_axes, out=spec).real * gm.vol
-    del spec
+    ik = gm.derivative(1)                                 # (d, Z)
+    vhat = gm.coords_to_modes(block).swapaxes(1, 2)       # (P, d, Z)
+    spec = np.concatenate([vhat, (vhat[:, :, None] * ik).reshape(P, d * d, -1)], axis=1)
+    np.conjugate(spec, out=spec, where=gm.flip)
+    c = d + d * d
+    A = np.zeros((P, c, L ** (d - 1) * (n + 1)), dtype=np.complex128)
+    A[..., gm.half] = spec
+    A[..., gm.plane_partner] = np.conj(spec[..., gm.plane])
+    for a in range(d - 1):                 # (P, c M^a, L, ...) -> (P, c M^a, M, ...)
+        A = gm.F @ A.reshape(P, c * M ** a, L, -1)
+    down = (A.reshape(P, -1, n + 1).view(np.float64) @ gm.W).reshape((P, c) + gm.shape)
     V = down[:, :d]
     G = down[:, d:].reshape((P, d, d) + gm.shape)
     e = _strain_from_gradient(G, axis=1)
@@ -196,14 +214,16 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     conv = np.einsum("pj...,pij...->pi...", V, G)
     density = np.sum(e * tau, axis=(1, 2))
     diss = density.reshape(P, -1).mean(axis=1)
-    up = np.concatenate([conv, tau.reshape((P, d * d) + gm.shape)], axis=1,
-                        dtype=np.complex128)
-    del conv, tau, e, G, V, down
-    np.fft.fftn(up, axes=gm.grid_axes, out=up)
-    band = gm.gather(up)                                  # (P, Z, d + d^2)
-    band /= gm.vol
-    div_tau = np.einsum("zj,pzij->pzi", ik, band[..., d:].reshape(P, -1, d, d))
-    b = gm.modes_to_coords(div_tau - band[..., :d])
+    i, j, sym = _symmetric_components(d)
+    up = np.concatenate([conv, tau[:, i, j]], axis=1)     # (P, d + d(d+1)/2, M..)
+    c = up.shape[1]
+    U = (up.reshape(P, -1, M) @ gm.Wa).view(np.complex128)
+    for a in range(d - 2, -1, -1):         # (P, c M^a, M, ...) -> (P, c M^a, L, ...)
+        U = gm.Fa @ U.reshape(P, c * M ** a, M, -1)
+    band = U.reshape(P, c, -1)[..., gm.half]              # (P, c, Z)
+    np.conjugate(band, out=band, where=gm.flip)
+    div_tau = np.einsum("jz,pijz->piz", ik, band[:, d + sym])
+    b = gm.modes_to_coords((div_tau - band[:, :d]).swapaxes(1, 2))
     if x.ndim == 1:
         return b[0], float(diss[0])
     return b, diss

@@ -56,12 +56,13 @@ class StructureError(ValueError):
     """A field is not divergence free, or a tensor field not symmetric."""
 
 
-# Grid values that one batched pass may hold: complex FFT values of a drift
-# block of paths, or real values of an L_p chunk of rows (one d=3 row of
-# 3 x 32^3; four d=2 gradient rows of 4 x 32^2, where budgets from 5000 to
-# 160000 gave no clear change).  Drift, 2-core x86 host, numpy 2.4: at d=2,
-# n=2 one path cost 224 us, blocks of 8 to 32 58-83 us per path and of 64
-# to 200 96-110 us; at d=3, n=2 blocks of 8 or more were 1.5-2.4x slower.
+# Grid values that one batched pass may hold: the real down-pass grid
+# values of a drift block of paths, or real values of an L_p chunk of rows
+# (one d=3 row of 3 x 32^3; four d=2 gradient rows of 4 x 32^2, where
+# budgets from 5000 to 160000 gave no clear change).  Band-matrix drift,
+# 2-core x86 host, numpy 2.4 with scipy-openblas 0.3.31, per path: at d=2,
+# n=2 79 us alone, 18, 14, 13, 18 and 20 us in blocks of 8, 16, 32, 64 and
+# 128; at d=3, n=2 240 us in blocks of 1 or 2, 370 us in blocks of 4 or 8.
 BLOCK_VALUES = 20_000
 
 
@@ -337,10 +338,12 @@ def basis_function(idx: BasisIndex, n: int | None = None) -> SpectralField:
 
 
 class _GridMap:
-    """Precomputed scatter/gather tables between half-space modes and an
-    M^d FFT grid, plus the coordinate maps for the real basis.  Fourier
-    multipliers are symbols m(z) at the modes, shape (c, Z); each is the
-    symbol of a real operator, m(-z) = conj(m(z)), so partners need none."""
+    """Precomputed tables between half-space modes and an M^d grid: the
+    scatter/gather of the FFT routes, the per-axis DFT matrices on the band
+    of `lp_means` and the drift, and the coordinate maps for the real
+    basis.  Fourier multipliers are symbols m(z) at the modes, shape
+    (c, Z); each is the symbol of a real operator, m(-z) = conj(m(z)), so
+    partners need none."""
 
     def __init__(self, d: int, n: int, M: int):
         if M < 2 * n + 1:
@@ -353,10 +356,11 @@ class _GridMap:
         strides = np.array([M ** (d - 1 - a) for a in range(d)], dtype=np.int64)
         self.pos_flat = (np.mod(self.modes, M) @ strides).astype(np.int64)
         self.neg_flat = (np.mod(-self.modes, M) @ strides).astype(np.int64)
-        # band synthesis (`lp_means`): modes at `box_pos`, partners at
-        # `box_neg` of the (2n+1)^d box offset by n; W (2n+2, M) has rows
-        # c_k cos and -c_k sin, for the real and imaginary parts of a complex
-        # value, with c_0 = 1 and c_k = 2 for the pair k, -k
+        # band synthesis (`lp_means`, and with F and W the drift's down
+        # pass): modes at `box_pos`, partners at `box_neg` of the (2n+1)^d
+        # box offset by n; W (2n+2, M) has rows c_k cos and -c_k sin, for the
+        # real and imaginary parts of a complex value, with c_0 = 1 and
+        # c_k = 2 for the pair k, -k
         box = (2 * n + 1) ** np.arange(d - 1, -1, -1)
         self.box_pos, self.box_neg = (n + self.modes) @ box, (n - self.modes) @ box
         phase = 2.0 * np.pi / M * (np.outer(np.arange(M), np.arange(-n, n + 1)) % M)
@@ -364,6 +368,20 @@ class _GridMap:
         c = np.where(np.arange(n + 1) == 0, 1.0, 2.0)
         self.W = (c * np.exp(-1j * phase[:, n:])).view(np.float64).T
         self.vol = M ** d
+        # band analysis (`_drift_core`), the adjoint: Wa (M, 2n+2) is W's rows
+        # over c_k and M^d, the columns of the real and imaginary parts of
+        # k >= 0 on the last axis, and Fa = conj(F)^T (2n+1, M).  Half box:
+        # axes 0..d-2 over -n..n and the last over 0..n; a mode with z_last
+        # < 0 sits at -z as its conjugate (`flip`), and each z_last = 0 mode
+        # also has its partner at `plane_partner`
+        self.Wa = np.exp(-1j * phase[:, n:]).view(np.float64) / self.vol
+        self.Fa = np.ascontiguousarray(np.conj(self.F).T)
+        half = np.append((n + 1) * (2 * n + 1) ** np.arange(d - 2, -1, -1), 1)
+        offset = np.append(np.full(d - 1, n), 0)
+        self.flip = self.modes[:, -1] < 0
+        self.half = (offset + np.where(self.flip[:, None], -self.modes, self.modes)) @ half
+        self.plane = np.flatnonzero(self.modes[:, -1] == 0)
+        self.plane_partner = (offset - self.modes[self.plane]) @ half
         # |z|^2 per mode, and per basis coordinate flattened in basis order
         self.zsq = np.einsum("zd,zd->z", self.modes, self.modes).astype(float)
         self.lam_coord = np.repeat(TWO_PI_SQ * self.zsq, 2 * d - 2)

@@ -6,13 +6,20 @@ It calls the same drift kernel as the stepper, at one path per call, so it
 shows that every record equals the one-path computation bit for bit, for
 any block size and composition.  It cannot see a change in the kernel's
 own arithmetic: `PINNED` holds, per case, a digest of the trajectory alone
-(pinned from the per-path integrator that preceded the block stepper, or
-for later cases from the block stepper) and one of the whole record, and
-`test_records_match_pinned` checks the current records against both.
+and one of the whole record, and `test_records_match_pinned` checks the
+current records against both.  Each case also keeps the two digests from
+before the drift moved from np.fft to band DFT matrices (from the per-path
+integrator that preceded the block stepper, or for later cases from the
+block stepper); the records give them again with the drift swapped for the
+full-grid FFT oracle of `tests/test_constitutive.py`.
 """
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +28,10 @@ from splf import constitutive as co
 from splf import integrator as it
 from splf import noise, rng
 from splf import spectral as sp
+
+from test_constitutive import drift_full_grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def per_path_loop(c, path_index, x0):
@@ -183,7 +194,7 @@ def test_ensemble_and_single_paths_match_oracle():
 
 
 def test_block_size_rule():
-    # (d + d^2) M^d complex values per path against the block budget
+    # (d + d^2) M^d down-pass grid values per path against the block budget
     assert it.block_size(2, 2) == 32
     assert it.block_size(3, 2) == 1
     for d, n in [(2, 1), (2, 5), (2, 8), (3, 1), (3, 4)]:
@@ -246,46 +257,65 @@ def paired_records():
     return [with_norm(rec, c) for rec in it.simulate_paired(c, 3, x0, y0)]
 
 
-# (run, record digest, trajectory digest), numpy 2.4 on x86-64; 40 paths
-# at d=2 span one full and one partial block.  The trajectory digest
-# (`record_digest(..., norm=False)`) leaves out the ||X||_{p,1}^p column;
-# it was taken before `lp_means` moved from zero-padded FFTs to the
-# separable band synthesis.  The record digests take that column from the
-# separable synthesis (p2: from the exact p = 2 sum).
+# (run, record digest, trajectory digest, and the same two under the
+# full-grid oracle drift), numpy 2.4 with scipy-openblas 0.3.31 on x86-64;
+# 40 paths at d=2 span one full and one partial block.  The trajectory
+# digest (`record_digest(..., norm=False)`) leaves out the ||X||_{p,1}^p
+# column, whose digests come from the separable band synthesis of
+# `lp_means` (p2: from the exact p = 2 sum).  The first pair is taken from
+# the band-matrix drift; the oracle pair is the one pinned before the drift
+# left np.fft, and `test_rebaseline_is_confined_to_the_drift_kernel`
+# checks it with the drift swapped for `drift_full_grid`.
 PINNED = {
     "euler_maruyama": (
         lambda: it.simulate_ensemble(config(2, "euler_maruyama", n_paths=40)),
+        "880f8548be8734e747b51e81a7a1ab1ac7e11c380566e6a2dedea948ea4cb8ff",
+        "853eb290a18c48b73191b10410c753773de4afa0d4e34be6297e853f33b1dc28",
         "29a23159dbafc8f9274efcb6c5fbc56b3e4a7e6adef226b4786b2939cffd3615",
         "072c18f66908f31e33449a6b2ba72d777a87655aee87af92967c84004c71505e"),
     "tamed": (
         lambda: it.simulate_ensemble(config(2, "tamed", n_paths=40)),
+        "d47c6776dfe5f1bf1fb18411c669bf6a11336bd0d8fe423ed0b2de162d49df69",
+        "cb3a536e743aac4cca8473666cf1d5ffc5f80275c3b343fdeb852c273a7da0df",
         "d8da71feb6b64899e835126c8c0e685d75cdb693210208b6f3b1ee6cc58feacd",
         "17c8003f1cb0b5318616d9105a03099aa61e24e11a4367134591e09f92447dad"),
     "semi_implicit": (
         lambda: it.simulate_ensemble(config(2, "semi_implicit", n_paths=40)),
+        "f32068a6806445a8fa651ef9a09b766d325c59d941bc4bd6abeecd89a5c8cb8e",
+        "a6c2461e6279f18d51edc49c1b632624435c7878be386ae72a73173e9d6923fe",
         "d62d2e7f9a5679e95bd19ede29942c4d8bc75dbd3cbdb7e571aace2969a1907e",
         "441b93e68fcb75f47abf9ce62dd1fa54f0a882862f1dead2edad84726af12eea"),
     "d3": (
         lambda: it.simulate_ensemble(
             config(3, "tamed", n_paths=3, record_every=5)),
+        "b34102fb641f918a2853ca2512e7440f18bc9a55471a91a51c61c9ce752d3fe3",
+        "c194e8f54c58d8cb65a67c2678d95084650cafee99d7da55d191e87b22894314",
         "36da18b5cca95be5fbe0c9c8cdb372b1e285545653ef63c97b6458b678fbf4d2",
         "d5cfeeba88e57b6d236044c4f10b72634aa32f3ac58f2684d153e5e3e1062aaf"),
     # the shape of the simulate-d3 benchmark (n=2, p=1.9)
     "d3-n2": (
         lambda: it.simulate_ensemble(
             config(3, "tamed", n=2, p=1.9, n_paths=2, record_every=1)),
+        "fa1d06f76d0adf57d2685eaac869e601114acfa4b5d47f8564cd2740f6ca9724",
+        "d5aa1a63f69c2ee503ecdaf0587184baa27ebfba6601dddaeaf172375e32cdaa",
         "eb6687a83d63cf2ac0064eb83c6383917c165df33dd60ceebceb6199539c374d",
         "bee4d91fc0f0904260c0966a5226741ff660d9d72cc2967b2467143af5334127"),
     "diverging": (
         lambda: it.simulate_ensemble(diverging_config()),
+        "200e016287a7f4dea3373fa4728ab57d03cb925398591bebed481c8a7ce8a354",
+        "029ba768157c3560aef501137f1f61e206fd553628c3227d322a5bcc794d7a17",
         "ef4f21d482a665996fc5298c8296a3c4ded4a15c391380105684525fd35b9ab0",
         "4057160184e5b8dbdbc9e6971854ee308a9ded1ab84675e8ef52cff13f65a5f8"),
     "p2": (
         lambda: it.simulate_ensemble(config(2, "semi_implicit", p=2.0, n_paths=40)),
+        "05a5d5afa0816704da1ea12f0d5b0df8dea4e0589edcb9443920efdacfdf19db",
+        "1d6ad9d0a5e1a67dfd58cf186de90867620320eafe693000cfbd48abd3eaac30",
         "07cf9268a3ce5e2edcaf542c8edadba650096f4544be1b65775fdf922236c4cf",
         "dadce53abfe961a47762114d1bae6067f8941f51ea9ea021444cc90bac6d1766"),
     "paired": (
         paired_records,
+        "9ede263cefc410d4a287ea4219386ccac895fd06979d7e72fe003200f2e05f5a",
+        "8668106e01cc4435513bb10deab11a1ee912904c003c3e4f6fb6e8abfecdcb96",
         "5b5e8ab72b36774d367f5a9958c9a1d5999fd1856d8b89d889ce467a4af01661",
         "d8ab1845e555337529a5e11e35399d202f23e0b1290dd6ba1e94c4103eb2bdfa"),
 }
@@ -294,7 +324,55 @@ PINNED = {
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_records_match_pinned(case, monkeypatch):
     monkeypatch.setenv("SPLF_THREADS", "1")
-    run, digest, trajectory = PINNED[case]
+    run, digest, trajectory, _, _ = PINNED[case]
     records = run()
     assert record_digest(records, norm=False) == trajectory
     assert record_digest(records) == digest
+
+
+def full_grid_drift(x, d, n, params):
+    """drift_and_dissipation through the full-grid FFT oracle."""
+    gm = sp.grid_map(d, n, sp.pairing_grid_size(n))
+    b, diss = drift_full_grid(x.reshape(-1, x.shape[-1]), gm, params)
+    return (b[0], float(diss[0])) if x.ndim == 1 else (b, diss)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_rebaseline_is_confined_to_the_drift_kernel(case, monkeypatch):
+    # with the drift swapped for the full-grid oracle, which is byte-equal to
+    # the kernel that preceded the band matrices, the records keep the
+    # digests pinned before: the stepper, the RNG and the quadrature did not
+    # move; the kernel's own records differ from them by rounding alone
+    monkeypatch.setenv("SPLF_THREADS", "1")
+    run, _, _, digest, trajectory = PINNED[case]
+    records = run()
+    monkeypatch.setattr(it, "drift_and_dissipation", full_grid_drift)
+    oracle = run()
+    assert record_digest(oracle, norm=False) == trajectory
+    assert record_digest(oracle) == digest
+    assert len(records) == len(oracle)
+    for got, want in zip(records, oracle):
+        assert (got.path_index, got.diverged_step) == (want.path_index, want.diverged_step)
+        assert np.array_equal(got.times, want.times)
+        for name in ("coords", "int_diss"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+@pytest.mark.parametrize("case", ["tamed", "d3-n2"])
+def test_records_do_not_depend_on_blas_threads(case):
+    # the drift's arithmetic goes through BLAS matmul; each gemm acts on one
+    # row's slice, so the thread count OpenBLAS may split it over must not
+    # show in a record
+    code = ("import test_block_stepper as t; "
+            f"print(t.record_digest(t.PINNED[{case!r}][0]()))")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, SPLF_THREADS="1", OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.strip())
+    assert digests == [PINNED[case][1]] * 2

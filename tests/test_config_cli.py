@@ -258,25 +258,27 @@ class TestCliSimulate:
         assert manifest["python_version"] == platform.python_version()
         assert manifest["platform"] == "-".join(
             [platform.system(), platform.release(), platform.machine()])
-        # digests of the outputs from before the manifest held these keys,
-        # numpy 2.4 on x86-64
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+        # digests of the outputs from the band-matrix drift, numpy 2.4 with
+        # scipy-openblas 0.3.31 on x86-64
         assert {e["file"]: e["sha256"] for e in manifest["outputs"]} == {
             "path_000000.csv":
-                "704333322b9169c77dde35aab60baf891f3e2722830458d7d71c4bcff5ea3928",
+                "22434bab45536f5db491a9aabd90b0fca645958c913443795e1d64cf0e41abe3",
             "path_000000_final.splf":
-                "9f3b01574d58753bbb12298d28ffb96c71c2612924cb837a330f2a7b6737abf5",
+                "2d4e5507173ee07341592831337e36baf37ed0f4677ba981a8250146429e7bf6",
             "path_000001.csv":
-                "7207c9acb928bccd8048d1aac1413d81cdd4e460754179ba494a0ff1a6c525a3",
+                "5e2c4408dcbef0ddd061a724a1fcca522a71b170f9b04ce78b0916a7dc3ebce9",
             "path_000001_final.splf":
-                "930bc84e52ba6d30e087aef1b6a7280df94b9b28b21f79b4e268e47d4720f037",
+                "a4b2d037e830a8f22fbbca5dae2da54f470c3e62e2cd903ca4b23c34a26e0835",
             "path_000002.csv":
-                "70e3be282cfbade292985616b43ecb5f264fd3d7166ac825bc42cf8b9d3582c2",
+                "0f26831ea3a968cc31dfd4026be1a7ad183c9b4b5679dc14a4eabb8fedfbfaf8",
             "path_000002_final.splf":
-                "d62966ef6fbee2c8693d0fb1b4e3b539a02339c1f3d795996159564821a51993",
+                "35dd5de2475cd65b433f793aa5626d4dc8a5cafdeb0467394c9bd4f852671c1a",
             "path_000003.csv":
-                "c0aaa691bf4b422af992ee484b2d58bb645b11d64959ca1451548a8d7a8997a1",
+                "5d7fe72b0bfcdfb820c761949e71a01b5c500abc39e8e0475469307b7a5cfca4",
             "path_000003_final.splf":
-                "bff04e3f6a8270ba8392960caa514c3bbbe7e6a83629d10f1988e9e07119e7a0",
+                "5f39873179b129c9b1cb7d226a4446b19e877d258bd69a30a6d549638f6c094e",
         }
 
     def test_rerun_reproduces_digests(self, tmp_path):
@@ -442,12 +444,12 @@ class TestCliChecks:
 
     @pytest.mark.parametrize("args,name,digest", [
         (["energy-check"], "energy_report.json",
-         "a0ff066922ad37f070efbc458ea7759bd87a8b432948f59a1301c557ddc4754d"),
+         "e6a89328f621d05337cdca991f11706d87fc68917455e2dc497fae38b073991a"),
         (["uniqueness-check", "--eps", "0"], "uniqueness_report.json",
          "6c98cd40a4b15f570ecfb6286985c8391547bc8e3b8c24005190568b9566eb08"),
         (["uniqueness-check", "--eps", "1e-4", "--calibration", "4"],
          "uniqueness_report.json",
-         "07dcca30759411bc22e31255ec338a1ce0e1ed4597eb6927437d47b539f111b8"),
+         "fa7c779010a3f0cb88fd178696093e02987c5660fcd726e274fa7dd7d5d2c25a"),
     ], ids=["energy", "exact", "gronwall"])
     def test_report_bytes_pinned(self, tmp_path, capsys, args, name, digest):
         cfg = small_ini(tmp_path, n_paths=3, record_every=1)

@@ -300,20 +300,19 @@ def dissipation(p, **kw):
     return dg.dissipation_functional(*pinned_pair(p, **kw))
 
 
-# sha256 of the float64 bytes of the diagnostics, numpy 2.4 on x86-64:
-# from the row-by-row SpectralField evaluation that preceded the batched
-# quadrature kernel, except the three cases that read an L_p quadrature
-# (p != 2 in `_lp_norms`), re-pinned when the kernel moved from zero-padded
-# FFTs to the separable band synthesis (grad_integral-p2.5 kept its bytes)
+# sha256 of the float64 bytes of the diagnostics, numpy 2.4 with
+# scipy-openblas 0.3.31 on x86-64, re-pinned when the drift moved from
+# np.fft to band DFT matrices (the pair trajectories moved by rounding;
+# grad_integral-p1.5, one float, kept its bytes)
 PINNED_DIAGNOSTICS = {
     "grad_integral-p2.5": (lambda: grad_integral(2.5),
-        "d197b2ba2610d4ce393b77f2d8f38bd2b274f79670724bceea0580272beee725"),
+        "eed1b7bf7ef99cfc7c1ed2bafaccb1bdd5bfe368491cb892279c0ebdf1e63cb9"),
     "grad_integral-p1.5": (lambda: grad_integral(1.5),
         "b7f6903e5601498a9e7185468b0cd14557a16c0c5cc7f3d714a13addd3b5576b"),
     "dissipation-p1.5": (lambda: dissipation(1.5),
-        "9baaed602db6605b58b4e3234500bcdb06fa20acc250b7ea7a0c324a70b797d2"),
+        "4336527adc4eeb3e48e796722ef822693ecbd1fb27d2149c43698482b4e9ea03"),
     "dissipation-p1.9-d3": (lambda: dissipation(1.9, d=3, record_every=5),
-        "2cc67211db2ec0d56248342e4ce9aa457bce1f9d30d61d876d5cfcab04cfa3a2"),
+        "5d61a42ea31be96bdb0d1e343dc0e5995e859180c176600c283fc2f36248b0e5"),
 }
 
 
