@@ -165,10 +165,13 @@ class TrajectoryRecord:
     Running integrals use the left-endpoint rule matching the discrete Ito
     identity of the explicit schemes, so they are nondecreasing and the
     discrete energy balance closes up to the stepper's own bias.  The norm
-    quadrature ||X||_{p,1}^p is filled in for the records of an ensemble
-    (`simulate`, `simulate_ensemble`); the records of `simulate_paired`
-    carry None there, since no consumer of a pair reads it.  `_norm_p1_p`
-    computes it from `coords` bit for bit.
+    quadrature ||X||_{p,1}^p on the norm_grid_size(n, d, p) grid is filled
+    in by the ensemble route (`simulate`, `simulate_ensemble`, in its
+    workers), whose readers are the `simulate` CSV and `apriori_check`.  It
+    is None on the records of `simulate_paired` and of
+    `simulate_ensemble(..., norm_p1=False)`, which `energy_experiment` uses:
+    no consumer of those reads it.  `_norm_p1_p` computes it from `coords`
+    bit for bit.
     """
 
     path_index: int
@@ -176,7 +179,7 @@ class TrajectoryRecord:
     times: np.ndarray       # (R,)
     coords: np.ndarray      # (R, K)
     norm_l2_sq: np.ndarray  # (R,)  ||X||_2^2
-    norm_p1_p: Optional[np.ndarray]  # (R,)  ||X||_{p,1}^p; None on pair records
+    norm_p1_p: Optional[np.ndarray]  # (R,)  ||X||_{p,1}^p; None where not computed
     int_diss: np.ndarray    # (R,)  int_0^t < e(X), tau(X) > ds
     int_gamma: np.ndarray   # (R,)  int_0^t < Gamma X, X > ds
     diverged: bool = False
@@ -241,11 +244,14 @@ def step(x: np.ndarray, dt: float, dW: np.ndarray, d: int, n: int,
 
 def _norm_p1_p(coords: np.ndarray, config: SimConfig) -> np.ndarray:
     """||X||_{p,1}^p of each row of coords (R, K): the exact weighted sum
-    for p = 2, the rectangle rule on the norm_grid_size(n) grid otherwise."""
-    gm = grid_map(config.d, config.n, norm_grid_size(config.n))
-    if config.p == 2:
-        return np.sum((1.0 + gm.lam_coord) * coords * coords, axis=1)
-    return gm.lp_means(gm.coords_to_modes(coords), gm.bessel(1.0), config.p)
+    for p = 2, the rectangle rule on the norm_grid_size(n, d, p) grid
+    otherwise.  The ensemble route (`_run_paths`) fills `norm_p1_p` with it."""
+    d, n, p = config.d, config.n, config.p
+    if p == 2:
+        lam = grid_map(d, n, 2 * n + 1).lam_coord
+        return np.sum((1.0 + lam) * coords * coords, axis=1)
+    gm = grid_map(d, n, norm_grid_size(n, d, p))
+    return gm.lp_means(gm.coords_to_modes(coords), gm.bessel(1.0), p)
 
 
 def block_size(d: int, n: int) -> int:
@@ -350,13 +356,16 @@ def _run_blocks(config: SimConfig, labels: Sequence[int], x0: np.ndarray,
     return records
 
 
-def _run_paths(config: SimConfig, indices: Sequence[int]) -> List[TrajectoryRecord]:
+def _run_paths(config: SimConfig, indices: Sequence[int],
+               norm_p1: bool = True) -> List[TrajectoryRecord]:
     """Records of the given paths from their own initial conditions,
-    integrated block by block, with their ||X||_{p,1}^p filled in."""
+    integrated block by block, with their ||X||_{p,1}^p filled in if
+    norm_p1 (else left None)."""
     x0 = np.array([initial_coords(config, i) for i in indices])
     records = _run_blocks(config, indices, x0, block_size(config.d, config.n))
-    for rec in records:
-        rec.norm_p1_p = _norm_p1_p(rec.coords, config)
+    if norm_p1:
+        for rec in records:
+            rec.norm_p1_p = _norm_p1_p(rec.coords, config)
     return records
 
 
@@ -389,8 +398,7 @@ def simulate_paired(config: SimConfig, path_index, init_a, init_b):
 
 
 def _worker(payload):
-    config, indices = payload
-    return _run_paths(config, indices)
+    return _run_paths(*payload)
 
 
 def max_workers() -> int:
@@ -404,21 +412,24 @@ def max_workers() -> int:
 
 
 def simulate_ensemble(config: SimConfig,
-                      path_indices: Optional[Sequence[int]] = None):
+                      path_indices: Optional[Sequence[int]] = None,
+                      norm_p1: bool = True):
     """All paths of the ensemble, in path order.
 
     Paths are independent; with SPLF_THREADS > 1 they are farmed out to
-    worker processes.  Results are always assembled in path-index order so
-    downstream reductions are scheduling-independent.
+    worker processes, which also compute the norm_p1_p column.  With
+    norm_p1=False that column is left None, as on pair records.  Results
+    are always assembled in path-index order so downstream reductions are
+    scheduling-independent.
     """
     if path_indices is None:
         path_indices = range(config.n_paths)
     indices = list(path_indices)
     workers = max_workers()
     if workers == 1 or len(indices) < 2 * workers:
-        return _run_paths(config, indices)
+        return _run_paths(config, indices, norm_p1)
     chunks = [indices[i::workers] for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        results = list(ex.map(_worker, [(config, ch) for ch in chunks]))
+        results = list(ex.map(_worker, [(config, ch, norm_p1) for ch in chunks]))
     by_index = {r.path_index: r for recs in results for r in recs}
     return [by_index[i] for i in indices]

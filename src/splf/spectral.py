@@ -41,6 +41,7 @@ __all__ = [
     "structural_defects",
     "pairing_grid_size",
     "norm_grid_size",
+    "NORM_RTOL",
 ]
 
 
@@ -58,11 +59,12 @@ class StructureError(ValueError):
 
 # Grid values that one batched pass may hold: the real down-pass grid
 # values of a drift block of paths, or real values of an L_p chunk of rows
-# (one d=3 row of 3 x 32^3; four d=2 gradient rows of 4 x 32^2, where
-# budgets from 5000 to 160000 gave no clear change).  Band-matrix drift,
-# 2-core x86 host, numpy 2.4 with scipy-openblas 0.3.31, per path: at d=2,
-# n=2 79 us alone, 18, 14, 13, 18 and 20 us in blocks of 8, 16, 32, 64 and
-# 128; at d=3, n=2 240 us in blocks of 1 or 2, 370 us in blocks of 4 or 8.
+# (one d=3 row of 3 x 20^3 on the simulate-d3 grid; four d=2 gradient rows
+# of 4 x 32^2, where budgets from 5000 to 160000 gave no clear change).
+# Band-matrix drift, 2-core x86 host, numpy 2.4 with scipy-openblas 0.3.31,
+# per path: at d=2, n=2 79 us alone, 18, 14, 13, 18 and 20 us in blocks of
+# 8, 16, 32, 64 and 128; at d=3, n=2 240 us in blocks of 1 or 2, 370 us in
+# blocks of 4 or 8.
 BLOCK_VALUES = 20_000
 
 
@@ -75,9 +77,64 @@ def pairing_grid_size(n: int) -> int:
     return 2 * (2 * n + 1)
 
 
-def norm_grid_size(n: int) -> int:
-    """Grid resolution used for L_p quadrature of norms (floor of 32)."""
-    return max(pairing_grid_size(n), 32)
+# Relative error budget of a recorded L_p quadrature.  The rectangle rule
+# converges only algebraically, because |w|^p has a kink where w = 0
+# (Trefethen & Weideman 2014, SIAM Rev. 56:385), so norm_grid_size measures
+# its error rather than assuming it.
+NORM_RTOL = 1e-5
+
+# The reference of that measurement: the finest multiple of the pairing grid
+# with at most this many points, and at least three times it per axis.
+NORM_REFERENCE_POINTS = 30 ** 3
+
+
+def _norm_reference_size(d: int, n: int) -> int:
+    P = pairing_grid_size(n)
+    return P * max(3, round(NORM_REFERENCE_POINTS ** (1.0 / d)) // P)
+
+
+@lru_cache(maxsize=None)
+def _norm_probe(d: int, n: int, p: float):
+    """The fixed probe of norm_grid_size: two seeded Gaussian rows whose
+    basis coordinates have variance (1 + 4 pi^2 |z|^2)^-1 (a GaussianInit
+    with decay 1), the symbols whose L_p means the program takes (the V_p^1
+    Bessel weight, the gradient and the Laplacian), and each symbol's grid
+    means on the reference grid."""
+    gm = grid_map(d, n, _norm_reference_size(d, n))
+    x = np.random.default_rng(0).standard_normal((2, gm.K))
+    vhat = gm.coords_to_modes(x * (1.0 + gm.lam_coord) ** -0.5)
+    symbols = (gm.derivative(2), gm.bessel(1.0), gm.derivative(1))
+    refs = [gm.lp_means(vhat, m, p) for m in symbols]
+    for a in (vhat, *symbols, *refs):
+        a.setflags(write=False)
+    return vhat, symbols, refs
+
+
+def _norm_grid_errors(d: int, n: int, p: float, M: int):
+    """Per symbol, the costliest last, the largest relative error of the
+    M^d rectangle rule against the reference grid over the probe rows."""
+    vhat, symbols, refs = _norm_probe(d, n, p)
+    gm = grid_map(d, n, M)
+    for m, ref in zip(symbols, refs):
+        yield float(np.max(np.abs(gm.lp_means(vhat, m, p) - ref) / ref))
+
+
+@lru_cache(maxsize=None)
+def norm_grid_size(n: int, d: int = 2, p: float = 2.0) -> int:
+    """Grid resolution of the L_p quadrature at truncation n, dimension d
+    and exponent p: the smallest even M from pairing_grid_size(n) whose
+    errors on the probe are at most NORM_RTOL / 2, else the reference grid.
+
+    Half the budget, because two probe rows under-read the largest error
+    over the many rows of a run: on the simulate-d3 benchmark rows at
+    d=3, n=2, p=1.9 it was 1.6-2.2 times the probe's.  A pure function of
+    (d, n, p), cached per process.  p = 2 and p = 4 give the pairing grid,
+    on which |w|^p is a trigonometric polynomial the rule integrates exactly;
+    so does a call with n alone.
+    """
+    R = _norm_reference_size(d, n)
+    return next((M for M in range(pairing_grid_size(n), R, 2)
+                 if all(e <= NORM_RTOL / 2 for e in _norm_grid_errors(d, n, p, M))), R)
 
 
 def canonical_rep(z):
@@ -456,8 +513,10 @@ class _GridMap:
         at their partners; grid axes 0..d-2 are contracted with the complex
         DFT matrix F and the last, over k >= 0 alone, with the real cos/sin
         matrix W; the squares are summed over the components and raised to
-        p/2.  A row takes 0.43-0.64 ms at d=3, n=2 on the 32^3 grid (2 cores,
-        numpy 2.4), and the values are within 1e-15 relative of np.fft.ifftn.
+        p/2.  The cost is about linear in the M^d grid points: a Bessel row at
+        d=3, n=2 takes about 0.2 ms on the 20^3 grid that norm_grid_size
+        picks at p = 1.9, and 0.43-0.64 ms on 32^3 (2 cores, numpy 2.4).  The
+        values are within 1e-15 relative of np.fft.ifftn.
         Rows go in batches of at most BLOCK_VALUES grid values; matmul calls
         BLAS once per row, einsum sums each point alone and a mean over a
         row's contiguous grid axis is that row's pairwise sum, so no row
@@ -593,8 +652,10 @@ def inner_product(u: SpectralField, v: SpectralField) -> float:
 def _grid_lp_norm(field: SpectralField, p: float, M: int | None,
                   multiplier) -> float:
     """|| m(D) v ||_{L_p} by the rectangle rule on the M^d grid (default
-    norm_grid_size(n)), where multiplier(gm) is the symbol m at gm's modes."""
-    gm = grid_map(field.d, field.n, norm_grid_size(field.n) if M is None else M)
+    norm_grid_size(n, d, p)), where multiplier(gm) is the symbol m at gm's modes."""
+    if M is None:
+        M = norm_grid_size(field.n, field.d, p)
+    gm = grid_map(field.d, field.n, M)
     mean = gm.lp_means(_aligned_modes(field, field.n)[None], multiplier(gm), p)[0]
     return float(mean ** (1.0 / p))
 
@@ -605,8 +666,8 @@ def sobolev_norm(field: SpectralField, p: float, alpha: float,
 
     The multiplier is (1 + 4 pi^2 |z|^2)^{alpha/2}.  For p = 2 the exact
     Parseval sum is returned unless quadrature=True; other p use the
-    uniform-grid rectangle rule at resolution M (default max(2(2n+1), 32)
-    per axis).
+    uniform-grid rectangle rule at resolution M per axis, by default
+    norm_grid_size(n, d, p), the grid that meets the NORM_RTOL budget.
     """
     if p < 1:
         raise ValueError(f"L_p norm needs p >= 1, got p={p}")

@@ -7,10 +7,11 @@ shows that every record equals the one-path computation bit for bit, for
 any block size and composition.  It cannot see a change in the kernel's
 own arithmetic: `PINNED` holds, per case, a digest of the trajectory alone
 and one of the whole record, and `test_records_match_pinned` checks the
-current records against both.  Each case also keeps the two digests from
-before the drift moved from np.fft to band DFT matrices (from the per-path
-integrator that preceded the block stepper, or for later cases from the
-block stepper); the records give them again with the drift swapped for the
+current records against both.  Each case also keeps the trajectory digest
+from before the drift moved from np.fft to band DFT matrices (from the
+per-path integrator that preceded the block stepper, or for later cases
+from the block stepper), and the record digest of that trajectory with
+the current norm column; the records give them with the drift swapped for the
 full-grid FFT oracle of `tests/test_constitutive.py`.
 """
 
@@ -120,8 +121,8 @@ def run_in_blocks(c, size):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("stepper", it.STEPPERS)
 def test_blocks_match_per_path_loop(d, stepper):
-    # at d=3 only the first and last rows are recorded: the 32^3 norm
-    # quadrature of each row would dominate the test
+    # at d=3 only every fifth row is recorded: the norm quadrature of each
+    # row would dominate the test
     c = config(d, stepper, record_every=2 if d == 2 else 5)
     assert_blocks_match_oracle(c)
 
@@ -262,49 +263,53 @@ def paired_records():
 # 40 paths at d=2 span one full and one partial block.  The trajectory
 # digest (`record_digest(..., norm=False)`) leaves out the ||X||_{p,1}^p
 # column, whose digests come from the separable band synthesis of
-# `lp_means` (p2: from the exact p = 2 sum).  The first pair is taken from
-# the band-matrix drift; the oracle pair is the one pinned before the drift
-# left np.fft, and `test_rebaseline_is_confined_to_the_drift_kernel`
-# checks it with the drift swapped for `drift_full_grid`.
+# `lp_means` on the grid of `norm_grid_size(n, d, p)` (p2: from the exact
+# p = 2 sum).  The first pair is taken from the band-matrix drift; the
+# oracle trajectory digest is the one pinned before the drift left np.fft,
+# and `test_rebaseline_is_confined_to_the_drift_kernel` checks it with the
+# drift swapped for `drift_full_grid`.  Every record digest but p2's was
+# re-pinned, oracle included, when the quadrature grid moved from a floor
+# of 32 points per axis to the error-budgeted rule; no trajectory digest
+# moved.
 PINNED = {
     "euler_maruyama": (
         lambda: it.simulate_ensemble(config(2, "euler_maruyama", n_paths=40)),
-        "880f8548be8734e747b51e81a7a1ab1ac7e11c380566e6a2dedea948ea4cb8ff",
+        "a42467b19bd7694f1c79ef0585f0bfc3a62a1b4afefc6357ae3e07b567f9ca38",
         "853eb290a18c48b73191b10410c753773de4afa0d4e34be6297e853f33b1dc28",
-        "29a23159dbafc8f9274efcb6c5fbc56b3e4a7e6adef226b4786b2939cffd3615",
+        "10513a46eb52ba024da5d4a624d0b86418834a5b0d265e174c8c43173838c8fd",
         "072c18f66908f31e33449a6b2ba72d777a87655aee87af92967c84004c71505e"),
     "tamed": (
         lambda: it.simulate_ensemble(config(2, "tamed", n_paths=40)),
-        "d47c6776dfe5f1bf1fb18411c669bf6a11336bd0d8fe423ed0b2de162d49df69",
+        "e90933e94c7bacb42957abce5e4b4b3ad7800a007f208e07017b6d8fd4de39c3",
         "cb3a536e743aac4cca8473666cf1d5ffc5f80275c3b343fdeb852c273a7da0df",
-        "d8da71feb6b64899e835126c8c0e685d75cdb693210208b6f3b1ee6cc58feacd",
+        "46cfeec0a05e904e0f354b8ce9ee99ad93c55ca3492b974cbd0bcb41122bc756",
         "17c8003f1cb0b5318616d9105a03099aa61e24e11a4367134591e09f92447dad"),
     "semi_implicit": (
         lambda: it.simulate_ensemble(config(2, "semi_implicit", n_paths=40)),
-        "f32068a6806445a8fa651ef9a09b766d325c59d941bc4bd6abeecd89a5c8cb8e",
+        "2aa0d898f4959b78ad47a195304c541252613e30aab268f1232f30a98c66199e",
         "a6c2461e6279f18d51edc49c1b632624435c7878be386ae72a73173e9d6923fe",
-        "d62d2e7f9a5679e95bd19ede29942c4d8bc75dbd3cbdb7e571aace2969a1907e",
+        "e70057cd2225cbb192c1692aa722d3ae5efc2451ee2ea87e27afe57264186f19",
         "441b93e68fcb75f47abf9ce62dd1fa54f0a882862f1dead2edad84726af12eea"),
     "d3": (
         lambda: it.simulate_ensemble(
             config(3, "tamed", n_paths=3, record_every=5)),
-        "b34102fb641f918a2853ca2512e7440f18bc9a55471a91a51c61c9ce752d3fe3",
+        "4f23e7a9e5c38a71caa3bf6f29eb493b21ec3838a9b0588d0805a4f604af6032",
         "c194e8f54c58d8cb65a67c2678d95084650cafee99d7da55d191e87b22894314",
-        "36da18b5cca95be5fbe0c9c8cdb372b1e285545653ef63c97b6458b678fbf4d2",
+        "105d88e455c5a35fcf4ba2e959aadc84d3a79c91ea6ed80fe955c493cf9624b6",
         "d5cfeeba88e57b6d236044c4f10b72634aa32f3ac58f2684d153e5e3e1062aaf"),
     # the shape of the simulate-d3 benchmark (n=2, p=1.9)
     "d3-n2": (
         lambda: it.simulate_ensemble(
             config(3, "tamed", n=2, p=1.9, n_paths=2, record_every=1)),
-        "fa1d06f76d0adf57d2685eaac869e601114acfa4b5d47f8564cd2740f6ca9724",
+        "2c3170ab1f6dff6151df1ba4f15938c931c8509ffb4debdf0a2ea4c8e469cbaa",
         "d5aa1a63f69c2ee503ecdaf0587184baa27ebfba6601dddaeaf172375e32cdaa",
-        "eb6687a83d63cf2ac0064eb83c6383917c165df33dd60ceebceb6199539c374d",
+        "2465792b6b236c02f38f1f068c483226ba2026428e4f8bc8f6f313af2a66094e",
         "bee4d91fc0f0904260c0966a5226741ff660d9d72cc2967b2467143af5334127"),
     "diverging": (
         lambda: it.simulate_ensemble(diverging_config()),
-        "200e016287a7f4dea3373fa4728ab57d03cb925398591bebed481c8a7ce8a354",
+        "9768339933500e8adb787465fbdba50edc807b425298d9cf15174fd928349274",
         "029ba768157c3560aef501137f1f61e206fd553628c3227d322a5bcc794d7a17",
-        "ef4f21d482a665996fc5298c8296a3c4ded4a15c391380105684525fd35b9ab0",
+        "46eeee2d3900414e5f6afa97840a7e49e1baf4b1ffeba34e9053d3279f9fd9fc",
         "4057160184e5b8dbdbc9e6971854ee308a9ded1ab84675e8ef52cff13f65a5f8"),
     "p2": (
         lambda: it.simulate_ensemble(config(2, "semi_implicit", p=2.0, n_paths=40)),
@@ -314,9 +319,9 @@ PINNED = {
         "dadce53abfe961a47762114d1bae6067f8941f51ea9ea021444cc90bac6d1766"),
     "paired": (
         paired_records,
-        "9ede263cefc410d4a287ea4219386ccac895fd06979d7e72fe003200f2e05f5a",
+        "084db6e25242f26aa79702b8cf04232630ef448ec6fff2a9ee8aa6f686fba7ab",
         "8668106e01cc4435513bb10deab11a1ee912904c003c3e4f6fb6e8abfecdcb96",
-        "5b5e8ab72b36774d367f5a9958c9a1d5999fd1856d8b89d889ce467a4af01661",
+        "2664875f5debc1f6d0467debc6523fc99a1f1fbb9e5bcc6c57d9fd494c4d0884",
         "d8ab1845e555337529a5e11e35399d202f23e0b1290dd6ba1e94c4103eb2bdfa"),
 }
 
@@ -341,7 +346,7 @@ def full_grid_drift(x, d, n, params):
 def test_rebaseline_is_confined_to_the_drift_kernel(case, monkeypatch):
     # with the drift swapped for the full-grid oracle, which is byte-equal to
     # the kernel that preceded the band matrices, the records keep the
-    # digests pinned before: the stepper, the RNG and the quadrature did not
+    # trajectory digests pinned before: the stepper and the RNG did not
     # move; the kernel's own records differ from them by rounding alone
     monkeypatch.setenv("SPLF_THREADS", "1")
     run, _, _, digest, trajectory = PINNED[case]

@@ -72,6 +72,30 @@ class TestEnergyBalance:
         assert dataclasses.replace(
             forced, control=dataclasses.replace(rep.control, n_diverged=0)).passed
 
+    def test_energy_experiment_runs_no_quadrature(self, monkeypatch):
+        # the check never reads ||X||_{p,1}^p, so neither of its runs
+        # computes it; its balance is the one of the records that carry it
+        cfg = base_config(p=3.0, T=0.01, n_paths=6, stepper="tamed", record_every=5,
+                          gamma=noise.PowerLawSpectrum(c=0.1, s=3.0))
+        want = dg.energy_balance(it.simulate_ensemble(cfg), cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("energy_experiment ran an L_p quadrature")
+
+        monkeypatch.setattr(sp._GridMap, "lp_means", refuse)
+        rep = dg.energy_experiment(cfg)
+        assert rep.main == want
+
+    def test_workers_leave_the_norm_column_empty(self, monkeypatch):
+        monkeypatch.setenv("SPLF_THREADS", "2")
+        cfg = base_config(p=3.0, T=0.01, n_paths=6, stepper="tamed", record_every=5,
+                          gamma=noise.PowerLawSpectrum(c=0.1, s=3.0))
+        bare, full = it.simulate_ensemble(cfg, norm_p1=False), it.simulate_ensemble(cfg)
+        assert [r.path_index for r in bare] == [r.path_index for r in full]
+        for a, b in zip(bare, full):
+            assert a.norm_p1_p is None and b.norm_p1_p is not None
+            assert np.array_equal(a.coords, b.coords)
+
     def test_rhs_is_analytic(self):
         gamma = noise.PowerLawSpectrum(c=0.1, s=3.0)
         cfg = base_config(gamma=gamma, n_paths=2)
@@ -179,6 +203,32 @@ class TestDissipationFunctional:
         J, total = dg.dissipation_functional(rec, cfg)
         assert np.all(J >= 0)
         assert total >= 0
+
+
+class TestQuadratureBudget:
+    """The rows a run records, not the probe that picked the grid, meet
+    NORM_RTOL against a finer grid of the same rule."""
+
+    def test_norm_column_at_d3(self):
+        cfg = base_config(d=3, p=1.9, n=2, dt=1e-3, T=0.05, n_paths=2, seed=20240611,
+                          init=it.GaussianInit(sigma=1.0, decay=1.0),
+                          gamma=noise.PowerLawSpectrum(c=0.1, s=3.0), stepper="tamed",
+                          record_every=1)
+        recs = it.simulate_ensemble(cfg)
+        got = np.concatenate([r.norm_p1_p for r in recs])
+        fine = sp.grid_map(3, 2, 40)
+        want = fine.lp_means(fine.coords_to_modes(np.concatenate([r.coords for r in recs])),
+                             fine.bessel(1.0), 1.9)
+        assert np.max(np.abs(got - want) / want) <= sp.NORM_RTOL
+
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    def test_gradient_and_laplacian_of_a_pair(self, p):
+        rec, cfg = pinned_pair(p)
+        fine = sp.grid_map(2, 2, 160)
+        for order in (1, 2):
+            got = dg._lp_norms(rec, cfg, order) ** p
+            want = fine.lp_means(fine.coords_to_modes(rec.coords), fine.derivative(order), p)
+            assert np.max(np.abs(got - want) / want) <= sp.NORM_RTOL
 
 
 class TestGronwall:
@@ -303,16 +353,19 @@ def dissipation(p, **kw):
 # sha256 of the float64 bytes of the diagnostics, numpy 2.4 with
 # scipy-openblas 0.3.31 on x86-64, re-pinned when the drift moved from
 # np.fft to band DFT matrices (the pair trajectories moved by rounding;
-# grad_integral-p1.5, one float, kept its bytes)
+# grad_integral-p1.5, one float, kept its bytes), and again, all four, when
+# the L_p quadrature grid moved from a floor of 32 points per axis to
+# norm_grid_size(n, d, p): 64 at p = 1.5, 34 at p = 2.5 and 14 at d=3, n=1,
+# p = 1.9
 PINNED_DIAGNOSTICS = {
     "grad_integral-p2.5": (lambda: grad_integral(2.5),
-        "eed1b7bf7ef99cfc7c1ed2bafaccb1bdd5bfe368491cb892279c0ebdf1e63cb9"),
+        "45d9fddd3a47f1e117e9134beb5f5002b70caa31f458b1a2a38752e1385de521"),
     "grad_integral-p1.5": (lambda: grad_integral(1.5),
-        "b7f6903e5601498a9e7185468b0cd14557a16c0c5cc7f3d714a13addd3b5576b"),
+        "21b5f208e663ae60322fbc0d956f5280adfdec0d152b9e32022f4b2ae76da824"),
     "dissipation-p1.5": (lambda: dissipation(1.5),
-        "4336527adc4eeb3e48e796722ef822693ecbd1fb27d2149c43698482b4e9ea03"),
+        "9854f04b4323ee397d4e57fe97e041a3dee3e2f3f514391b8fca2346b8267eb0"),
     "dissipation-p1.9-d3": (lambda: dissipation(1.9, d=3, record_every=5),
-        "5d61a42ea31be96bdb0d1e343dc0e5995e859180c176600c283fc2f36248b0e5"),
+        "5769762538f6dc58e8514d619ce4e6746185e9d2e28c70739cc63f8aa9ca8d7f"),
 }
 
 

@@ -428,6 +428,74 @@ class TestSobolevNorm:
         assert abs(l2 - l2_oracle) < 1e-12 * l2_oracle
 
 
+# (d, n, p) of the benchmark inputs (energy-d2, uniqueness-d2, simulate-d3),
+# the demo configs (energy_small, uniqueness_small) and the tests' configs
+NORM_CASES = [(2, 2, 3.0), (2, 2, 2.5), (3, 2, 1.9), (2, 2, 2.0), (3, 1, 2.5),
+              (2, 2, 4.0), (2, 2, 1.5), (3, 1, 1.9), (2, 2, 1.8), (3, 2, 2.5),
+              (2, 3, 1.5), (2, 3, 3.0)]
+
+
+def probe_error(d, n, p, M):
+    """The error that norm_grid_size budgets, computed here from its
+    description: two rows from default_rng(0) with coordinate variance
+    (1 + 4 pi^2 |z|^2)^-1, the Bessel, Laplacian and gradient symbols, and
+    the largest relative difference from the reference grid."""
+    ref = sp.grid_map(d, n, sp._norm_reference_size(d, n))
+    x = np.random.default_rng(0).standard_normal((2, ref.K))
+    vhat = ref.coords_to_modes(x * (1.0 + ref.lam_coord) ** -0.5)
+    gm = sp.grid_map(d, n, M)
+    return max(float(np.max(np.abs(gm.lp_means(vhat, m(gm), p) - want) / want))
+               for m in MULTIPLIERS.values()
+               for want in [ref.lp_means(vhat, m(ref), p)])
+
+
+class TestNormGrid:
+    """`norm_grid_size` picks the L_p quadrature grid from a measured error
+    budget, NORM_RTOL, in place of a fixed floor of 32 points per axis."""
+
+    @pytest.mark.parametrize("d,n,p", NORM_CASES)
+    def test_selected_grid_meets_the_budget(self, d, n, p):
+        M = sp.norm_grid_size(n, d, p)
+        assert M % 2 == 0 and sp.pairing_grid_size(n) <= M
+        assert M < sp._norm_reference_size(d, n)
+        assert probe_error(d, n, p, M) <= sp.NORM_RTOL / 2
+        assert max(sp._norm_grid_errors(d, n, p, M)) == probe_error(d, n, p, M)
+        # the smallest such grid: the even grid below it misses
+        if M > sp.pairing_grid_size(n):
+            assert probe_error(d, n, p, M - 2) > sp.NORM_RTOL / 2
+
+    def test_floor_of_32_misses_the_budget(self):
+        # at (2, 3, 1.5) the old floor under-resolves by an order of magnitude
+        assert probe_error(2, 3, 1.5, 32) > 10 * sp.NORM_RTOL
+        assert sp.norm_grid_size(3, 2, 1.5) > 32
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_exact_exponents_select_the_pairing_grid(self, d, n):
+        # |w|^2 and |w|^4 are trigonometric polynomials of degree 2n and 4n,
+        # which the rule integrates exactly on 2(2n+1) points
+        for p in (2.0, 4.0):
+            assert sp.norm_grid_size(n, d, p) == sp.pairing_grid_size(n)
+        assert sp.norm_grid_size(n) == sp.pairing_grid_size(n)
+
+    def test_fresh_process_selects_the_same_grid(self):
+        cases = [(3, 2, 1.9), (2, 2, 2.5), (2, 3, 1.5)]
+        code = ("from splf import spectral as sp; "
+                f"print([sp.norm_grid_size(n, d, p) for d, n, p in {cases!r}])")
+        src = str(Path(sp.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == str([sp.norm_grid_size(n, d, p) for d, n, p in cases])
+
+    def test_default_grid_of_the_norms_is_the_rule(self):
+        f = random_field(4, d=2, n=3)
+        M = sp.norm_grid_size(3, 2, 1.5)
+        assert sp.sobolev_norm(f, 1.5, 1.0) == sp.sobolev_norm(f, 1.5, 1.0, M=M)
+        assert sp.gradient_lp_norm(f, 1.5) == sp.gradient_lp_norm(f, 1.5, M=M)
+        assert sp.laplacian_lp_norm(f, 1.5) == sp.laplacian_lp_norm(f, 1.5, M=M)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_structural_defects_tiny(self, seed):
