@@ -8,13 +8,16 @@ manifest of `simulate` also lists each path's divergence flag; that of a
 check lists the run, path index and step of each diverged record.
 Reports are strict JSON (RFC 8259): a non-finite number is written as the
 string "inf", "-inf" or "nan".
-SPLF_THREADS caps the worker count for ensemble runs.
+SPLF_THREADS caps the worker count for ensemble runs.  In `simulate` each
+ensemble worker writes its own paths' CSVs and snapshots as it finishes
+them; the parent then hashes those files and writes the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -56,9 +59,29 @@ def _write_record_csv(record: TrajectoryRecord, path: Path) -> None:
                              record.int_diss, record.int_gamma, record.coords])
     header = ["t", "normL2sq", "normVp1_p", "int_diss", "int_gammaXX"] + [
         f"x_{k}" for k in range(record.coords.shape[1])]
-    row = ",".join([_FLOAT] * table.shape[1])
-    lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
-    path.write_text("\n".join(lines) + "\n")
+    row = ",".join([_FLOAT] * table.shape[1]) + "\n"
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(row % tuple(r) for r in table.tolist())
+
+
+def _path_outputs(record: TrajectoryRecord, snapshots: bool) -> list:
+    """File names of one path's outputs: its CSV, then its final snapshot
+    if snapshots are on and the path did not diverge."""
+    stem = f"path_{record.path_index:06d}"
+    return [f"{stem}.csv"] + (
+        [f"{stem}_final.splf"] if snapshots and not record.diverged else [])
+
+
+def _write_path(out_dir: Path, snapshots: bool, config: SimConfig,
+                record: TrajectoryRecord) -> None:
+    """Write the _path_outputs of one record.  `simulate` runs it in the
+    ensemble worker that computed the record."""
+    csv_name, *snap_name = _path_outputs(record, snapshots)
+    _write_record_csv(record, out_dir / csv_name)
+    if snap_name:
+        write_snapshot(coords_to_field(record.final_coords, config.n, config.d),
+                       out_dir / snap_name[0])
 
 
 def _blas() -> dict:
@@ -137,17 +160,10 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    records = simulate_ensemble(config)
-    files = []
-    for r in records:
-        csv_path = out_dir / f"path_{r.path_index:06d}.csv"
-        _write_record_csv(r, csv_path)
-        files.append(csv_path)
-        if outputs.snapshots and not r.diverged:
-            snap_path = out_dir / f"path_{r.path_index:06d}_final.splf"
-            write_snapshot(coords_to_field(r.final_coords, config.n, config.d),
-                           snap_path)
-            files.append(snap_path)
+    records = simulate_ensemble(config, write=functools.partial(
+        _write_path, out_dir, outputs.snapshots, config))
+    files = [out_dir / name for r in records
+             for name in _path_outputs(r, outputs.snapshots)]
     paths = [{"path_index": r.path_index, "diverged": r.diverged,
               "diverged_step": r.diverged_step} for r in records]
     _write_manifest(out_dir, config, outputs, paths, files, started)

@@ -18,7 +18,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -356,16 +356,21 @@ def _run_blocks(config: SimConfig, labels: Sequence[int], x0: np.ndarray,
     return records
 
 
-def _run_paths(config: SimConfig, indices: Sequence[int],
-               norm_p1: bool = True) -> List[TrajectoryRecord]:
+def _run_paths(config: SimConfig, indices: Sequence[int], norm_p1: bool = True,
+               write: Optional[Callable[[TrajectoryRecord], None]] = None
+               ) -> List[TrajectoryRecord]:
     """Records of the given paths from their own initial conditions,
     integrated block by block, with their ||X||_{p,1}^p filled in if
-    norm_p1 (else left None)."""
+    norm_p1 (else left None).  write, if given, is then called on each
+    record in this process, so an ensemble worker writes its own paths'
+    outputs."""
     x0 = np.array([initial_coords(config, i) for i in indices])
     records = _run_blocks(config, indices, x0, block_size(config.d, config.n))
-    if norm_p1:
-        for rec in records:
+    for rec in records:
+        if norm_p1:
             rec.norm_p1_p = _norm_p1_p(rec.coords, config)
+        if write is not None:
+            write(rec)
     return records
 
 
@@ -413,13 +418,17 @@ def max_workers() -> int:
 
 def simulate_ensemble(config: SimConfig,
                       path_indices: Optional[Sequence[int]] = None,
-                      norm_p1: bool = True):
+                      norm_p1: bool = True,
+                      write: Optional[Callable[[TrajectoryRecord], None]] = None):
     """All paths of the ensemble, in path order.
 
     Paths are independent; with SPLF_THREADS > 1 they are farmed out to
     worker processes, which also compute the norm_p1_p column.  With
-    norm_p1=False that column is left None, as on pair records.  Results
-    are always assembled in path-index order so downstream reductions are
+    norm_p1=False that column is left None, as on pair records.  write, a
+    picklable callable, is applied to each record, after its norm column,
+    in the process that computed it: each worker writes its own paths'
+    outputs, and an error it raises there ends the call.  Results are
+    always assembled in path-index order so downstream reductions are
     scheduling-independent.
     """
     if path_indices is None:
@@ -427,9 +436,10 @@ def simulate_ensemble(config: SimConfig,
     indices = list(path_indices)
     workers = max_workers()
     if workers == 1 or len(indices) < 2 * workers:
-        return _run_paths(config, indices, norm_p1)
+        return _run_paths(config, indices, norm_p1, write)
     chunks = [indices[i::workers] for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        results = list(ex.map(_worker, [(config, ch, norm_p1) for ch in chunks]))
+        results = list(ex.map(_worker, [(config, ch, norm_p1, write)
+                                        for ch in chunks]))
     by_index = {r.path_index: r for recs in results for r in recs}
     return [by_index[i] for i in indices]

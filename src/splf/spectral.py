@@ -83,24 +83,33 @@ def pairing_grid_size(n: int) -> int:
 # its error rather than assuming it.
 NORM_RTOL = 1e-5
 
-# The reference of that measurement: the finest multiple of the pairing grid
-# with at most this many points, and at least three times it per axis.
+# The references of that measurement.  The first is the finest multiple of
+# the pairing grid with at most NORM_REFERENCE_POINTS points and at least
+# three times it per axis.  While no grid below a reference meets the
+# budget, the next multiple of the pairing grid is tried, up to
+# NORM_REFERENCE_MAX_POINTS points; at d=3, n=2 the references are 30, 40,
+# 50 and 60 per axis.
 NORM_REFERENCE_POINTS = 30 ** 3
+NORM_REFERENCE_MAX_POINTS = 60 ** 3
 
 
-def _norm_reference_size(d: int, n: int) -> int:
+def _norm_references(d: int, n: int):
     P = pairing_grid_size(n)
-    return P * max(3, round(NORM_REFERENCE_POINTS ** (1.0 / d)) // P)
+    R = P * max(3, round(NORM_REFERENCE_POINTS ** (1.0 / d)) // P)
+    yield R
+    while (R + P) ** d <= NORM_REFERENCE_MAX_POINTS:
+        R += P
+        yield R
 
 
 @lru_cache(maxsize=None)
-def _norm_probe(d: int, n: int, p: float):
+def _norm_probe(d: int, n: int, p: float, R: int):
     """The fixed probe of norm_grid_size: two seeded Gaussian rows whose
     basis coordinates have variance (1 + 4 pi^2 |z|^2)^-1 (a GaussianInit
     with decay 1), the symbols whose L_p means the program takes (the V_p^1
     Bessel weight, the gradient and the Laplacian), and each symbol's grid
-    means on the reference grid."""
-    gm = grid_map(d, n, _norm_reference_size(d, n))
+    means on the R^d reference grid."""
+    gm = grid_map(d, n, R)
     x = np.random.default_rng(0).standard_normal((2, gm.K))
     vhat = gm.coords_to_modes(x * (1.0 + gm.lam_coord) ** -0.5)
     symbols = (gm.derivative(2), gm.bessel(1.0), gm.derivative(1))
@@ -110,20 +119,35 @@ def _norm_probe(d: int, n: int, p: float):
     return vhat, symbols, refs
 
 
-def _norm_grid_errors(d: int, n: int, p: float, M: int):
+def _norm_grid_errors(d: int, n: int, p: float, M: int, R: int):
     """Per symbol, the costliest last, the largest relative error of the
-    M^d rectangle rule against the reference grid over the probe rows."""
-    vhat, symbols, refs = _norm_probe(d, n, p)
+    M^d rectangle rule against the R^d reference grid over the probe rows."""
+    vhat, symbols, refs = _norm_probe(d, n, p, R)
     gm = grid_map(d, n, M)
     for m, ref in zip(symbols, refs):
         yield float(np.max(np.abs(gm.lp_means(vhat, m, p) - ref) / ref))
 
 
 @lru_cache(maxsize=None)
+def _norm_grid(d: int, n: int, p: float):
+    """(M, R): the grid that norm_grid_size returns and the reference grid
+    its errors were measured against."""
+    for R in _norm_references(d, n):
+        for M in range(pairing_grid_size(n), R, 2):
+            if all(e <= NORM_RTOL / 2 for e in _norm_grid_errors(d, n, p, M, R)):
+                return M, R
+    raise ValueError(
+        f"norm_grid_size: no grid meets NORM_RTOL / 2 at (d, n, p) = "
+        f"({d}, {n}, {p}) against references of up to {R}^{d} points")
+
+
 def norm_grid_size(n: int, d: int = 2, p: float = 2.0) -> int:
     """Grid resolution of the L_p quadrature at truncation n, dimension d
     and exponent p: the smallest even M from pairing_grid_size(n) whose
-    errors on the probe are at most NORM_RTOL / 2, else the reference grid.
+    errors on the probe, against a finer reference grid, are at most
+    NORM_RTOL / 2.  If no grid below a reference qualifies, the next,
+    finer reference is tried; past NORM_REFERENCE_MAX_POINTS this raises
+    ValueError, so the grid returned has always been measured.
 
     Half the budget, because two probe rows under-read the largest error
     over the many rows of a run: on the simulate-d3 benchmark rows at
@@ -132,9 +156,7 @@ def norm_grid_size(n: int, d: int = 2, p: float = 2.0) -> int:
     on which |w|^p is a trigonometric polynomial the rule integrates exactly;
     so does a call with n alone.
     """
-    R = _norm_reference_size(d, n)
-    return next((M for M in range(pairing_grid_size(n), R, 2)
-                 if all(e <= NORM_RTOL / 2 for e in _norm_grid_errors(d, n, p, M))), R)
+    return _norm_grid(d, n, p)[0]
 
 
 def canonical_rep(z):
@@ -283,7 +305,9 @@ class SpectralField:
                 why = (f"outside the truncation box n={self.n}"
                        if np.abs(z).max() > self.n else "not canonical")
                 raise DimensionError(f"mode {tuple(int(c) for c in z)} is {why}")
-            if np.unique(pos).size != pos.size:
+            # not np.unique: numpy 2 imports numpy.ma on its first call,
+            # about 1 MB in every ensemble worker that writes a snapshot
+            if np.bincount(pos).max() > 1:
                 raise DimensionError("a mode is stored twice")
             if np.max(np.abs(np.einsum("zd,zd->z", modes, coeffs))) >= 1e-13 * max(
                     1.0, self.n * np.abs(coeffs).max()):

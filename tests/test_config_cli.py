@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import platform
 
 import numpy as np
@@ -355,6 +357,73 @@ def test_csv_bytes_match_python_format(tmp_path):
                 rec.int_diss[i], rec.int_gamma[i], *rows[i]]
         lines.append(",".join(format(float(v), ".17g") for v in vals))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+class TestWorkerWrites:
+    """With SPLF_THREADS=2 each ensemble worker writes its own paths' CSVs
+    and snapshots, and the parent writes the manifest."""
+
+    @pytest.fixture
+    def writers(self, tmp_path, monkeypatch):
+        """Two workers whatever the host's core count, and a log of the pid
+        that wrote each CSV; forked workers inherit the wrapper."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        log = tmp_path / "writers.log"
+        write_csv = cli._write_record_csv
+
+        def logged(record, path):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            write_csv(record, path)
+
+        monkeypatch.setattr(cli, "_write_record_csv", logged)
+
+        def read():
+            lines = log.read_text().splitlines() if log.exists() else []
+            log.unlink(missing_ok=True)
+            return [int(line) for line in lines]
+        return read
+
+    @pytest.mark.parametrize("ini", ["small", "diverging"])
+    def test_one_and_two_workers_write_the_same_outputs(
+            self, tmp_path, monkeypatch, capsys, writers, ini):
+        cfg = small_ini(tmp_path)
+        if ini == "diverging":  # 5 of 8 paths diverge and get no snapshot
+            cfg.write_text(DIVERGING + "\n[outputs]\nsnapshots = true\n")
+        outs, pids = {}, {}
+        for threads in (1, 2):
+            monkeypatch.setenv("SPLF_THREADS", str(threads))
+            outs[threads] = tmp_path / f"out{threads}"
+            assert cli.main(["simulate", "--config", str(cfg),
+                             "--out", str(outs[threads])]) == 0
+            pids[threads] = set(writers())
+        names = sorted(f.name for f in outs[1].iterdir())
+        assert names == sorted(f.name for f in outs[2].iterdir())
+        assert len(names) == {"small": 9, "diverging": 12}[ini]
+        for name in names:
+            if name != "manifest.json":
+                assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+        one, two = (json.loads((outs[t] / "manifest.json").read_text()) for t in (1, 2))
+        assert one["outputs"] == two["outputs"] and one["paths"] == two["paths"]
+        assert pids[1] == {os.getpid()}
+        assert pids[2] and os.getpid() not in pids[2]
+
+    def test_failed_write_in_a_worker_fails_loudly(self, tmp_path, monkeypatch,
+                                                   capsys, writers):
+        cfg = small_ini(tmp_path)
+        out = tmp_path / "out"
+        (out / "path_000003.csv").mkdir(parents=True)
+        monkeypatch.setenv("SPLF_THREADS", "2")
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: '{out / 'path_000003.csv'}'\n")
+        assert not (out / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
+        pids = set(writers())
+        assert pids and os.getpid() not in pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 def reject_constant(token):

@@ -432,15 +432,15 @@ class TestSobolevNorm:
 # the demo configs (energy_small, uniqueness_small) and the tests' configs
 NORM_CASES = [(2, 2, 3.0), (2, 2, 2.5), (3, 2, 1.9), (2, 2, 2.0), (3, 1, 2.5),
               (2, 2, 4.0), (2, 2, 1.5), (3, 1, 1.9), (2, 2, 1.8), (3, 2, 2.5),
-              (2, 3, 1.5), (2, 3, 3.0)]
+              (2, 3, 1.5), (2, 3, 3.0), (3, 2, 1.5)]
 
 
-def probe_error(d, n, p, M):
+def probe_error(d, n, p, M, R):
     """The error that norm_grid_size budgets, computed here from its
     description: two rows from default_rng(0) with coordinate variance
     (1 + 4 pi^2 |z|^2)^-1, the Bessel, Laplacian and gradient symbols, and
-    the largest relative difference from the reference grid."""
-    ref = sp.grid_map(d, n, sp._norm_reference_size(d, n))
+    the largest relative difference from the R^d reference grid."""
+    ref = sp.grid_map(d, n, R)
     x = np.random.default_rng(0).standard_normal((2, ref.K))
     vhat = ref.coords_to_modes(x * (1.0 + ref.lam_coord) ** -0.5)
     gm = sp.grid_map(d, n, M)
@@ -455,19 +455,46 @@ class TestNormGrid:
 
     @pytest.mark.parametrize("d,n,p", NORM_CASES)
     def test_selected_grid_meets_the_budget(self, d, n, p):
-        M = sp.norm_grid_size(n, d, p)
-        assert M % 2 == 0 and sp.pairing_grid_size(n) <= M
-        assert M < sp._norm_reference_size(d, n)
-        assert probe_error(d, n, p, M) <= sp.NORM_RTOL / 2
-        assert max(sp._norm_grid_errors(d, n, p, M)) == probe_error(d, n, p, M)
+        M, R = sp._norm_grid(d, n, p)
+        assert M == sp.norm_grid_size(n, d, p)
+        assert M % 2 == 0 and sp.pairing_grid_size(n) <= M < R
+        assert probe_error(d, n, p, M, R) <= sp.NORM_RTOL / 2
+        assert max(sp._norm_grid_errors(d, n, p, M, R)) == probe_error(d, n, p, M, R)
         # the smallest such grid: the even grid below it misses
         if M > sp.pairing_grid_size(n):
-            assert probe_error(d, n, p, M - 2) > sp.NORM_RTOL / 2
+            assert probe_error(d, n, p, M - 2, R) > sp.NORM_RTOL / 2
+        # and the first reference with a grid below it that qualifies
+        refs = list(sp._norm_references(d, n))
+        for coarser in refs[:refs.index(R)]:
+            assert all(probe_error(d, n, p, m, coarser) > sp.NORM_RTOL / 2
+                       for m in range(sp.pairing_grid_size(n), coarser, 2))
 
     def test_floor_of_32_misses_the_budget(self):
         # at (2, 3, 1.5) the old floor under-resolves by an order of magnitude
-        assert probe_error(2, 3, 1.5, 32) > 10 * sp.NORM_RTOL
+        assert probe_error(2, 3, 1.5, 32, 154) > 10 * sp.NORM_RTOL
         assert sp.norm_grid_size(3, 2, 1.5) > 32
+
+    def test_low_p_at_d3_steps_the_reference(self):
+        # at (3, 2, 1.5) no grid below the first reference, 30^3, meets the
+        # budget (28 reads 8.5e-6 against it); against 40^3 28 does, and
+        # finer references agree
+        assert list(sp._norm_references(3, 2)) == [30, 40, 50, 60]
+        assert probe_error(3, 2, 1.5, 28, 30) > sp.NORM_RTOL / 2
+        assert sp._norm_grid(3, 2, 1.5) == (28, 40)
+        for R in (50, 60):
+            assert probe_error(3, 2, 1.5, 28, R) <= sp.NORM_RTOL / 2
+            assert probe_error(3, 2, 1.5, 26, R) > sp.NORM_RTOL / 2
+
+    def test_no_measured_grid_under_the_cap_raises(self, monkeypatch):
+        # with the cap at the first reference, (3, 2, 1.5) has no grid the
+        # rule could measure; it names the case instead of returning 30
+        monkeypatch.setattr(sp, "NORM_REFERENCE_MAX_POINTS", 30 ** 3)
+        sp._norm_grid.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=r"\(d, n, p\) = \(3, 2, 1.5\)"):
+                sp.norm_grid_size(2, 3, 1.5)
+        finally:
+            sp._norm_grid.cache_clear()
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_exact_exponents_select_the_pairing_grid(self, d, n):
@@ -478,7 +505,7 @@ class TestNormGrid:
         assert sp.norm_grid_size(n) == sp.pairing_grid_size(n)
 
     def test_fresh_process_selects_the_same_grid(self):
-        cases = [(3, 2, 1.9), (2, 2, 2.5), (2, 3, 1.5)]
+        cases = [(3, 2, 1.9), (2, 2, 2.5), (2, 3, 1.5), (3, 2, 1.5)]
         code = ("from splf import spectral as sp; "
                 f"print([sp.norm_grid_size(n, d, p) for d, n, p in {cases!r}])")
         src = str(Path(sp.__file__).resolve().parents[1])
