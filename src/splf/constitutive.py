@@ -177,53 +177,47 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     """Drift coordinates and dissipation < e, tau > in one grid pass.
 
     x is one coordinate vector (K,) or a block of paths (P, K); the block
-    gives drift rows (P, K) and one dissipation per row.  Both passes are
-    per-axis DFT matrix products on the band, with the components before
-    the grid axes.  Down: the field v and its gradient v_i(z) 2 pi i z_j,
-    formed at the modes, fill the half box of wave vectors (gm.half,
-    gm.flip, gm.plane_partner); grid axes 0..d-2 are contracted with F and
-    the last, over k >= 0, with the real cos/sin matrix W, which gives real
-    grid values.  Up, the adjoint: the advection and the d(d+1)/2 stress
-    components tau_ij with i <= j (e, and so tau, is exactly symmetric) are
-    contracted on the last axis with the real Wa and on axes d-2..0 with
-    Fa = conj(F)^T, and read at the modes, conjugated where z_last < 0; the
-    divergence 2 pi i z_j tau_ij(z) and the subtraction of the advection are
-    taken there.  Every matmul calls BLAS once per row's slice, einsum sums
-    each point alone and the dissipation is a mean over each row's
-    contiguous grid axis, that row's own pairwise sum; so a row's result
-    does not depend on the block it was computed in.
+    gives drift rows (P, K) and one dissipation per row.  Down: the field v
+    and its gradient v_i(z) 2 pi i z_j, formed at the modes, go through
+    gm.synthesize, which gives real grid values.  Up: the advection and the
+    d(d+1)/2 stress components tau_ij with i <= j (e, and so tau, is exactly
+    symmetric) go through gm.analyse, the adjoint, to the modes, where the
+    divergence 2 pi i z_j tau_ij(z) and the subtraction of the advection
+    are taken.  The pointwise stress, advection and dissipation keep the
+    components before the grid axes, with one transposing copy from and to
+    the pair's layout.  The pair acts on each row alone, einsum sums each
+    point alone and the dissipation is a mean over each row's contiguous
+    grid axis, that row's own pairwise sum; so a row's result does not
+    depend on the block it was computed in.
     """
-    d, n, M, L = gm.d, gm.n, gm.M, 2 * gm.n + 1
+    d, M = gm.d, gm.M
     block = x.reshape(-1, x.shape[-1])
     P = block.shape[0]
-    ik = gm.derivative(1)                                 # (d, Z)
-    vhat = gm.coords_to_modes(block).swapaxes(1, 2)       # (P, d, Z)
-    spec = np.concatenate([vhat, (vhat[:, :, None] * ik).reshape(P, d * d, -1)], axis=1)
-    np.conjugate(spec, out=spec, where=gm.flip)
-    c = d + d * d
-    A = np.zeros((P, c, L ** (d - 1) * (n + 1)), dtype=np.complex128)
-    A[..., gm.half] = spec
-    A[..., gm.plane_partner] = np.conj(spec[..., gm.plane])
-    for a in range(d - 1):                 # (P, c M^a, L, ...) -> (P, c M^a, M, ...)
-        A = gm.F @ A.reshape(P, c * M ** a, L, -1)
-    down = (A.reshape(P, -1, n + 1).view(np.float64) @ gm.W).reshape((P, c) + gm.shape)
+    ik = gm.derivative(1).T                               # (Z, d)
+    vhat = gm.coords_to_modes(block)                      # (P, Z, d)
+    grad = (vhat[..., None] * ik[:, None]).reshape(P, -1, d * d)
+    spec = np.concatenate([vhat, grad], axis=2)           # (P, Z, d + d^2)
+    # one expression, so the synthesized values are freed before the
+    # pointwise steps: kept alive, they made those steps 1.6x slower at d=2
+    # in blocks of 32
+    down = np.ascontiguousarray(gm.synthesize(spec).swapaxes(1, 2)).reshape(
+        (P, -1) + gm.shape)
     V = down[:, :d]
     G = down[:, d:].reshape((P, d, d) + gm.shape)
     e = _strain_from_gradient(G, axis=1)
     tau = _stress_from_strain(e, params, axis=1)
-    conv = np.einsum("pj...,pij...->pi...", V, G)
     density = np.sum(e * tau, axis=(1, 2))
     diss = density.reshape(P, -1).mean(axis=1)
     i, j, sym = _symmetric_components(d)
-    up = np.concatenate([conv, tau[:, i, j]], axis=1)     # (P, d + d(d+1)/2, M..)
-    c = up.shape[1]
-    U = (up.reshape(P, -1, M) @ gm.Wa).view(np.complex128)
-    for a in range(d - 2, -1, -1):         # (P, c M^a, M, ...) -> (P, c M^a, L, ...)
-        U = gm.Fa @ U.reshape(P, c * M ** a, M, -1)
-    band = U.reshape(P, c, -1)[..., gm.half]              # (P, c, Z)
-    np.conjugate(band, out=band, where=gm.flip)
-    div_tau = np.einsum("jz,pijz->piz", ik, band[:, d + sym])
-    b = gm.modes_to_coords((div_tau - band[:, :d]).swapaxes(1, 2))
+    # the advection and tau_ij, i <= j, written straight into the pair's layout
+    c = d + len(i)
+    values = np.empty((P,) + gm.shape[:-1] + (c, M))
+    up = np.moveaxis(values, -2, 1)                       # a view, (P, c, M, .., M)
+    np.einsum("pj...,pij...->pi...", V, G, out=up[:, :d])
+    up[:, d:] = tau[:, i, j]
+    band = gm.analyse(values.reshape(P, -1, c, M))        # (P, Z, c)
+    div_tau = np.einsum("zj,pzij->pzi", ik, band[:, :, d + sym])
+    b = gm.modes_to_coords(div_tau - band[:, :, :d])
     if x.ndim == 1:
         return b[0], float(diss[0])
     return b, diss

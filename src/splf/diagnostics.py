@@ -364,6 +364,12 @@ def _separation_and_integral(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
     return np.einsum("rk,rk->r", z, z), _grad_integral(rec_a, config)
 
 
+def _check_margin(margin: float) -> None:
+    # a NaN margin makes a NaN envelope, which no separation exceeds
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin: must be finite and at least 0, got {margin}")
+
+
 def gronwall_check(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
                    config: SimConfig, c_hat: float,
                    margin: float = 0.5) -> GronwallReport:
@@ -373,6 +379,7 @@ def gronwall_check(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
     uniqueness regime p >= 1 + d/2 the report is still produced but labeled
     out of regime.
     """
+    _check_margin(margin)
     sep, I = _separation_and_integral(rec_a, rec_b, config)
     env = sep[0] * np.exp(c_hat * (1.0 + margin) * I)
     tol = 1e-12 * max(1.0, float(sep[0]))
@@ -458,6 +465,9 @@ def gronwall_experiment(config: SimConfig, eps: float,
             f"would share streams with the calibration pairs), got {n_validation}")
     if n_calibration < 1:
         raise ValueError(f"n_calibration: must be at least 1 pair, got {n_calibration}")
+    _check_margin(margin)
+    if not math.isfinite(eps):
+        raise ValueError(f"eps: must be finite, got {eps}")
     cal_pairs = _perturbed_pairs(
         config, range(CALIBRATION_PATH_OFFSET, CALIBRATION_PATH_OFFSET + n_calibration), eps)
     c_hat = calibrate_gronwall(

@@ -255,8 +255,8 @@ def _norm_p1_p(coords: np.ndarray, config: SimConfig) -> np.ndarray:
 
 
 def block_size(d: int, n: int) -> int:
-    """Paths stepped together: the largest power of two whose drift
-    down-pass grid values, (d + d^2) M^d per path, fit in BLOCK_VALUES."""
+    """Paths stepped together: the largest power of two whose drift grid
+    values from `synthesize`, (d + d^2) M^d per path, fit in BLOCK_VALUES."""
     per_path = (d + d * d) * pairing_grid_size(n) ** d
     return 1 << max(0, (BLOCK_VALUES // per_path).bit_length() - 1)
 

@@ -45,6 +45,8 @@ def field_to_bytes(field: SpectralField) -> bytes:
 def bytes_to_field(blob: bytes) -> SpectralField:
     if blob[:4] != MAGIC:
         raise SnapshotError("bad magic bytes, not a field snapshot")
+    if len(blob) < 20:
+        raise SnapshotError(f"snapshot header: 20 bytes needed, got {len(blob)}")
     version, d, n, count = struct.unpack_from("<IIII", blob, 4)
     if version != VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")

@@ -57,14 +57,14 @@ class StructureError(ValueError):
     """A field is not divergence free, or a tensor field not symmetric."""
 
 
-# Grid values that one batched pass may hold: the real down-pass grid
-# values of a drift block of paths, or real values of an L_p chunk of rows
-# (one d=3 row of 3 x 20^3 on the simulate-d3 grid; four d=2 gradient rows
-# of 4 x 32^2, where budgets from 5000 to 160000 gave no clear change).
-# Band-matrix drift, 2-core x86 host, numpy 2.4 with scipy-openblas 0.3.31,
-# per path: at d=2, n=2 79 us alone, 18, 14, 13, 18 and 20 us in blocks of
-# 8, 16, 32, 64 and 128; at d=3, n=2 240 us in blocks of 1 or 2, 370 us in
-# blocks of 4 or 8.
+# Grid values that one batched `synthesize` may return: the d + d^2
+# components of a drift block of paths, or the d c components of an L_p
+# chunk of rows (one d=3 row of 3 x 20^3 on the simulate-d3 grid; four d=2
+# gradient rows of 4 x 32^2, where budgets from 5000 to 160000 gave no
+# clear change).  Band-matrix drift before it shared the pair, 2-core x86
+# host, numpy 2.4 with scipy-openblas 0.3.31, per path: at d=2, n=2 79 us
+# alone, 18, 14, 13, 18 and 20 us in blocks of 8, 16, 32, 64 and 128; at
+# d=3, n=2 240 us in blocks of 1 or 2, 370 us in blocks of 4 or 8.
 BLOCK_VALUES = 20_000
 
 
@@ -420,11 +420,12 @@ def basis_function(idx: BasisIndex, n: int | None = None) -> SpectralField:
 
 class _GridMap:
     """Precomputed tables between half-space modes and an M^d grid: the
-    scatter/gather of the FFT routes, the per-axis DFT matrices on the band
-    of `lp_means` and the drift, and the coordinate maps for the real
-    basis.  Fourier multipliers are symbols m(z) at the modes, shape
-    (c, Z); each is the symbol of a real operator, m(-z) = conj(m(z)), so
-    partners need none."""
+    scatter/gather of the FFT routes, the band transform pair `synthesize`
+    and `analyse` that `lp_means` and the drift share, and the coordinate
+    maps for the real basis.  Only this class reads the band tables.
+    Fourier multipliers are symbols m(z) at the modes, shape (c, Z); each
+    is the symbol of a real operator, m(-z) = conj(m(z)), so partners need
+    none."""
 
     def __init__(self, d: int, n: int, M: int):
         if M < 2 * n + 1:
@@ -437,11 +438,10 @@ class _GridMap:
         strides = np.array([M ** (d - 1 - a) for a in range(d)], dtype=np.int64)
         self.pos_flat = (np.mod(self.modes, M) @ strides).astype(np.int64)
         self.neg_flat = (np.mod(-self.modes, M) @ strides).astype(np.int64)
-        # band synthesis (`lp_means`, and with F and W the drift's down
-        # pass): modes at `box_pos`, partners at `box_neg` of the (2n+1)^d
-        # box offset by n; W (2n+2, M) has rows c_k cos and -c_k sin, for the
-        # real and imaginary parts of a complex value, with c_0 = 1 and
-        # c_k = 2 for the pair k, -k
+        # the band pair.  `synthesize` fills the (2n+1)^d box offset by n,
+        # modes at `box_pos` and partners at `box_neg`; W (2n+2, M) has rows
+        # c_k cos and -c_k sin, for the real and imaginary parts of a complex
+        # value, with c_0 = 1 and c_k = 2 for the pair k, -k
         box = (2 * n + 1) ** np.arange(d - 1, -1, -1)
         self.box_pos, self.box_neg = (n + self.modes) @ box, (n - self.modes) @ box
         phase = 2.0 * np.pi / M * (np.outer(np.arange(M), np.arange(-n, n + 1)) % M)
@@ -449,20 +449,17 @@ class _GridMap:
         c = np.where(np.arange(n + 1) == 0, 1.0, 2.0)
         self.W = (c * np.exp(-1j * phase[:, n:])).view(np.float64).T
         self.vol = M ** d
-        # band analysis (`_drift_core`), the adjoint: Wa (M, 2n+2) is W's rows
-        # over c_k and M^d, the columns of the real and imaginary parts of
-        # k >= 0 on the last axis, and Fa = conj(F)^T (2n+1, M).  Half box:
-        # axes 0..d-2 over -n..n and the last over 0..n; a mode with z_last
-        # < 0 sits at -z as its conjugate (`flip`), and each z_last = 0 mode
-        # also has its partner at `plane_partner`
+        # `analyse`, the adjoint: Wa (M, 2n+2) is W's rows over c_k and M^d,
+        # the columns of the real and imaginary parts of k >= 0 on the last
+        # axis, and Fa = conj(F)^T (2n+1, M).  It reads the half box, axes
+        # 0..d-2 over -n..n and the last over 0..n, at `half`: a mode with
+        # z_last < 0 at -z, as its conjugate (`flip`)
         self.Wa = np.exp(-1j * phase[:, n:]).view(np.float64) / self.vol
         self.Fa = np.ascontiguousarray(np.conj(self.F).T)
         half = np.append((n + 1) * (2 * n + 1) ** np.arange(d - 2, -1, -1), 1)
         offset = np.append(np.full(d - 1, n), 0)
         self.flip = self.modes[:, -1] < 0
         self.half = (offset + np.where(self.flip[:, None], -self.modes, self.modes)) @ half
-        self.plane = np.flatnonzero(self.modes[:, -1] == 0)
-        self.plane_partner = (offset - self.modes[self.plane]) @ half
         # |z|^2 per mode, and per basis coordinate flattened in basis order
         self.zsq = np.einsum("zd,zd->z", self.modes, self.modes).astype(float)
         self.lam_coord = np.repeat(TWO_PI_SQ * self.zsq, 2 * d - 2)
@@ -526,40 +523,70 @@ class _GridMap:
             return 2j * np.pi * self.modes.T.astype(float)
         return (-TWO_PI_SQ * self.zsq)[None]
 
+    # the band transform pair.  Both act on each row alone: every matmul
+    # calls BLAS once per row's slice, so no row depends on its block.
+
+    def synthesize(self, spec: np.ndarray) -> np.ndarray:
+        """Real grid values (P, M^(d-1), c, M) of band coefficients spec
+        (P, Z, c), with the components between grid axes 0..d-2 (flattened)
+        and the last.
+
+        Separable synthesis on the band: each row fills the (2n+1)^d box of
+        wave vectors, spec at the modes and its conjugate at their partners;
+        grid axes 0..d-2 are contracted with the complex DFT matrix F and
+        the last, over k >= 0 alone, with the real cos/sin matrix W.  The
+        values are within 1e-15 relative of np.fft.ifftn."""
+        d, n, L, M = self.d, self.n, 2 * self.n + 1, self.M
+        P, c = len(spec), spec.shape[-1]
+        A = np.zeros((P, L ** d, c), dtype=np.complex128)
+        A[:, self.box_pos] = spec
+        A[:, self.box_neg] = np.conj(spec)
+        A = A.reshape(P, -1, L, c)[:, :, n:].swapaxes(-1, -2)   # k_last >= 0
+        for a in range(d - 1):               # (P, M^a, L, ...) -> (P, M^a, M, ...)
+            A = self.F @ A.reshape(P, M ** a, L, -1)
+        return (A.reshape(P, -1, n + 1).view(np.float64) @ self.W).reshape(P, -1, c, M)
+
+    def analyse(self, values: np.ndarray) -> np.ndarray:
+        """Band coefficients (P, Z, c) of real grid values (P, M^(d-1), c, M)
+        in the layout of synthesize: the DFT over M^d at the modes.
+
+        The adjoint pass: the last grid axis is contracted with the real
+        Wa, which gives k_last >= 0, and axes d-2..0 with Fa = conj(F)^T;
+        the half box is read at `half`, conjugated where z_last < 0
+        (`flip`).  For M >= 2n+1 the band is unaliased, so
+        analyse(synthesize(spec)) is spec up to rounding."""
+        d, n, M = self.d, self.n, self.M
+        P, c = len(values), values.shape[2]
+        U = (values.reshape(P, -1, M) @ self.Wa).view(np.complex128)
+        for a in range(d - 2, -1, -1):       # (P, M^a, M, ...) -> (P, M^a, L, ...)
+            U = self.Fa @ U.reshape(P, M ** a, M, -1)
+        band = U.reshape(P, -1, c, n + 1).swapaxes(-1, -2).reshape(P, -1, c)[:, self.half]
+        np.conjugate(band, out=band, where=self.flip[:, None])
+        return band
+
     def lp_means(self, vhat: np.ndarray, multiplier: np.ndarray,
                  p: float) -> np.ndarray:
         """Grid mean of |m(D) v|^p for each row of vhat (R, Z, d), where |.|
         is the Frobenius norm over the (d, c) values of the symbol m (c, Z)
         applied to each component.
 
-        Separable synthesis on the band: each row's multiplied coefficients
-        fill the (2n+1)^d box of wave vectors, v m at the modes and conj(v m)
-        at their partners; grid axes 0..d-2 are contracted with the complex
-        DFT matrix F and the last, over k >= 0 alone, with the real cos/sin
-        matrix W; the squares are summed over the components and raised to
-        p/2.  The cost is about linear in the M^d grid points: a Bessel row at
-        d=3, n=2 takes about 0.2 ms on the 20^3 grid that norm_grid_size
-        picks at p = 1.9, and 0.43-0.64 ms on 32^3 (2 cores, numpy 2.4).  The
-        values are within 1e-15 relative of np.fft.ifftn.
-        Rows go in batches of at most BLOCK_VALUES grid values; matmul calls
-        BLAS once per row, einsum sums each point alone and a mean over a
-        row's contiguous grid axis is that row's pairwise sum, so no row
+        The multiplied coefficients v m go through synthesize; the squares
+        are summed over the components and raised to p/2.  The cost is
+        about linear in the M^d grid points: a Bessel row at d=3, n=2 takes
+        about 0.2 ms on the 20^3 grid that norm_grid_size picks at p = 1.9,
+        and 0.43-0.64 ms on 32^3 (2 cores, numpy 2.4).
+        Rows go in batches of at most BLOCK_VALUES grid values; synthesize
+        acts on each row alone, einsum sums each point alone and a mean over
+        a row's contiguous grid axis is that row's pairwise sum, so no row
         depends on its batch."""
-        d, n, L, M, c = self.d, self.n, 2 * self.n + 1, self.M, len(multiplier)
+        d, c = self.d, len(multiplier)
         m = multiplier.T[:, None]                                    # (Z, 1, c)
-        comps = d * c
-        rows = max(1, BLOCK_VALUES // (comps * self.vol))
+        rows = max(1, BLOCK_VALUES // (d * c * self.vol))
         means = []
         for start in range(0, len(vhat), rows):
             v = vhat[start:start + rows, :, :, None]                 # (r, Z, d, 1)
             r = len(v)
-            A = np.zeros((r, L ** d, d, c), dtype=np.complex128)
-            A[:, self.box_pos] = vm = v * m
-            A[:, self.box_neg] = np.conj(vm)
-            A = A.reshape(r, -1, L, comps)[:, :, n:].swapaxes(-1, -2)  # k_last >= 0
-            for a in range(d - 1):               # (r, M^a, L, ...) -> (r, M^a, M, ...)
-                A = self.F @ A.reshape(r, M ** a, L, -1)
-            values = (A.reshape(r, -1, n + 1).view(np.float64) @ self.W).reshape(r, -1, comps, M)
+            values = self.synthesize((v * m).reshape(r, -1, d * c))
             sq = np.einsum("...cx,...cx->...x", values, values)
             means.append(np.power(sq, p / 2.0, out=sq).reshape(r, -1).mean(axis=1))
         return np.concatenate(means)

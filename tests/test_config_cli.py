@@ -262,25 +262,26 @@ class TestCliSimulate:
             [platform.system(), platform.release(), platform.machine()])
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
-        # digests of the outputs from the band-matrix drift, numpy 2.4 with
-        # scipy-openblas 0.3.31 on x86-64
+        # digests of the outputs from the band-matrix drift on the band pair
+        # that it shares with lp_means, numpy 2.4 with scipy-openblas 0.3.31
+        # on x86-64
         assert {e["file"]: e["sha256"] for e in manifest["outputs"]} == {
             "path_000000.csv":
-                "22434bab45536f5db491a9aabd90b0fca645958c913443795e1d64cf0e41abe3",
+                "5f6b6849b632cc8f20ac75fec052ed9e960843beda922aa6ec504793b55c12b4",
             "path_000000_final.splf":
-                "2d4e5507173ee07341592831337e36baf37ed0f4677ba981a8250146429e7bf6",
+                "2038cb584aba77908302574da2e1fc0821123af0707038c185ec71a9bdca5155",
             "path_000001.csv":
-                "5e2c4408dcbef0ddd061a724a1fcca522a71b170f9b04ce78b0916a7dc3ebce9",
+                "f46b5a3254cf5c2cdae1525f92c223970afcd2d49c9bd5b3eb6e68dc288481b8",
             "path_000001_final.splf":
-                "a4b2d037e830a8f22fbbca5dae2da54f470c3e62e2cd903ca4b23c34a26e0835",
+                "160c4f0e88f5646981be3cc2a38e6f71f96a1afc452604c78ed281ef2b8a16e4",
             "path_000002.csv":
-                "0f26831ea3a968cc31dfd4026be1a7ad183c9b4b5679dc14a4eabb8fedfbfaf8",
+                "5d8ef756bc0bf5df3c0de55389f5d24392485cb59e791ab2f2c14f9f7a1454e1",
             "path_000002_final.splf":
-                "35dd5de2475cd65b433f793aa5626d4dc8a5cafdeb0467394c9bd4f852671c1a",
+                "8d64dd26692e7cff69c47e4943974bc2f4aeb5227ec785c585e1bb0a671da544",
             "path_000003.csv":
-                "5d7fe72b0bfcdfb820c761949e71a01b5c500abc39e8e0475469307b7a5cfca4",
+                "bda019f0f767c15e7f82d6f3f189a839a0cbf1f60ff0ab83d4bcc57a865330de",
             "path_000003_final.splf":
-                "5f39873179b129c9b1cb7d226a4446b19e877d258bd69a30a6d549638f6c094e",
+                "634ec641c7ba57d32ce39d3a35e82ab4398d0cee59eba29f3aaa877a02091317",
         }
 
     def test_rerun_reproduces_digests(self, tmp_path):
@@ -511,6 +512,30 @@ class TestCliChecks:
         assert code == 2
         assert "n_calibration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,name", [
+        (["--eps", "1e-3", "--margin", "nan"], "margin"),
+        (["--eps", "1e-3", "--margin", "inf"], "margin"),
+        (["--eps", "1e-3", "--margin", "-0.1"], "margin"),
+        (["--eps", "nan"], "eps"),
+        (["--eps", "inf"], "eps"),
+    ])
+    def test_uniqueness_margin_and_eps_named(self, tmp_path, capsys, monkeypatch,
+                                             args, name):
+        # a NaN envelope holds for every separation: the check must refuse
+        # the input before any pair runs, not print pass
+        from splf import diagnostics
+
+        def no_pairs(*a, **kw):
+            raise AssertionError("pairs were run before the check")
+
+        monkeypatch.setattr(diagnostics, "simulate_paired", no_pairs)
+        cfg = small_ini(tmp_path, n_paths=3, record_every=1)
+        code = cli.main(["uniqueness-check", "--config", str(cfg), *args,
+                         "--calibration", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: {name}: must be" in captured.err
+
     @pytest.mark.parametrize("args,name,digest", [
         (["energy-check"], "energy_report.json",
          "e6a89328f621d05337cdca991f11706d87fc68917455e2dc497fae38b073991a"),
@@ -518,7 +543,7 @@ class TestCliChecks:
          "6c98cd40a4b15f570ecfb6286985c8391547bc8e3b8c24005190568b9566eb08"),
         (["uniqueness-check", "--eps", "1e-4", "--calibration", "4"],
          "uniqueness_report.json",
-         "fa7c779010a3f0cb88fd178696093e02987c5660fcd726e274fa7dd7d5d2c25a"),
+         "e643dc320783900a09ca6bcca1ed1330ce6eea5795d1ac263f348d7b2e29baf5"),
     ], ids=["energy", "exact", "gronwall"])
     def test_report_bytes_pinned(self, tmp_path, capsys, args, name, digest):
         cfg = small_ini(tmp_path, n_paths=3, record_every=1)

@@ -313,6 +313,28 @@ class TestGronwall:
                                    n_calibration=n_calibration,
                                    n_validation=n_validation)
 
+    @pytest.mark.parametrize("margin,eps,name", [
+        (float("nan"), 1e-3, "margin"), (float("inf"), 1e-3, "margin"),
+        (-0.5, 1e-3, "margin"), (0.5, float("nan"), "eps"),
+        (0.5, float("inf"), "eps"), (0.5, float("-inf"), "eps")])
+    def test_margin_and_eps_must_be_finite(self, monkeypatch, margin, eps, name):
+        def no_pairs(*args):
+            raise AssertionError("pairs were run before the check")
+
+        monkeypatch.setattr(dg, "simulate_paired", no_pairs)
+        with pytest.raises(ValueError, match=f"^{name}: must be"):
+            dg.gronwall_experiment(base_config(record_every=1), eps=eps,
+                                   n_calibration=2, n_validation=2, margin=margin)
+
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1e-9])
+    def test_check_rejects_margin(self, margin):
+        cfg = base_config(record_every=1)
+        x0 = it.initial_coords(cfg, 0)
+        a, b = it.simulate_paired(cfg, 0, x0, x0 + 1e-6)
+        assert dg.gronwall_check(a, b, cfg, c_hat=1.0, margin=0.0).holds
+        with pytest.raises(ValueError, match="^margin: must be finite and at least 0"):
+            dg.gronwall_check(a, b, cfg, c_hat=1.0, margin=margin)
+
     def test_diverged_pairs_fail_both_branches(self):
         # explicit Euler on the stiff p=4 stress: paths 0, 3, 5, 6 and 7
         # cross the norm ceiling, paths 1, 2 and 4 do not
@@ -356,16 +378,18 @@ def dissipation(p, **kw):
 # grad_integral-p1.5, one float, kept its bytes), and again, all four, when
 # the L_p quadrature grid moved from a floor of 32 points per axis to
 # norm_grid_size(n, d, p): 64 at p = 1.5, 34 at p = 2.5 and 14 at d=3, n=1,
-# p = 1.9
+# p = 1.9.  The two dissipation digests were re-pinned when the drift moved
+# to the band pair of lp_means (the trajectories moved by rounding; the two
+# grad_integral digests kept their bytes)
 PINNED_DIAGNOSTICS = {
     "grad_integral-p2.5": (lambda: grad_integral(2.5),
         "45d9fddd3a47f1e117e9134beb5f5002b70caa31f458b1a2a38752e1385de521"),
     "grad_integral-p1.5": (lambda: grad_integral(1.5),
         "21b5f208e663ae60322fbc0d956f5280adfdec0d152b9e32022f4b2ae76da824"),
     "dissipation-p1.5": (lambda: dissipation(1.5),
-        "9854f04b4323ee397d4e57fe97e041a3dee3e2f3f514391b8fca2346b8267eb0"),
+        "16eaf04d149bb71fcf98aff021464275a369115860430ad2cd121e601f747c71"),
     "dissipation-p1.9-d3": (lambda: dissipation(1.9, d=3, record_every=5),
-        "5769762538f6dc58e8514d619ce4e6746185e9d2e28c70739cc63f8aa9ca8d7f"),
+        "70c70e5b60c195b6ac1387b3a8a11cc97edaf6c5b8eca51e088030837d009f9e"),
 }
 
 

@@ -100,3 +100,10 @@ class TestErrors:
         blob = sn.MAGIC + struct.pack("<IIII", sn.VERSION, d, n, 0)
         with pytest.raises(sn.SnapshotError, match=message):
             sn.bytes_to_field(blob)
+
+    @pytest.mark.parametrize("size", [4, 12, 19])
+    def test_truncated_header(self, size):
+        blob = sn.field_to_bytes(sp.SpectralField.zero(2, 1))[:size]
+        assert blob[:4] == sn.MAGIC
+        with pytest.raises(sn.SnapshotError, match=f"header: 20 bytes needed, got {size}"):
+            sn.bytes_to_field(blob)

@@ -14,3 +14,21 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+# The tables of the band transform pair of spectral._GridMap
+BAND_TABLES = {"F", "W", "Wa", "Fa", "half", "flip", "box_pos", "box_neg",
+               "plane", "plane_partner"}
+
+
+def test_band_layout_stays_in_spectral():
+    # the drift and the quadrature call synthesize and analyse; no other
+    # module may depend on how the band is laid out
+    found = []
+    for path in sorted(Path(splf.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in BAND_TABLES]
+    assert not found, found

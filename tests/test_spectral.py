@@ -232,21 +232,29 @@ class TestBandedTransform:
         assert np.array_equal(got, want)
 
     def test_box_and_grid_hold_each_mode_and_partner_once(self):
-        # The (2n+1)^d box the kernel fills: each mode at `box_pos`, its
+        # The (2n+1)^d box `synthesize` fills: each mode at `box_pos`, its
         # partner at `box_neg`, every cell once, only k = 0 left empty; and
-        # `pos_flat`/`neg_flat` place them at the same wave vectors of the grid.
-        gm = sp.grid_map(2, 2, 10)
-        d, n = gm.d, gm.n
-        axis = np.arange(-n, n + 1)
-        box = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        assert np.array_equal(box[gm.box_pos], gm.modes)
-        assert np.array_equal(box[gm.box_neg], -gm.modes)
-        used = np.concatenate([gm.box_pos, gm.box_neg])
-        assert len(np.unique(used)) == len(used) == len(box) - 1
-        assert not np.any(box[np.setdiff1d(np.arange(len(box)), used)])
-        kvec = grid_wave_numbers(gm).reshape(d, gm.vol)
-        assert np.array_equal(kvec[:, gm.pos_flat].T, gm.modes)
-        assert np.array_equal(kvec[:, gm.neg_flat].T, -gm.modes)
+        # `pos_flat`/`neg_flat` place them at the same wave vectors of the
+        # grid.  The half box `analyse` reads, axes 0..d-2 over -n..n and
+        # the last over 0..n: each mode at its own cell `half`, at -z where
+        # `flip` is set, and `flip` set exactly where z_last < 0.
+        for gm in (sp.grid_map(2, 2, 10), sp.grid_map(3, 2, 15)):
+            d, n = gm.d, gm.n
+            axis = np.arange(-n, n + 1)
+            box = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+            assert np.array_equal(box[gm.box_pos], gm.modes)
+            assert np.array_equal(box[gm.box_neg], -gm.modes)
+            used = np.concatenate([gm.box_pos, gm.box_neg])
+            assert len(np.unique(used)) == len(used) == len(box) - 1
+            assert not np.any(box[np.setdiff1d(np.arange(len(box)), used)])
+            kvec = grid_wave_numbers(gm).reshape(d, gm.vol)
+            assert np.array_equal(kvec[:, gm.pos_flat].T, gm.modes)
+            assert np.array_equal(kvec[:, gm.neg_flat].T, -gm.modes)
+            axes = [axis] * (d - 1) + [np.arange(n + 1)]
+            cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+            assert np.array_equal(gm.flip, gm.modes[:, -1] < 0)
+            assert np.array_equal(cells[gm.half], np.where(gm.flip[:, None], -1, 1) * gm.modes)
+            assert len(np.unique(gm.half)) == len(gm.half)
 
     @pytest.mark.parametrize("mult", sorted(MULTIPLIERS))
     @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
@@ -270,6 +278,47 @@ class TestBandedTransform:
         got = gm.lp_means(vhat, m, 1.5)
         for r in range(len(vhat)):
             assert got[r:r + 1].tobytes() == gm.lp_means(vhat[r:r + 1], m, 1.5).tobytes()
+
+
+class TestBandPair:
+    """`synthesize` and its adjoint `analyse`, the one band transform that
+    `lp_means` and the drift share."""
+
+    @staticmethod
+    def spectrum(gm, rows, c, seed):
+        rng = np.random.default_rng(seed)
+        shape = (rows, len(gm.modes), c)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
+    def test_analyse_inverts_synthesize(self, d, n, M):
+        # M >= 2n+1 leaves the band unaliased
+        gm = sp.grid_map(d, n, M)
+        spec = self.spectrum(gm, 3, d + 1, M)
+        values = gm.synthesize(spec)
+        assert values.shape == (3, M ** (d - 1), d + 1, M)
+        assert values.dtype == np.float64
+        back = gm.analyse(values)
+        assert back.shape == spec.shape
+        assert np.abs(back - spec).max() <= 1e-14 * np.abs(spec).max()
+
+    @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
+    def test_synthesize_is_the_full_transform(self, d, n, M):
+        gm = sp.grid_map(d, n, M)
+        spec = self.spectrum(gm, 2, 2, M + 1)
+        values = gm.synthesize(spec).reshape(2, M ** (d - 1), 2, M).swapaxes(1, 2)
+        want = gm.modes_to_grid(spec).reshape(2, 2, M ** (d - 1), M)
+        assert np.abs(values - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
+    def test_rows_are_byte_equal_alone_and_in_a_batch(self, d, n, M):
+        gm = sp.grid_map(d, n, M)
+        spec = self.spectrum(gm, 5, d + d * d, 2 * M)
+        values = gm.synthesize(spec)
+        band = gm.analyse(values)
+        for r in range(len(spec)):
+            assert gm.synthesize(spec[r:r + 1]).tobytes() == values[r:r + 1].tobytes()
+            assert gm.analyse(values[r:r + 1]).tobytes() == band[r:r + 1].tobytes()
 
 
 class TestSymbols:
