@@ -21,7 +21,7 @@ import numpy as np
 from .exponents import gronwall_exponent, moment_exponent, regularity_weight, uniqueness_threshold
 from .integrator import SimConfig, TrajectoryRecord, expected_initial_energy, initial_coords, simulate_ensemble, simulate_paired
 from .noise import operator_norm, trace_truncated
-from .spectral import grid_map, norm_grid_size
+from .spectral import grid_lp_means, grid_map
 
 __all__ = [
     "EnergyBalanceReport",
@@ -200,7 +200,9 @@ def _int_norm_p1(r: TrajectoryRecord, t_max: float) -> float:
 @dataclass(frozen=True)
 class AprioriReport:
     """Growth of E[sup ||X||^2] and E[int ||X||_{p,1}^p] over a horizon
-    ladder T, 2T, 4T, with the affine fit stat ~ a + b T."""
+    ladder T, 2T, 4T, with the affine fit stat ~ a + b T.  The statistics
+    are taken over the n_paths surviving paths; n_diverged paths left the
+    run."""
 
     horizons: Tuple[float, float, float]
     sup_energy: Tuple[float, float, float]
@@ -211,9 +213,11 @@ class AprioriReport:
     superlinearity: float
     delta_moment: float
     n_paths: int
+    n_diverged: int
 
     def affine_ok(self, margin: float = 0.5) -> bool:
-        return self.superlinearity <= 1.0 + margin
+        # the survivors alone could grow affinely: any divergence fails
+        return self.superlinearity <= 1.0 + margin and self.n_diverged == 0
 
 
 def apriori_check(config: SimConfig) -> AprioriReport:
@@ -222,10 +226,12 @@ def apriori_check(config: SimConfig) -> AprioriReport:
     One ensemble is run to 4T and evaluated on nested prefixes, so the
     monotonicity of both statistics in T is exact by construction.  The
     report also carries the delta = p/(p+2) moment of the norm integral
-    used by the moment bound on the convection term.
+    used by the moment bound on the convection term.  Diverged paths are
+    left out of the statistics and counted in n_diverged.
     """
     long_cfg = replace(config, T=4.0 * config.T)
-    records = _alive(simulate_ensemble(long_cfg))
+    ensemble = simulate_ensemble(long_cfg)
+    records = _alive(ensemble)
     if not records:
         raise ValueError("a priori check: every path diverged")
     horizons = (config.T, 2.0 * config.T, 4.0 * config.T)
@@ -254,7 +260,8 @@ def apriori_check(config: SimConfig) -> AprioriReport:
         horizons=horizons, sup_energy=tuple(sup_e), int_norm=tuple(int_n),
         combined=tuple(comb), affine_intercept=float(intercept),
         affine_slope=float(slope), superlinearity=float(superlin),
-        delta_moment=dmom, n_paths=len(records))
+        delta_moment=dmom, n_paths=len(records),
+        n_diverged=len(ensemble) - len(records))
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +336,18 @@ class GronwallReport:
 
 def _lp_norms(record: TrajectoryRecord, config: SimConfig, order: int) -> np.ndarray:
     """||grad X||_{L_p} (order 1) or ||Lap X||_{L_p} (order 2) of every
-    recorded row, by the rectangle rule on the norm_grid_size(n, d, p) grid.
-    It reads only coords, so it serves pair records, whose norm_p1_p is
-    None: only the ensemble route fills that column."""
-    gm = grid_map(config.d, config.n, norm_grid_size(config.n, config.d, config.p))
-    means = gm.lp_means(gm.coords_to_modes(record.coords), gm.derivative(order),
-                        config.p)
+    recorded row, by `grid_lp_means`.  It reads only coords, so it serves
+    pair records, whose norm_p1_p is None: only the ensemble route fills
+    that column."""
+    means = grid_lp_means(record.coords, config.d, config.n, config.p,
+                          lambda gm: gm.derivative(order))
     return means ** (1.0 / config.p)
 
 
 def _grad_integral(record: TrajectoryRecord, config: SimConfig) -> np.ndarray:
     """Left-endpoint running integral of ||grad X||_p^(2p/(2p-d))."""
     q = gronwall_exponent(config.p, config.d)
-    if config.p == 2:
-        gm = grid_map(config.d, config.n, 2 * config.n + 1)
-        grad_p = np.sqrt(record.coords ** 2 @ gm.lam_coord)
-    else:
-        grad_p = _lp_norms(record, config, 1)
+    grad_p = _lp_norms(record, config, 1)
     t = record.times
     out = np.zeros_like(t)
     if len(t) > 1:
@@ -364,10 +366,11 @@ def _separation_and_integral(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
     return np.einsum("rk,rk->r", z, z), _grad_integral(rec_a, config)
 
 
-def _check_margin(margin: float) -> None:
-    # a NaN margin makes a NaN envelope, which no separation exceeds
-    if not (math.isfinite(margin) and margin >= 0):
-        raise ValueError(f"margin: must be finite and at least 0, got {margin}")
+def _check_envelope_input(name: str, value: float) -> None:
+    # a NaN or infinite margin or constant makes a NaN envelope (inf * 0 at
+    # t = 0), which no separation exceeds
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name}: must be finite and at least 0, got {value}")
 
 
 def gronwall_check(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
@@ -377,9 +380,10 @@ def gronwall_check(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
 
     The pair must share times (same config, same noise); outside the
     uniqueness regime p >= 1 + d/2 the report is still produced but labeled
-    out of regime.
+    out of regime.  c_hat and margin must be finite and at least 0.
     """
-    _check_margin(margin)
+    _check_envelope_input("c_hat", c_hat)
+    _check_envelope_input("margin", margin)
     sep, I = _separation_and_integral(rec_a, rec_b, config)
     env = sep[0] * np.exp(c_hat * (1.0 + margin) * I)
     tol = 1e-12 * max(1.0, float(sep[0]))
@@ -465,7 +469,7 @@ def gronwall_experiment(config: SimConfig, eps: float,
             f"would share streams with the calibration pairs), got {n_validation}")
     if n_calibration < 1:
         raise ValueError(f"n_calibration: must be at least 1 pair, got {n_calibration}")
-    _check_margin(margin)
+    _check_envelope_input("margin", margin)
     if not math.isfinite(eps):
         raise ValueError(f"eps: must be finite, got {eps}")
     cal_pairs = _perturbed_pairs(

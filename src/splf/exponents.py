@@ -73,13 +73,6 @@ def admissible_existence(p: Number, d: int) -> bool:
     return p > c.p3
 
 
-def _admissible_unified(p: Number, d: int) -> bool:
-    """Single-formula variant (p1, p2) union (p3, inf); equals the piecewise
-    form in every dimension because of how the critical exponents order."""
-    c = critical_exponents(d)
-    return (c.p1 < p < c.p2) or p > c.p3
-
-
 def weak_space_exponent(p: float, d: int, alpha: float = 1.0) -> float:
     """Test-space regularity exponent for the trilinear convection bound.
 

@@ -26,8 +26,8 @@ from . import rng
 from .constitutive import FluidParams, drift_and_dissipation
 from .noise import (ExplicitSpectrum, PowerLawSpectrum, gamma_vector,
                     validate_spectrum)
-from .spectral import (BLOCK_VALUES, _mode_index, canonical_rep, grid_map,
-                       norm_grid_size, pairing_grid_size)
+from .spectral import (BLOCK_VALUES, _mode_index, canonical_rep, grid_lp_means,
+                       grid_map, pairing_grid_size)
 
 __all__ = [
     "ConfigError",
@@ -165,8 +165,8 @@ class TrajectoryRecord:
     Running integrals use the left-endpoint rule matching the discrete Ito
     identity of the explicit schemes, so they are nondecreasing and the
     discrete energy balance closes up to the stepper's own bias.  The norm
-    quadrature ||X||_{p,1}^p on the norm_grid_size(n, d, p) grid is filled
-    in by the ensemble route (`simulate`, `simulate_ensemble`, in its
+    quadrature ||X||_{p,1}^p, by `spectral.grid_lp_means` for every p, is
+    filled in by the ensemble route (`simulate`, `simulate_ensemble`, in its
     workers), whose readers are the `simulate` CSV and `apriori_check`.  It
     is None on the records of `simulate_paired` and of
     `simulate_ensemble(..., norm_p1=False)`, which `energy_experiment` uses:
@@ -243,15 +243,11 @@ def step(x: np.ndarray, dt: float, dW: np.ndarray, d: int, n: int,
 
 
 def _norm_p1_p(coords: np.ndarray, config: SimConfig) -> np.ndarray:
-    """||X||_{p,1}^p of each row of coords (R, K): the exact weighted sum
-    for p = 2, the rectangle rule on the norm_grid_size(n, d, p) grid
-    otherwise.  The ensemble route (`_run_paths`) fills `norm_p1_p` with it."""
-    d, n, p = config.d, config.n, config.p
-    if p == 2:
-        lam = grid_map(d, n, 2 * n + 1).lam_coord
-        return np.sum((1.0 + lam) * coords * coords, axis=1)
-    gm = grid_map(d, n, norm_grid_size(n, d, p))
-    return gm.lp_means(gm.coords_to_modes(coords), gm.bessel(1.0), p)
+    """||X||_{p,1}^p of each row of coords (R, K), the Bessel weight of
+    order 1 by `grid_lp_means`, p = 2 included.  The ensemble route
+    (`_run_paths`) fills `norm_p1_p` with it."""
+    return grid_lp_means(coords, config.d, config.n, config.p,
+                         lambda gm: gm.bessel(1.0))
 
 
 def block_size(d: int, n: int) -> int:
@@ -416,9 +412,7 @@ def max_workers() -> int:
     return min(int(raw), os.cpu_count() or 1)
 
 
-def simulate_ensemble(config: SimConfig,
-                      path_indices: Optional[Sequence[int]] = None,
-                      norm_p1: bool = True,
+def simulate_ensemble(config: SimConfig, norm_p1: bool = True,
                       write: Optional[Callable[[TrajectoryRecord], None]] = None):
     """All paths of the ensemble, in path order.
 
@@ -431,9 +425,7 @@ def simulate_ensemble(config: SimConfig,
     always assembled in path-index order so downstream reductions are
     scheduling-independent.
     """
-    if path_indices is None:
-        path_indices = range(config.n_paths)
-    indices = list(path_indices)
+    indices = list(range(config.n_paths))
     workers = max_workers()
     if workers == 1 or len(indices) < 2 * workers:
         return _run_paths(config, indices, norm_p1, write)

@@ -38,6 +38,7 @@ __all__ = [
     "sobolev_norm",
     "gradient_lp_norm",
     "laplacian_lp_norm",
+    "grid_lp_means",
     "structural_defects",
     "pairing_grid_size",
     "norm_grid_size",
@@ -59,13 +60,16 @@ class StructureError(ValueError):
 
 # Grid values that one batched `synthesize` may return: the d + d^2
 # components of a drift block of paths, or the d c components of an L_p
-# chunk of rows (one d=3 row of 3 x 20^3 on the simulate-d3 grid; four d=2
-# gradient rows of 4 x 32^2, where budgets from 5000 to 160000 gave no
-# clear change).  Band-matrix drift before it shared the pair, 2-core x86
-# host, numpy 2.4 with scipy-openblas 0.3.31, per path: at d=2, n=2 79 us
-# alone, 18, 14, 13, 18 and 20 us in blocks of 8, 16, 32, 64 and 128; at
-# d=3, n=2 240 us in blocks of 1 or 2, 370 us in blocks of 4 or 8.
-BLOCK_VALUES = 20_000
+# chunk of rows (one d=3 row of 3 x 20^3 on the simulate-d3 grid; five d=2
+# gradient rows of 4 x 34^2 on the uniqueness-d2 grid).  It gives drift
+# blocks of 32 paths at d=2, n=2 and of 2 at d=3, n=2, as does any value
+# in [24000, 38400).  2-core x86 host, numpy 2.4.6 with scipy-openblas
+# 0.3.31, one BLAS thread: per path, d=2, n=2 took 79 us alone and 18, 14,
+# 13, 18 and 20 us in blocks of 8, 16, 32, 64 and 128 (the drift before the
+# band pair); in the pair's layout, 8 d=3, n=2 paths of 50 steps took
+# 0.21-0.23 s of CPU time in blocks of 2 against 0.25-0.26 s one at a time
+# (medians of 10 alternating sets, blocks of 2 faster in 8 of 10).
+BLOCK_VALUES = 24_000
 
 
 def pairing_grid_size(n: int) -> int:
@@ -578,7 +582,8 @@ class _GridMap:
         Rows go in batches of at most BLOCK_VALUES grid values; synthesize
         acts on each row alone, einsum sums each point alone and a mean over
         a row's contiguous grid axis is that row's pairwise sum, so no row
-        depends on its batch."""
+        depends on its batch.  Other modules reach it through grid_lp_means,
+        which picks the grid."""
         d, c = self.d, len(multiplier)
         m = multiplier.T[:, None]                                    # (Z, 1, c)
         rows = max(1, BLOCK_VALUES // (d * c * self.vol))
@@ -700,57 +705,44 @@ def inner_product(u: SpectralField, v: SpectralField) -> float:
         "zd,zd->", _aligned_modes(u, n), np.conj(_aligned_modes(v, n)))))
 
 
-def _grid_lp_norm(field: SpectralField, p: float, M: int | None,
-                  multiplier) -> float:
-    """|| m(D) v ||_{L_p} by the rectangle rule on the M^d grid (default
-    norm_grid_size(n, d, p)), where multiplier(gm) is the symbol m at gm's modes."""
-    if M is None:
-        M = norm_grid_size(field.n, field.d, p)
-    gm = grid_map(field.d, field.n, M)
-    mean = gm.lp_means(_aligned_modes(field, field.n)[None], multiplier(gm), p)[0]
-    return float(mean ** (1.0 / p))
+def grid_lp_means(coords: np.ndarray, d: int, n: int, p: float, symbol,
+                  M: int | None = None) -> np.ndarray:
+    """Grid mean of |m(D) v|^p for each row of basis coordinates coords
+    (R, K) of order n in dimension d, where symbol(gm) is the symbol m
+    (c, Z) at the modes of a _GridMap gm: the L_p quadrature of every norm.
+
+    The rectangle rule of `_GridMap.lp_means` on the M^d grid, by default
+    norm_grid_size(n, d, p), the grid that meets the NORM_RTOL budget; for
+    p = 2 and p = 4 that is the pairing grid, on which the rule is exact.
+    This is the one place that picks the grid."""
+    if not p >= 1:
+        raise ValueError(f"L_p norm needs p >= 1, got p={p}")
+    gm = grid_map(d, n, norm_grid_size(n, d, p) if M is None else M)
+    return gm.lp_means(gm.coords_to_modes(coords), symbol(gm), p)
+
+
+def _field_lp_norm(field: SpectralField, p: float, symbol, M: int | None) -> float:
+    """|| m(D) v ||_{L_p} of one field by grid_lp_means."""
+    coords = field_to_coords(field)[None]
+    return float(grid_lp_means(coords, field.d, field.n, p, symbol, M)[0] ** (1.0 / p))
 
 
 def sobolev_norm(field: SpectralField, p: float, alpha: float,
-                 M: int | None = None, quadrature: bool = False) -> float:
-    """Bessel-potential Sobolev norm || (1-Laplacian)^{alpha/2} v ||_{L_p}.
-
-    The multiplier is (1 + 4 pi^2 |z|^2)^{alpha/2}.  For p = 2 the exact
-    Parseval sum is returned unless quadrature=True; other p use the
-    uniform-grid rectangle rule at resolution M per axis, by default
-    norm_grid_size(n, d, p), the grid that meets the NORM_RTOL budget.
-    """
-    if p < 1:
-        raise ValueError(f"L_p norm needs p >= 1, got p={p}")
-    if p == 2 and not quadrature:
-        zsq = np.einsum("zd,zd->z", field.modes, field.modes).astype(float)
-        w = (1.0 + TWO_PI_SQ * zsq) ** (alpha / 2.0)
-        return float(np.sqrt(
-            2.0 * np.sum(w[:, None] ** 2 * np.abs(field.coeffs) ** 2)))
-    return _grid_lp_norm(field, p, M, lambda gm: gm.bessel(alpha))
-
-
-def _derivative_lp_norm(field: SpectralField, p: float, order: int,
-                        M: int | None) -> float:
-    """L_p norm of the gradient (order 1, Frobenius) or Laplacian (order 2)."""
-    if p < 1:
-        raise ValueError(f"L_p norm needs p >= 1, got p={p}")
-    zsq = np.einsum("zd,zd->z", field.modes, field.modes).astype(float)
-    if p == 2:
-        fac = (TWO_PI_SQ * zsq) ** order
-        return float(np.sqrt(
-            2.0 * np.sum(fac[:, None] * np.abs(field.coeffs) ** 2)))
-    return _grid_lp_norm(field, p, M, lambda gm: gm.derivative(order))
+                 M: int | None = None) -> float:
+    """Bessel-potential Sobolev norm || (1-Laplacian)^{alpha/2} v ||_{L_p},
+    multiplier (1 + 4 pi^2 |z|^2)^{alpha/2}, by grid_lp_means on M points
+    per axis (default norm_grid_size(n, d, p))."""
+    return _field_lp_norm(field, p, lambda gm: gm.bessel(alpha), M)
 
 
 def gradient_lp_norm(field: SpectralField, p: float, M: int | None = None) -> float:
-    """|| |grad v|_F ||_{L_p}; exact Parseval sum for p = 2."""
-    return _derivative_lp_norm(field, p, 1, M)
+    """|| |grad v|_F ||_{L_p} by grid_lp_means."""
+    return _field_lp_norm(field, p, lambda gm: gm.derivative(1), M)
 
 
 def laplacian_lp_norm(field: SpectralField, p: float, M: int | None = None) -> float:
-    """|| Laplacian v ||_{L_p}; exact Parseval sum for p = 2."""
-    return _derivative_lp_norm(field, p, 2, M)
+    """|| Laplacian v ||_{L_p} by grid_lp_means."""
+    return _field_lp_norm(field, p, lambda gm: gm.derivative(2), M)
 
 
 def structural_defects(field: SpectralField, M: int | None = None):

@@ -3,6 +3,7 @@ functional and the uniqueness envelope."""
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,19 @@ class TestApriori:
         assert rep.int_norm[0] <= rep.int_norm[1] <= rep.int_norm[2]
         assert rep.affine_ok(margin=0.5)
         assert rep.delta_moment >= 0.0
+        assert (rep.n_paths, rep.n_diverged) == (6, 0)
+
+    def test_diverged_paths_fail_the_check(self):
+        # a norm ceiling inside the bulk of the noise-driven ensemble: the
+        # statistics are taken over the survivors, which grow affinely
+        cfg = base_config(p=3.0, T=0.0025, n_paths=40, seed=7, stepper="tamed",
+                          init=it.SingleModeInit(z=(1, 0), j=1, amplitude=0.0),
+                          gamma=noise.PowerLawSpectrum(c=1000.0, s=3.0),
+                          norm_ceiling=0.03)
+        rep = dg.apriori_check(cfg)
+        assert rep.n_diverged > 0 and rep.n_paths + rep.n_diverged == 40
+        assert not rep.affine_ok(margin=0.5)
+        assert dataclasses.replace(rep, n_diverged=0).affine_ok(margin=0.5)
 
 
 class TestQuadraticVariation:
@@ -334,6 +348,18 @@ class TestGronwall:
         assert dg.gronwall_check(a, b, cfg, c_hat=1.0, margin=0.0).holds
         with pytest.raises(ValueError, match="^margin: must be finite and at least 0"):
             dg.gronwall_check(a, b, cfg, c_hat=1.0, margin=margin)
+
+    @pytest.mark.parametrize("c_hat", [float("nan"), float("inf"), -1.0])
+    def test_check_rejects_c_hat(self, c_hat):
+        # a NaN constant, or an infinite one times I_0 = 0, makes a NaN
+        # envelope, which no separation exceeds
+        cfg = base_config(record_every=1)
+        x0 = it.initial_coords(cfg, 0)
+        a, b = it.simulate_paired(cfg, 0, x0, x0 + 1e-3)
+        assert dg.gronwall_check(a, b, cfg, c_hat=0.0).holds
+        with pytest.raises(ValueError, match=re.escape(
+                f"c_hat: must be finite and at least 0, got {c_hat}")):
+            dg.gronwall_check(a, b, cfg, c_hat=c_hat)
 
     def test_diverged_pairs_fail_both_branches(self):
         # explicit Euler on the stiff p=4 stress: paths 0, 3, 5, 6 and 7

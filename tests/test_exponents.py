@@ -61,9 +61,13 @@ class TestAdmissibility:
         assert ex.admissible_existence(c.p3 + 1e-6, 9)
 
     def test_unified_matches_piecewise_everywhere(self):
+        # the single formula (p1, p2) union (p3, inf) equals the piecewise
+        # form in every dimension because of how the critical exponents order
         for d in range(2, 65):
+            c = ex.critical_exponents(d)
             for p in np.linspace(1.01, 8.0, 173):
-                assert ex.admissible_existence(p, d) == ex._admissible_unified(p, d), (p, d)
+                unified = (c.p1 < p < c.p2) or p > c.p3
+                assert ex.admissible_existence(p, d) == unified, (p, d)
 
     def test_rejects_p_at_most_one(self):
         with pytest.raises(ValueError):

@@ -447,8 +447,10 @@ class TestSobolevNorm:
     @pytest.mark.parametrize("seed", range(5))
     def test_parseval_consistency(self, seed):
         f = random_field(seed, d=2, n=4)
-        exact = sp.sobolev_norm(f, 2, 1.0)
-        quad = sp.sobolev_norm(f, 2, 1.0, quadrature=True)
+        zsq = np.einsum("zd,zd->z", f.modes, f.modes).astype(float)
+        exact = np.sqrt(2.0 * np.sum((1.0 + sp.TWO_PI_SQ * zsq)[:, None]
+                                     * np.abs(f.coeffs) ** 2))
+        quad = sp.sobolev_norm(f, 2, 1.0)
         assert abs(exact - quad) <= 1e-10 * exact
 
     @pytest.mark.parametrize("seed", range(5))
@@ -475,6 +477,44 @@ class TestSobolevNorm:
             ((sp.TWO_PI_SQ * w) ** 2)[:, None] * np.abs(f.coeffs) ** 2))
         assert abs(g2 - g2_oracle) < 1e-12 * g2_oracle
         assert abs(l2 - l2_oracle) < 1e-12 * l2_oracle
+
+
+# The Parseval weight of each MULTIPLIERS symbol per basis coordinate, as
+# a function of 4 pi^2 |z|^2
+PARSEVAL_WEIGHTS = {"bessel": lambda lam: 1.0 + lam,
+                    "gradient": lambda lam: lam,
+                    "laplacian": lambda lam: lam ** 2}
+
+
+class TestGridLpMeans:
+    """`grid_lp_means` is the one L_p route, p = 2 included."""
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("mult", sorted(MULTIPLIERS))
+    def test_p2_matches_the_parseval_sum(self, d, n, mult):
+        # at p = 2 the grid is the pairing grid, on which the rectangle rule
+        # integrates |m(D) v|^2 exactly: the mean is the weighted sum of the
+        # squared basis coordinates, up to rounding
+        zsq = np.sum(sp.half_space_modes(n, d) ** 2, axis=1)
+        lam = np.repeat(sp.TWO_PI_SQ * zsq, 2 * d - 2)
+        x = np.random.default_rng(10 * d + n).standard_normal((6, lam.size))
+        x *= (1.0 + lam) ** -0.5
+        want = np.sum(PARSEVAL_WEIGHTS[mult](lam) * x * x, axis=1)
+        got = sp.grid_lp_means(x, d, n, 2.0, MULTIPLIERS[mult])
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, float("nan")])
+    def test_rejects_p_below_one(self, p, monkeypatch):
+        # before any grid is picked
+        def no_search(*args):
+            raise AssertionError("a grid was picked")
+
+        monkeypatch.setattr(sp, "norm_grid_size", no_search)
+        x = np.ones((1, sp.grid_map(2, 2, 5).K))
+        with pytest.raises(ValueError, match="p >= 1"):
+            sp.grid_lp_means(x, 2, 2, p, MULTIPLIERS["bessel"])
+        with pytest.raises(ValueError, match="p >= 1"):
+            sp.gradient_lp_norm(random_field(0), p)
 
 
 # (d, n, p) of the benchmark inputs (energy-d2, uniqueness-d2, simulate-d3),
