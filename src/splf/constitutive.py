@@ -39,7 +39,6 @@ __all__ = [
     "pairing_convection",
     "drift_coord",
     "drift",
-    "drift_coords",
     "drift_and_dissipation",
     "dissipation_pairing",
 ]
@@ -71,7 +70,7 @@ def _common_map(*fields: SpectralField, M: int | None = None) -> _GridMap:
 def _grid_and_gradient(field: SpectralField, gm: _GridMap):
     """Physical samples V[i] and gradient G[i, j] = d_j v_i on gm's grid."""
     vhat = _aligned_modes(field, gm.n)
-    grad = vhat[:, :, None] * gm.derivative(1).T[:, None]      # (Z, i, j)
+    grad = vhat[:, :, None] * gm.basis.derivative(1).T[:, None]  # (Z, i, j)
     G = gm.modes_to_grid(grad.reshape(len(vhat), -1))
     return gm.modes_to_grid(vhat), G.reshape((gm.d, gm.d) + gm.shape)
 
@@ -193,8 +192,8 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     d, M = gm.d, gm.M
     block = x.reshape(-1, x.shape[-1])
     P = block.shape[0]
-    ik = gm.derivative(1).T                               # (Z, d)
-    vhat = gm.coords_to_modes(block)                      # (P, Z, d)
+    ik = gm.basis.derivative(1).T                         # (Z, d)
+    vhat = gm.basis.coords_to_modes(block)                # (P, Z, d)
     grad = (vhat[..., None] * ik[:, None]).reshape(P, -1, d * d)
     spec = np.concatenate([vhat, grad], axis=2)           # (P, Z, d + d^2)
     # one expression, so the synthesized values are freed before the
@@ -217,15 +216,10 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     up[:, d:] = tau[:, i, j]
     band = gm.analyse(values.reshape(P, -1, c, M))        # (P, Z, c)
     div_tau = np.einsum("zj,pzij->pzi", ik, band[:, :, d + sym])
-    b = gm.modes_to_coords(div_tau - band[:, :, :d])
+    b = gm.basis.modes_to_coords(div_tau - band[:, :, :d])
     if x.ndim == 1:
         return b[0], float(diss[0])
     return b, diss
-
-
-def drift_coords(x: np.ndarray, d: int, n: int, params: FluidParams) -> np.ndarray:
-    """Projected drift of the Galerkin system in basis coordinates."""
-    return _drift_core(x, grid_map(d, n, pairing_grid_size(n)), params)[0]
 
 
 def drift_and_dissipation(x: np.ndarray, d: int, n: int, params: FluidParams):
@@ -236,7 +230,7 @@ def drift_and_dissipation(x: np.ndarray, d: int, n: int, params: FluidParams):
 def drift(X: SpectralField, n: int, params: FluidParams) -> np.ndarray:
     """Drift coordinate vector over make_basis(n, d) for a state of order <= n."""
     x = field_to_coords(X, n=n)
-    return drift_coords(x, X.d, n, params)
+    return drift_and_dissipation(x, X.d, n, params)[0]
 
 
 def drift_coord(X: SpectralField, idx: BasisIndex, params: FluidParams) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from .exponents import gronwall_exponent, moment_exponent, regularity_weight, uniqueness_threshold
 from .integrator import SimConfig, TrajectoryRecord, expected_initial_energy, initial_coords, simulate_ensemble, simulate_paired
 from .noise import operator_norm, trace_truncated
-from .spectral import grid_lp_means, grid_map
+from .spectral import basis, grid_lp_means
 
 __all__ = [
     "EnergyBalanceReport",
@@ -296,8 +296,7 @@ def dissipation_functional(record: TrajectoryRecord,
     exponent table (zero for d = 2).
     """
     lam = regularity_weight(config.p, config.d)
-    gm = grid_map(config.d, config.n, 2 * config.n + 1)
-    w = gm.lam_coord
+    w = basis(config.d, config.n).lam_coord
     xsq = record.coords ** 2
     grad2 = xsq @ w
     lap2 = xsq @ (w ** 2)
@@ -340,7 +339,7 @@ def _lp_norms(record: TrajectoryRecord, config: SimConfig, order: int) -> np.nda
     pair records, whose norm_p1_p is None: only the ensemble route fills
     that column."""
     means = grid_lp_means(record.coords, config.d, config.n, config.p,
-                          lambda gm: gm.derivative(order))
+                          basis(config.d, config.n).derivative(order))
     return means ** (1.0 / config.p)
 
 

@@ -26,8 +26,7 @@ from . import rng
 from .constitutive import FluidParams, drift_and_dissipation
 from .noise import (ExplicitSpectrum, PowerLawSpectrum, gamma_vector,
                     validate_spectrum)
-from .spectral import (BLOCK_VALUES, _mode_index, canonical_rep, grid_lp_means,
-                       grid_map, pairing_grid_size)
+from .spectral import BLOCK_VALUES, basis, grid_lp_means, pairing_grid_size
 
 __all__ = [
     "ConfigError",
@@ -192,27 +191,23 @@ class TrajectoryRecord:
 
 def initial_coords(config: SimConfig, path_index: int) -> np.ndarray:
     """Initial basis coordinates for one path (pure in (seed, path))."""
-    gm = grid_map(config.d, config.n, 2 * config.n + 1)
+    b = basis(config.d, config.n)
     if isinstance(config.init, SingleModeInit):
-        x = np.zeros(gm.K)
-        zc, sign = canonical_rep(config.init.z)
-        amp = config.init.amplitude
-        if config.init.j >= config.d and sign < 0:
-            amp = -amp  # sine branch is odd under z -> -z
-        k = int(_mode_index(zc, config.n, config.d))
-        x[k * (2 * config.d - 2) + config.init.j - 1] = amp
+        x = np.zeros(b.K)
+        pos, sign = b.coord(config.init.z, config.init.j)
+        x[pos] = sign * config.init.amplitude
         return x
     g = rng.stream(config.seed, path_index, 0, rng.PURPOSE_INIT)
-    std = config.init.sigma * (1.0 + gm.lam_coord) ** (-config.init.decay / 2.0)
-    return g.standard_normal(gm.K) * std
+    std = config.init.sigma * (1.0 + b.lam_coord) ** (-config.init.decay / 2.0)
+    return g.standard_normal(b.K) * std
 
 
 def expected_initial_energy(config: SimConfig) -> float:
     """Exact E ||X_0||_2^2 for either initial-condition family."""
     if isinstance(config.init, SingleModeInit):
         return config.init.amplitude ** 2
-    gm = grid_map(config.d, config.n, 2 * config.n + 1)
-    var = config.init.sigma ** 2 * (1.0 + gm.lam_coord) ** (-config.init.decay)
+    lam = basis(config.d, config.n).lam_coord
+    var = config.init.sigma ** 2 * (1.0 + lam) ** (-config.init.decay)
     return float(var.sum())
 
 
@@ -231,14 +226,14 @@ def _advance(x: np.ndarray, dt: float, dW: np.ndarray, b: np.ndarray,
 def step(x: np.ndarray, dt: float, dW: np.ndarray, d: int, n: int,
          params: FluidParams, stepper: str = "tamed") -> np.ndarray:
     """One time step of the chosen scheme from state x with increment dW."""
-    if dt <= 0:
-        raise ConfigError(f"dt: must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"dt: must be positive and finite, got {dt}")
     if stepper not in STEPPERS:
         raise ConfigError(f"stepper: unknown scheme {stepper!r}")
     b, _ = drift_and_dissipation(x, d, n, params)
     if not np.all(np.isfinite(b)):
         raise StepFailure(float(np.linalg.norm(x)))
-    lam = grid_map(d, n, 2 * n + 1).lam_coord
+    lam = basis(d, n).lam_coord
     return _advance(x[None], dt, dW[None], b[None], stepper, params.nu, lam)[0]
 
 
@@ -247,7 +242,7 @@ def _norm_p1_p(coords: np.ndarray, config: SimConfig) -> np.ndarray:
     order 1 by `grid_lp_means`, p = 2 included.  The ensemble route
     (`_run_paths`) fills `norm_p1_p` with it."""
     return grid_lp_means(coords, config.d, config.n, config.p,
-                         lambda gm: gm.bessel(1.0))
+                         basis(config.d, config.n).bessel(1.0))
 
 
 def block_size(d: int, n: int) -> int:
@@ -272,7 +267,7 @@ class _BlockStepper:
     def __init__(self, config: SimConfig):
         self.config = config
         self.gamma = gamma_vector(config.gamma, config.n, config.d)
-        self.lam = grid_map(config.d, config.n, 2 * config.n + 1).lam_coord
+        self.lam = basis(config.d, config.n).lam_coord
         self.params = config.params
         self.dt = config.dt_eff
         self.n_steps = config.n_steps

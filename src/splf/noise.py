@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .spectral import TWO_PI_SQ, _mode_index, half_space_modes
+from .spectral import TWO_PI_SQ, basis, canonical_rep
 
 __all__ = [
     "SpectrumError",
@@ -50,16 +50,15 @@ class PowerLawSpectrum:
 class ExplicitSpectrum:
     """Finite list of (z, j, gamma) eigenvalue assignments.
 
-    Wave vectors are canonicalized to the stored half-space; all unlisted
-    basis elements carry gamma = 0.
+    Wave vectors are canonicalized to the stored half-space, where each
+    (z, j) may be listed once and z = 0 not at all; all unlisted basis
+    elements carry gamma = 0.
     """
 
     entries: Tuple[Tuple[tuple, int, float], ...]
 
     @staticmethod
     def from_items(items) -> "ExplicitSpectrum":
-        from .spectral import canonical_rep
-
         canon = []
         for z, j, g in items:
             zc, _ = canonical_rep(z)
@@ -68,20 +67,25 @@ class ExplicitSpectrum:
 
 
 def validate_spectrum(spectrum, d: int):
-    """Check nonnegativity and (strengthened) trace-class conditions.
+    """Check finiteness, nonnegativity and (strengthened) trace-class
+    conditions, and that each explicit entry is its own basis element.
 
     Returns the spectrum unchanged on success; raises SpectrumError naming
-    the divergent sum otherwise.
+    the field, the entries or the divergent sum otherwise.
     """
     if isinstance(spectrum, PowerLawSpectrum):
-        if spectrum.c < 0:
-            raise SpectrumError(f"power spectrum amplitude c={spectrum.c} is negative")
+        if not 0 <= spectrum.c < np.inf:
+            raise SpectrumError(
+                f"power spectrum amplitude c={spectrum.c} must be finite and >= 0")
+        if not np.isfinite(spectrum.s):
+            raise SpectrumError(f"power spectrum decay s={spectrum.s} must be finite")
         if spectrum.c > 0 and not spectrum.s > (d + 2) / 2:
             raise SpectrumError(
                 f"sum over Z^{d} of |z|^2 (1 + 4 pi^2 |z|^2)^(-s) diverges for "
                 f"s={spectrum.s} <= (d+2)/2 = {(d + 2) / 2}")
         return spectrum
     if isinstance(spectrum, ExplicitSpectrum):
+        seen = {}
         for z, j, g in spectrum.entries:
             if len(z) != d:
                 raise SpectrumError(f"entry {z} has wrong dimension (d={d})")
@@ -89,24 +93,30 @@ def validate_spectrum(spectrum, d: int):
                 raise SpectrumError(f"eigenvalue at (z={z}, j={j}) is {g}, must be >= 0")
             if not 1 <= j <= 2 * d - 2:
                 raise SpectrumError(f"branch index j={j} outside 1..{2 * d - 2}")
+            zc, _ = canonical_rep(z)
+            if not any(zc):
+                raise SpectrumError(
+                    f"entry {(z, j, g)} is at z = 0, outside the mean-zero space")
+            if (zc, j) in seen:
+                raise SpectrumError(
+                    f"entries {seen[zc, j]} and {(z, j, g)} fold onto one basis element")
+            seen[zc, j] = (z, j, g)
         return spectrum
     raise SpectrumError(f"unknown covariance descriptor {type(spectrum).__name__}")
 
 
 def gamma_vector(spectrum, n: int, d: int) -> np.ndarray:
     """Eigenvalues over make_basis(n, d) in basis order (length Z*(2d-2))."""
-    modes = half_space_modes(n, d)
-    nj = 2 * d - 2
+    b = basis(d, n)
     if isinstance(spectrum, PowerLawSpectrum):
-        zsq = np.einsum("zd,zd->z", modes, modes).astype(float)
-        per_mode = spectrum.c * (1.0 + TWO_PI_SQ * zsq) ** (-spectrum.s)
-        return np.repeat(per_mode, nj)
+        per_mode = spectrum.c * (1.0 + TWO_PI_SQ * b.zsq) ** (-spectrum.s)
+        return np.repeat(per_mode, 2 * d - 2)
     if isinstance(spectrum, ExplicitSpectrum):
-        out = np.zeros(len(modes) * nj)
+        out = np.zeros(b.K)
         for z, j, g in spectrum.entries:
-            k = int(_mode_index(z, n, d))
-            if k >= 0:
-                out[k * nj + (j - 1)] = g
+            pos, _ = b.coord(z, j)
+            if pos >= 0:
+                out[pos] = g
         return out
     raise SpectrumError(f"unknown covariance descriptor {type(spectrum).__name__}")
 
@@ -130,8 +140,8 @@ def sample_increment(spectrum, n: int, d: int, dt: float,
     Components are independent Normal(0, gamma * dt) draws in basis order.
     Pass a precomputed gamma_vector to skip recomputation in tight loops.
     """
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got dt={dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"time step must be positive and finite, got dt={dt}")
     if gamma is None:
         gamma = gamma_vector(spectrum, n, d)
     return rng.standard_normal(gamma.size) * np.sqrt(gamma * dt)

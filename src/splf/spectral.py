@@ -27,6 +27,7 @@ __all__ = [
     "half_space_modes",
     "hyperplane_basis",
     "make_basis",
+    "basis",
     "basis_function",
     "field_to_coords",
     "coords_to_field",
@@ -113,10 +114,10 @@ def _norm_probe(d: int, n: int, p: float, R: int):
     with decay 1), the symbols whose L_p means the program takes (the V_p^1
     Bessel weight, the gradient and the Laplacian), and each symbol's grid
     means on the R^d reference grid."""
-    gm = grid_map(d, n, R)
-    x = np.random.default_rng(0).standard_normal((2, gm.K))
-    vhat = gm.coords_to_modes(x * (1.0 + gm.lam_coord) ** -0.5)
-    symbols = (gm.derivative(2), gm.bessel(1.0), gm.derivative(1))
+    b, gm = basis(d, n), grid_map(d, n, R)
+    x = np.random.default_rng(0).standard_normal((2, b.K))
+    vhat = b.coords_to_modes(x * (1.0 + b.lam_coord) ** -0.5)
+    symbols = (b.derivative(2), b.bessel(1.0), b.derivative(1))
     refs = [gm.lp_means(vhat, m, p) for m in symbols]
     for a in (vhat, *symbols, *refs):
         a.setflags(write=False)
@@ -181,17 +182,6 @@ def half_space_modes(n: int, d: int) -> np.ndarray:
     return np.array(modes, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _mode_table(n: int, d: int) -> np.ndarray:
-    """Dense (2n+1)^d table over the box [-n,n]^d (offset by n): the
-    position of each canonical mode in half_space_modes(n, d), -1 elsewhere."""
-    modes = half_space_modes(n, d)
-    table = np.full((2 * n + 1,) * d, -1, dtype=np.int64)
-    table[tuple((modes + n).T)] = np.arange(len(modes))
-    table.setflags(write=False)
-    return table
-
-
 def _mode_index(z, n: int, d: int) -> np.ndarray:
     """Positions of wave vectors z (..., d) in half_space_modes(n, d); -1
     for the zero vector, a non-canonical one or one outside [-n,n]^d."""
@@ -199,7 +189,7 @@ def _mode_index(z, n: int, d: int) -> np.ndarray:
     if z.shape[-1:] != (d,):
         raise DimensionError(f"wave vectors need {d} components, got shape {z.shape}")
     inside = np.all(np.abs(z) <= n, axis=-1)
-    pos = _mode_table(n, d)[tuple(np.moveaxis(np.clip(z, -n, n) + n, -1, 0))]
+    pos = basis(d, n).table[tuple(np.moveaxis(np.clip(z, -n, n) + n, -1, 0))]
     return np.where(inside, pos, -1)
 
 
@@ -252,16 +242,79 @@ class BasisIndex:
         self.e_vec.setflags(write=False)
 
 
+class _Basis:
+    """The order-n real divergence-free basis in dimension d, and everything
+    about it that depends on (d, n) alone: the canonical half-space modes,
+    their hyperplane vectors E, the coordinate layout (`coord`), the maps
+    between coordinates and mode coefficients, and the Fourier symbols at
+    the modes.  A symbol m(z) has shape (c, Z); each is the symbol of a real
+    operator, m(-z) = conj(m(z)), so partners need none.  Its arrays are
+    read-only; `basis` builds one per (d, n)."""
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
+        self.modes = half_space_modes(n, d)                           # (Z, d)
+        self.E = np.array([hyperplane_basis(z) for z in self.modes])  # (Z, d-1, d)
+        self.K = len(self.modes) * (2 * d - 2)
+        # over the (2n+1)^d box offset by n: each mode's position, -1 elsewhere
+        self.table = np.full((2 * n + 1,) * d, -1, dtype=np.int64)
+        self.table[tuple((self.modes + n).T)] = np.arange(len(self.modes))
+        # |z|^2 per mode, and 4 pi^2 |z|^2 per basis coordinate
+        self.zsq = np.einsum("zd,zd->z", self.modes, self.modes).astype(float)
+        self.lam_coord = np.repeat(TWO_PI_SQ * self.zsq, 2 * d - 2)
+        for a in (self.modes, self.E, self.table, self.zsq, self.lam_coord):
+            a.setflags(write=False)
+
+    def coord(self, z, j: int):
+        """(position, sign) of the basis element (z, j) for any wave vector z.
+        The position is k (2d-2) + j - 1, the order of make_basis, where k is
+        the place in `modes` of the canonical one of z and -z; it is -1 for
+        z = 0 or z outside [-n,n]^d.  The sign is -1 for a sine branch
+        (j >= d) at a non-canonical z, the sine being odd under z -> -z."""
+        d = self.d
+        if not 1 <= j <= 2 * d - 2:
+            raise DimensionError(f"branch index j={j} outside 1..{2 * d - 2}")
+        zc, sign = canonical_rep(z)
+        k = int(_mode_index(zc, self.n, d))
+        return (k * (2 * d - 2) + j - 1 if k >= 0 else -1), (sign if j >= d else 1)
+
+    # coords <-> half-space mode coefficients.  Both maps also take leading
+    # batch axes (a block of paths) and act on each row alone.
+
+    def coords_to_modes(self, x: np.ndarray) -> np.ndarray:
+        """(..., K) basis coordinates to (..., Z, d) half-space coefficients."""
+        d = self.d
+        c = x.reshape(x.shape[:-1] + (-1, 2 * d - 2))
+        cplx = c[..., : d - 1] - 1j * c[..., d - 1:]
+        return np.einsum("...zj,zjd->...zd", cplx, self.E) / np.sqrt(2.0)
+
+    def modes_to_coords(self, vhat: np.ndarray) -> np.ndarray:
+        proj = np.einsum("...zd,zjd->...zj", vhat, self.E) * np.sqrt(2.0)
+        return np.concatenate([proj.real, -proj.imag], axis=-1).reshape(
+            vhat.shape[:-2] + (-1,))
+
+    def bessel(self, alpha: float) -> np.ndarray:
+        """Symbol (1, Z) of (1 - Laplacian)^{alpha/2}: (1 + 4 pi^2 |z|^2)^{alpha/2}."""
+        return ((1.0 + TWO_PI_SQ * self.zsq) ** (alpha / 2.0))[None]
+
+    def derivative(self, order: int) -> np.ndarray:
+        """Symbol of the gradient (order 1, (d, Z): 2 pi i z) or the
+        Laplacian (order 2, (1, Z): -4 pi^2 |z|^2)."""
+        if order == 1:
+            return 2j * np.pi * self.modes.T.astype(float)
+        return (-TWO_PI_SQ * self.zsq)[None]
+
+
+@lru_cache(maxsize=None)
+def basis(d: int, n: int) -> _Basis:
+    return _Basis(d, n)
+
+
 @lru_cache(maxsize=None)
 def _basis_cached(n: int, d: int):
-    modes = half_space_modes(n, d)
-    out = []
-    for z in modes:
-        E = hyperplane_basis(z)
-        zt = tuple(int(c) for c in z)
-        for j in range(1, 2 * d - 1):
-            out.append(BasisIndex(z=zt, j=j, e_vec=E[(j - 1) % (d - 1)]))
-    return tuple(out)
+    b = basis(d, n)
+    return tuple(BasisIndex(z=tuple(int(c) for c in z), j=j, e_vec=E[(j - 1) % (d - 1)])
+                 for z, E in zip(b.modes, b.E) for j in range(1, 2 * d - 1))
 
 
 def make_basis(n: int, d: int):
@@ -271,15 +324,6 @@ def make_basis(n: int, d: int):
     increasing j, so coordinate vectors are reproducible across runs.
     """
     return list(_basis_cached(n, d))
-
-
-@lru_cache(maxsize=None)
-def _hyperplane_stack(n: int, d: int) -> np.ndarray:
-    """Stacked hyperplane bases for half_space_modes(n, d), shape (Z, d-1, d)."""
-    modes = half_space_modes(n, d)
-    E = np.array([hyperplane_basis(z) for z in modes])
-    E.setflags(write=False)
-    return E
 
 
 @dataclass(frozen=True)
@@ -323,7 +367,7 @@ class SpectralField:
 
     @staticmethod
     def zero(d: int, n: int) -> "SpectralField":
-        modes = half_space_modes(n, d)
+        modes = basis(d, n).modes
         return SpectralField(d=d, n=n, modes=modes,
                              coeffs=np.zeros_like(modes, dtype=np.complex128))
 
@@ -334,7 +378,7 @@ class SpectralField:
         Entries at non-canonical z are folded onto the canonical partner by
         conjugation; inconsistent duplicates are averaged.
         """
-        modes = half_space_modes(n, d)
+        modes = basis(d, n).modes
         coeffs = np.zeros((len(modes), d), dtype=np.complex128)
         counts = np.zeros(len(modes))
         for z, v in coeff_map.items():
@@ -372,7 +416,7 @@ class SpectralField:
         if other.d != self.d:
             raise DimensionError("dimension mismatch in field addition")
         n = max(self.n, other.n)
-        return SpectralField(self.d, n, half_space_modes(n, self.d),
+        return SpectralField(self.d, n, basis(self.d, n).modes,
                              _aligned_modes(self, n) + _aligned_modes(other, n))
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
@@ -423,31 +467,27 @@ def basis_function(idx: BasisIndex, n: int | None = None) -> SpectralField:
 
 
 class _GridMap:
-    """Precomputed tables between half-space modes and an M^d grid: the
-    scatter/gather of the FFT routes, the band transform pair `synthesize`
-    and `analyse` that `lp_means` and the drift share, and the coordinate
-    maps for the real basis.  Only this class reads the band tables.
-    Fourier multipliers are symbols m(z) at the modes, shape (c, Z); each
-    is the symbol of a real operator, m(-z) = conj(m(z)), so partners need
-    none."""
+    """Precomputed tables between the half-space modes of `basis` and an
+    M^d grid: the scatter/gather of the FFT routes and the band transform
+    pair `synthesize` and `analyse` that `lp_means` and the drift share.
+    Only this class reads the band tables."""
 
     def __init__(self, d: int, n: int, M: int):
         if M < 2 * n + 1:
             raise AliasingError(f"grid M={M} cannot hold modes of order n={n}")
         self.d, self.n, self.M = d, n, M
-        self.modes = half_space_modes(n, d)           # (Z, d)
-        self.E = _hyperplane_stack(n, d)              # (Z, d-1, d)
-        self.K = self.modes.shape[0] * (2 * d - 2)
+        self.basis = basis(d, n)
+        modes = self.basis.modes
         self.shape = (M,) * d
         strides = np.array([M ** (d - 1 - a) for a in range(d)], dtype=np.int64)
-        self.pos_flat = (np.mod(self.modes, M) @ strides).astype(np.int64)
-        self.neg_flat = (np.mod(-self.modes, M) @ strides).astype(np.int64)
+        self.pos_flat = (np.mod(modes, M) @ strides).astype(np.int64)
+        self.neg_flat = (np.mod(-modes, M) @ strides).astype(np.int64)
         # the band pair.  `synthesize` fills the (2n+1)^d box offset by n,
         # modes at `box_pos` and partners at `box_neg`; W (2n+2, M) has rows
         # c_k cos and -c_k sin, for the real and imaginary parts of a complex
         # value, with c_0 = 1 and c_k = 2 for the pair k, -k
         box = (2 * n + 1) ** np.arange(d - 1, -1, -1)
-        self.box_pos, self.box_neg = (n + self.modes) @ box, (n - self.modes) @ box
+        self.box_pos, self.box_neg = (n + modes) @ box, (n - modes) @ box
         phase = 2.0 * np.pi / M * (np.outer(np.arange(M), np.arange(-n, n + 1)) % M)
         self.F = np.exp(1j * phase)                                 # (M, 2n+1)
         c = np.where(np.arange(n + 1) == 0, 1.0, 2.0)
@@ -462,28 +502,11 @@ class _GridMap:
         self.Fa = np.ascontiguousarray(np.conj(self.F).T)
         half = np.append((n + 1) * (2 * n + 1) ** np.arange(d - 2, -1, -1), 1)
         offset = np.append(np.full(d - 1, n), 0)
-        self.flip = self.modes[:, -1] < 0
-        self.half = (offset + np.where(self.flip[:, None], -self.modes, self.modes)) @ half
-        # |z|^2 per mode, and per basis coordinate flattened in basis order
-        self.zsq = np.einsum("zd,zd->z", self.modes, self.modes).astype(float)
-        self.lam_coord = np.repeat(TWO_PI_SQ * self.zsq, 2 * d - 2)
+        self.flip = modes[:, -1] < 0
+        self.half = (offset + np.where(self.flip[:, None], -modes, modes)) @ half
 
-    # coords <-> half-space mode coefficients.  Every map below also takes
+    # mode coefficients <-> spectral FFT array.  Every map below also takes
     # leading batch axes (a block of paths) and acts on each row alone.
-
-    def coords_to_modes(self, x: np.ndarray) -> np.ndarray:
-        """(..., K) basis coordinates to (..., Z, d) half-space coefficients."""
-        d = self.d
-        c = x.reshape(x.shape[:-1] + (-1, 2 * d - 2))
-        cplx = c[..., : d - 1] - 1j * c[..., d - 1:]
-        return np.einsum("...zj,zjd->...zd", cplx, self.E) / np.sqrt(2.0)
-
-    def modes_to_coords(self, vhat: np.ndarray) -> np.ndarray:
-        proj = np.einsum("...zd,zjd->...zj", vhat, self.E) * np.sqrt(2.0)
-        return np.concatenate([proj.real, -proj.imag], axis=-1).reshape(
-            vhat.shape[:-2] + (-1,))
-
-    # mode coefficients <-> spectral FFT array
 
     def scatter(self, vhat: np.ndarray) -> np.ndarray:
         """Half-space coefficients (..., Z, comp) to a full conjugate-symmetric
@@ -515,17 +538,6 @@ class _GridMap:
     def grid_to_modes(self, values: np.ndarray) -> np.ndarray:
         A = np.fft.fftn(values, axes=self.grid_axes) / self.vol
         return self.gather(A)
-
-    def bessel(self, alpha: float) -> np.ndarray:
-        """Symbol (1, Z) of (1 - Laplacian)^{alpha/2}: (1 + 4 pi^2 |z|^2)^{alpha/2}."""
-        return ((1.0 + TWO_PI_SQ * self.zsq) ** (alpha / 2.0))[None]
-
-    def derivative(self, order: int) -> np.ndarray:
-        """Symbol of the gradient (order 1, (d, Z): 2 pi i z) or the
-        Laplacian (order 2, (1, Z): -4 pi^2 |z|^2)."""
-        if order == 1:
-            return 2j * np.pi * self.modes.T.astype(float)
-        return (-TWO_PI_SQ * self.zsq)[None]
 
     # the band transform pair.  Both act on each row alone: every matmul
     # calls BLAS once per row's slice, so no row depends on its block.
@@ -616,19 +628,17 @@ def field_to_coords(field: SpectralField, n: int | None = None) -> np.ndarray:
         if active.any() and np.abs(field.modes[active]).max() > n:
             raise DimensionError(
                 f"field carries modes beyond basis truncation {n}")
-    gm = grid_map(field.d, n, 2 * n + 1)
-    return gm.modes_to_coords(_aligned_modes(truncate_modes(field, n), n))
+    return basis(field.d, n).modes_to_coords(_aligned_modes(truncate_modes(field, n), n))
 
 
 def coords_to_field(coords: np.ndarray, n: int, d: int) -> SpectralField:
     """Inverse of field_to_coords."""
-    gm = grid_map(d, n, 2 * n + 1)
+    b = basis(d, n)
     coords = np.asarray(coords, dtype=float)
-    if coords.size != gm.K:
+    if coords.size != b.K:
         raise DimensionError(
-            f"coordinate vector has length {coords.size}, basis has {gm.K}")
-    vhat = gm.coords_to_modes(coords)
-    return SpectralField(d=d, n=n, modes=gm.modes, coeffs=vhat)
+            f"coordinate vector has length {coords.size}, basis has {b.K}")
+    return SpectralField(d=d, n=n, modes=b.modes, coeffs=b.coords_to_modes(coords))
 
 
 def to_grid(field: SpectralField, M: int | None = None) -> GridVectorField:
@@ -653,7 +663,7 @@ def from_grid(grid: GridVectorField, n: int) -> dict:
         raise AliasingError(f"M={grid.M} cannot resolve modes of order {n}")
     gm = grid_map(grid.d, n, grid.M)
     vhat = gm.grid_to_modes(grid.values)
-    return {tuple(int(c) for c in z): vhat[k] for k, z in enumerate(gm.modes)}
+    return {tuple(int(c) for c in z): vhat[k] for k, z in enumerate(gm.basis.modes)}
 
 
 def project_div_free(raw: dict, d: int, n: int) -> SpectralField:
@@ -708,8 +718,8 @@ def inner_product(u: SpectralField, v: SpectralField) -> float:
 def grid_lp_means(coords: np.ndarray, d: int, n: int, p: float, symbol,
                   M: int | None = None) -> np.ndarray:
     """Grid mean of |m(D) v|^p for each row of basis coordinates coords
-    (R, K) of order n in dimension d, where symbol(gm) is the symbol m
-    (c, Z) at the modes of a _GridMap gm: the L_p quadrature of every norm.
+    (R, K) of order n in dimension d, where symbol is a symbol m (c, Z) at
+    the modes of basis(d, n): the L_p quadrature of every norm.
 
     The rectangle rule of `_GridMap.lp_means` on the M^d grid, by default
     norm_grid_size(n, d, p), the grid that meets the NORM_RTOL budget; for
@@ -718,7 +728,7 @@ def grid_lp_means(coords: np.ndarray, d: int, n: int, p: float, symbol,
     if not p >= 1:
         raise ValueError(f"L_p norm needs p >= 1, got p={p}")
     gm = grid_map(d, n, norm_grid_size(n, d, p) if M is None else M)
-    return gm.lp_means(gm.coords_to_modes(coords), symbol(gm), p)
+    return gm.lp_means(gm.basis.coords_to_modes(coords), symbol, p)
 
 
 def _field_lp_norm(field: SpectralField, p: float, symbol, M: int | None) -> float:
@@ -732,17 +742,17 @@ def sobolev_norm(field: SpectralField, p: float, alpha: float,
     """Bessel-potential Sobolev norm || (1-Laplacian)^{alpha/2} v ||_{L_p},
     multiplier (1 + 4 pi^2 |z|^2)^{alpha/2}, by grid_lp_means on M points
     per axis (default norm_grid_size(n, d, p))."""
-    return _field_lp_norm(field, p, lambda gm: gm.bessel(alpha), M)
+    return _field_lp_norm(field, p, basis(field.d, field.n).bessel(alpha), M)
 
 
 def gradient_lp_norm(field: SpectralField, p: float, M: int | None = None) -> float:
     """|| |grad v|_F ||_{L_p} by grid_lp_means."""
-    return _field_lp_norm(field, p, lambda gm: gm.derivative(1), M)
+    return _field_lp_norm(field, p, basis(field.d, field.n).derivative(1), M)
 
 
 def laplacian_lp_norm(field: SpectralField, p: float, M: int | None = None) -> float:
     """|| Laplacian v ||_{L_p} by grid_lp_means."""
-    return _field_lp_norm(field, p, lambda gm: gm.derivative(2), M)
+    return _field_lp_norm(field, p, basis(field.d, field.n).derivative(2), M)
 
 
 def structural_defects(field: SpectralField, M: int | None = None):

@@ -91,16 +91,16 @@ def test_criterion_1_exponent_tables():
 
 def test_criterion_2_algebraic_identities():
     d, n = 2, 4
-    gm = sp.grid_map(d, n, 2 * n + 1)
+    basis = sp.basis(d, n)
     gmq = sp.grid_map(d, n, sp.pairing_grid_size(n))
     params2 = co.FluidParams(p=2.0, nu=1.0)
     params3 = co.FluidParams(p=3.0, nu=1.0)
     r = np.random.default_rng(SEED)
-    scale = 1.0 / np.sqrt(gm.K)
+    scale = 1.0 / np.sqrt(basis.K)
     worst = dict(antisym=0.0, cancel=0.0, stokes=0.0, energy=0.0, ibp=0.0)
     n_trials = 1000
     for _ in range(n_trials):
-        xv, xw, xp = (scale * r.standard_normal(gm.K) for _ in range(3))
+        xv, xw, xp = (scale * r.standard_normal(basis.K) for _ in range(3))
         v = sp.coords_to_field(xv, n, d)
         w = sp.coords_to_field(xw, n, d)
         phi = sp.coords_to_field(xp, n, d)
@@ -114,13 +114,13 @@ def test_criterion_2_algebraic_identities():
         # Newtonian stress pairing against the spectral Laplacian
         ps = co.pairing_stress(phi, v, params2)
         worst["stokes"] = max(worst["stokes"],
-                              abs(ps - float((gm.lam_coord * xv) @ xp)))
+                              abs(ps - float((basis.lam_coord * xv) @ xp)))
         # weak divergence pairing: quadrature route vs spectral route
         tau = co.stress(v, params3, M=gmq.M).values
         tau_hat = np.stack([gmq.grid_to_modes(tau[i]) for i in range(d)])
-        ikz = 2j * np.pi * gmq.modes.astype(float)      # (Z, d)
+        ikz = 2j * np.pi * gmq.basis.modes.astype(float)  # (Z, d)
         div_hat = np.einsum("zj,izj->zi", ikz, tau_hat)
-        phat = gmq.coords_to_modes(xp)
+        phat = gmq.basis.coords_to_modes(xp)
         route_b = 2.0 * np.real(np.einsum("zi,zi->", phat, np.conj(div_hat)))
         route_a = co.pairing_stress(phi, v, params3)
         worst["ibp"] = max(worst["ibp"], abs(route_a + route_b))

@@ -37,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def per_path_loop(c, path_index, x0):
     gamma = noise.gamma_vector(c.gamma, c.n, c.d)
-    lam = sp.grid_map(c.d, c.n, 2 * c.n + 1).lam_coord
+    lam = sp.basis(c.d, c.n).lam_coord
     dt = c.dt_eff
     x = x0.copy()
     rows, int_diss, int_gamma, diverged_step = [], 0.0, 0.0, None

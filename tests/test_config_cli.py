@@ -17,7 +17,7 @@ from splf.config import (OutputOptions, config_to_ini, parse_config,
 from splf.integrator import (ConfigError, GaussianInit, SimConfig,
                              SingleModeInit, TrajectoryRecord, initial_coords,
                              simulate_ensemble, simulate_paired)
-from splf.noise import ExplicitSpectrum, PowerLawSpectrum
+from splf.noise import ExplicitSpectrum, PowerLawSpectrum, SpectrumError
 
 MINIMAL = """
 [model]
@@ -94,6 +94,23 @@ class TestParsing:
             "kind = explicit\nentries =\n    1 0 0.5")
         with pytest.raises(ConfigError, match="entries line 1"):
             parse_config_string(text)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("c = 0.1", "c = nan", "power spectrum amplitude c=nan must be finite and >= 0"),
+        ("c = 0.1", "c = inf", "power spectrum amplitude c=inf must be finite and >= 0"),
+        ("c = 0.1\ns = 3.0", "c = 0.0\ns = nan", "power spectrum decay s=nan must be finite"),
+        ("kind = power\nc = 0.1\ns = 3.0",
+         "kind = explicit\nentries =\n    1 0 1 0.5\n    -1 0 1 0.2",
+         "entries ((1, 0), 1, 0.5) and ((1, 0), 1, 0.2) fold onto one basis element"),
+        ("kind = power\nc = 0.1\ns = 3.0", "kind = explicit\nentries =\n    0 0 1 0.5",
+         "entry ((0, 0), 1, 0.5) is at z = 0, outside the mean-zero space"),
+    ], ids=["c-nan", "c-inf", "s-nan", "explicit-fold", "explicit-zero"])
+    def test_gamma_faults_named(self, old, new, message):
+        # each of these used to parse: c = nan ran and every path diverged
+        # at step 1; the explicit entries were dropped or overwritten
+        with pytest.raises(SpectrumError) as err:
+            parse_config_string(MINIMAL.replace(old, new, 1))
+        assert str(err.value) == message
 
     def test_gaussian_init(self):
         text = MINIMAL.replace(

@@ -127,10 +127,9 @@ class TestPairingStress:
         phi = random_field(seed + 50, d=2, n=3)
         params = co.FluidParams(p=2.0, nu=0.9)
         got = co.pairing_stress(phi, v, params)
-        gm = sp.grid_map(2, 3, 7)
         xv = sp.field_to_coords(v)
         xp = sp.field_to_coords(phi)
-        oracle = params.nu * float((gm.lam_coord * xv) @ xp)
+        oracle = params.nu * float((sp.basis(2, 3).lam_coord * xv) @ xp)
         assert abs(got - oracle) < 1e-11
 
     def test_zero(self):
@@ -242,11 +241,10 @@ class TestDrift:
         f = random_field(seed, d=2, n=2)
         x = sp.field_to_coords(f)
         b = co.drift(f, 2, params)
-        gm = sp.grid_map(2, 2, 5)
         basis = sp.make_basis(2, 2)
         conv = np.array([co.pairing_convection(f, f, sp.basis_function(i, n=2))
                          for i in basis])
-        oracle = conv - params.nu * gm.lam_coord * x
+        oracle = conv - params.nu * sp.basis(2, 2).lam_coord * x
         assert np.abs(b - oracle).max() < 1e-10
 
     def test_drift_requires_containment(self):
@@ -263,7 +261,7 @@ def drift_full_grid(x, gm, params):
     matrices."""
     d, P = gm.d, len(x)
     ikvec = 2j * np.pi * grid_wave_numbers(gm)
-    A = gm.scatter(gm.coords_to_modes(x))
+    A = gm.scatter(gm.basis.coords_to_modes(x))
     Gh = (A[:, :, None] * ikvec).reshape((P, d * d) + gm.shape)
     down = np.fft.ifftn(np.concatenate([A, Gh], axis=1), axes=gm.grid_axes).real * gm.vol
     V, G = down[:, :d], down[:, d:].reshape((P, d, d) + gm.shape)
@@ -276,7 +274,7 @@ def drift_full_grid(x, gm, params):
     up = np.fft.fftn(up, axes=gm.grid_axes) / gm.vol
     tau_hat = up[:, d:].reshape((P, d, d) + gm.shape)
     div_tau_hat = np.einsum("j...,pij...->pi...", ikvec, tau_hat)
-    return gm.modes_to_coords(gm.gather(div_tau_hat - up[:, :d])), diss
+    return gm.basis.modes_to_coords(gm.gather(div_tau_hat - up[:, :d])), diss
 
 
 @pytest.mark.parametrize("P", [1, 5, 32])
@@ -288,7 +286,7 @@ def test_drift_matches_full_grid_oracle_to_rounding(p, d, n, P):
     # relative (1.3e-15 seen)
     params = co.FluidParams(p=p, nu=0.7)
     gm = sp.grid_map(d, n, sp.pairing_grid_size(n))
-    x = np.random.default_rng(100 * d + 10 * n + P).standard_normal((P, gm.K))
+    x = np.random.default_rng(100 * d + 10 * n + P).standard_normal((P, gm.basis.K))
     b, diss = co.drift_and_dissipation(x, d, n, params)
     want_b, want_diss = drift_full_grid(x, gm, params)
     assert np.abs(b - want_b).max() <= 1e-14 * np.abs(want_b).max()
@@ -305,7 +303,7 @@ def test_drift_calls_no_fft(d, n, monkeypatch):
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, refuse)
     gm = sp.grid_map(d, n, sp.pairing_grid_size(n))
-    x = np.random.default_rng(d).standard_normal((3, gm.K))
+    x = np.random.default_rng(d).standard_normal((3, gm.basis.K))
     params = co.FluidParams(p=2.5, nu=0.7)
     co.drift_and_dissipation(x, d, n, params)
     co.drift_and_dissipation(x[0], d, n, params)

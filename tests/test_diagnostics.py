@@ -188,8 +188,7 @@ class TestDissipationFunctional:
         cfg = base_config(p=2.5, stepper="tamed", record_every=1)
         rec = it.simulate(cfg, 0)
         J, _ = dg.dissipation_functional(rec, cfg)
-        gm = sp.grid_map(cfg.d, cfg.n, 2 * cfg.n + 1)
-        lap = (rec.coords ** 2) @ (gm.lam_coord ** 2)
+        lap = (rec.coords ** 2) @ (sp.basis(cfg.d, cfg.n).lam_coord ** 2)
         assert np.abs(J - lap).max() < 1e-12 * max(1.0, lap.max())
 
     def test_single_mode_closed_form_d3(self):
@@ -231,8 +230,8 @@ class TestQuadratureBudget:
         recs = it.simulate_ensemble(cfg)
         got = np.concatenate([r.norm_p1_p for r in recs])
         fine = sp.grid_map(3, 2, 40)
-        want = fine.lp_means(fine.coords_to_modes(np.concatenate([r.coords for r in recs])),
-                             fine.bessel(1.0), 1.9)
+        rows = np.concatenate([r.coords for r in recs])
+        want = fine.lp_means(fine.basis.coords_to_modes(rows), fine.basis.bessel(1.0), 1.9)
         assert np.max(np.abs(got - want) / want) <= sp.NORM_RTOL
 
     @pytest.mark.parametrize("p", [1.5, 2.5])
@@ -241,7 +240,8 @@ class TestQuadratureBudget:
         fine = sp.grid_map(2, 2, 160)
         for order in (1, 2):
             got = dg._lp_norms(rec, cfg, order) ** p
-            want = fine.lp_means(fine.coords_to_modes(rec.coords), fine.derivative(order), p)
+            want = fine.lp_means(fine.basis.coords_to_modes(rec.coords),
+                                 fine.basis.derivative(order), p)
             assert np.max(np.abs(got - want) / want) <= sp.NORM_RTOL
 
 

@@ -153,6 +153,14 @@ class TestStep:
         with pytest.raises(it.ConfigError):
             it.step(np.zeros(K), 1e-3, np.zeros(K), 2, 2, cfg.params, "rk4")
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -1e-3])
+    def test_rejects_non_finite_dt(self, dt):
+        # nan and inf used to pass the sign check and return a NaN state
+        cfg = base_config()
+        K = it.initial_coords(cfg, 0).size
+        with pytest.raises(it.ConfigError, match="dt: must be positive and finite"):
+            it.step(np.zeros(K), dt, np.zeros(K), 2, 2, cfg.params)
+
     def test_non_finite_state_raises_without_step_index(self):
         cfg = base_config()
         K = it.initial_coords(cfg, 0).size

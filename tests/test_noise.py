@@ -27,6 +27,36 @@ class TestValidation:
     def test_zero_amplitude_any_decay(self):
         noise.validate_spectrum(noise.PowerLawSpectrum(c=0.0, s=0.1), 2)
 
+    @pytest.mark.parametrize("c,s,field", [
+        (float("nan"), 3.0, "amplitude c=nan"), (float("inf"), 3.0, "amplitude c=inf"),
+        (-float("inf"), 3.0, "amplitude c=-inf"), (-0.5, 3.0, "amplitude c=-0.5"),
+        (0.0, float("nan"), "decay s=nan"), (0.0, -float("inf"), "decay s=-inf"),
+        (1.0, float("inf"), "decay s=inf")])
+    def test_power_non_finite_rejected(self, c, s, field):
+        with pytest.raises(noise.SpectrumError, match=field):
+            noise.validate_spectrum(noise.PowerLawSpectrum(c=c, s=s), 2)
+
+    def test_zero_wave_vector_entry_rejected(self):
+        # the mean-zero space has no z = 0 element, so the entry would be
+        # dropped without a word
+        spec = noise.ExplicitSpectrum.from_items([((1, 0), 1, 0.5), ((0, 0), 2, 0.3)])
+        with pytest.raises(noise.SpectrumError,
+                           match=r"entry \(\(0, 0\), 2, 0.3\) is at z = 0"):
+            noise.validate_spectrum(spec, 2)
+
+    @pytest.mark.parametrize("items", [
+        [((1, 0), 1, 0.5), ((-1, 0), 1, 0.2)],
+        [((1, 0), 1, 0.5), ((1, 0), 1, 0.2)]])
+    def test_entries_folding_onto_one_element_rejected(self, items):
+        # the last of the two used to win: a trace of 0.2, not 0.7
+        spec = noise.ExplicitSpectrum.from_items(items)
+        with pytest.raises(noise.SpectrumError, match=(
+                r"entries \(\(1, 0\), 1, 0.5\) and \(\(1, 0\), 1, 0.2\) fold")):
+            noise.validate_spectrum(spec, 2)
+        # the same wave vector on another branch is another element
+        noise.validate_spectrum(noise.ExplicitSpectrum.from_items(
+            [((1, 0), 1, 0.5), ((-1, 0), 2, 0.2)]), 2)
+
     def test_negative_entry_rejected(self):
         spec = noise.ExplicitSpectrum.from_items([((1, 0), 1, -0.5)])
         with pytest.raises(noise.SpectrumError, match="must be >= 0"):
@@ -142,6 +172,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             noise.sample_increment(noise.PowerLawSpectrum(1.0, 3.0), 1, 2,
                                    0.0, rng.stream(0, 0, 0))
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="positive and finite"):
+            noise.sample_increment(noise.PowerLawSpectrum(1.0, 3.0), 1, 2,
+                                   dt, rng.stream(0, 0, 0))
 
 
 class TestStreams:

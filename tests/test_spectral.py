@@ -13,11 +13,11 @@ from splf import spectral as sp
 
 def random_field(seed, d=2, n=3, scale=None):
     """Seeded random admissible field with coordinates of size O(1)."""
-    gm = sp.grid_map(d, n, 2 * n + 1)
+    b = sp.basis(d, n)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(gm.K)
+    x = rng.standard_normal(b.K)
     if scale is None:
-        scale = 1.0 / np.sqrt(gm.K)
+        scale = 1.0 / np.sqrt(b.K)
     return sp.coords_to_field(x * scale, n, d)
 
 
@@ -132,6 +132,48 @@ class TestModeIndex:
             sp._mode_index((1, 0, 0), 2, 2)
 
 
+class TestCoord:
+    """`basis(d, n).coord` states the coordinate layout once."""
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (1, 3), (2, 3)])
+    def test_coord_follows_make_basis_and_the_sine_parity(self, n, d):
+        # (z, j) and (-z, j) sit where make_basis puts (z, j), and the sign
+        # makes sign * psi_(z, j) the element that -z names: on the grid,
+        # sqrt(2) e cos(2 pi z'.x) for a cosine branch and sqrt(2) e
+        # sin(2 pi z'.x) for a sine branch, at z' = z and at z' = -z
+        b, M = sp.basis(d, n), 2 * n + 2
+        grid = np.stack(np.meshgrid(*([np.arange(M) / M] * d), indexing="ij"))
+        for k, idx in enumerate(sp.make_basis(n, d)):
+            z = np.array(idx.z)
+            assert b.coord(idx.z, idx.j) == (k, 1)
+            assert b.coord(tuple(-z), idx.j) == (k, -1 if idx.is_sine else 1)
+            for zz in (z, -z):
+                pos, sign = b.coord(tuple(zz), idx.j)
+                x = np.zeros(b.K)
+                x[pos] = sign
+                got = sp.to_grid(sp.coords_to_field(x, n, d), M).values
+                wave = (np.sin if idx.is_sine else np.cos)(
+                    2 * np.pi * np.tensordot(zz, grid, axes=1))
+                want = np.sqrt(2.0) * np.multiply.outer(idx.e_vec, wave)
+                assert np.abs(got - want).max() < 1e-13
+
+    def test_outside_the_basis(self):
+        b = sp.basis(2, 2)
+        assert b.coord((0, 0), 1)[0] == -1
+        assert b.coord((3, 0), 2)[0] == -1
+        assert b.coord((0, -3), 1)[0] == -1
+        for j in (0, 3):
+            with pytest.raises(sp.DimensionError, match=f"j={j}"):
+                b.coord((1, 0), j)
+
+    def test_grid_map_reaches_the_basis_without_delegates(self):
+        gm = sp.grid_map(2, 2, 10)
+        assert gm.basis is sp.basis(2, 2)
+        for name in ("modes", "K", "E", "zsq", "lam_coord", "coords_to_modes",
+                     "modes_to_coords", "bessel", "derivative"):
+            assert not hasattr(gm, name), name
+
+
 class TestGridTransforms:
     @pytest.mark.parametrize("seed", range(6))
     def test_round_trip_order4(self, seed):
@@ -161,9 +203,9 @@ class TestGridTransforms:
 
 BAND_GRIDS = [(2, 2, 5), (2, 2, 10), (2, 2, 32), (2, 4, 49), (3, 1, 16),
               (3, 2, 15), (3, 2, 32)]
-MULTIPLIERS = {"bessel": lambda gm: gm.bessel(1.0),
-               "gradient": lambda gm: gm.derivative(1),
-               "laplacian": lambda gm: gm.derivative(2)}
+MULTIPLIERS = {"bessel": lambda b: b.bessel(1.0),
+               "gradient": lambda b: b.derivative(1),
+               "laplacian": lambda b: b.derivative(2)}
 
 
 def grid_wave_numbers(gm):
@@ -187,13 +229,13 @@ def band_rows(gm):
     row with every mode, as half-space coefficients (R, Z, d)."""
     d, n = gm.d, gm.n
     corners = [(0,) * (d - 1) + (1,), (n,) + (-n,) * (d - 1), (n,) * d]
-    vhat = np.zeros((len(corners) + 2,) + gm.modes.shape, dtype=np.complex128)
+    vhat = np.zeros((len(corners) + 2,) + gm.basis.modes.shape, dtype=np.complex128)
     for r, z in enumerate(corners, start=1):
         k = sp._mode_index(np.array([z]), n, d)[0]
         vhat[r, k] = np.arange(1, d + 1) * (0.5 - 1.25j)
     rng = np.random.default_rng(d * 100 + n * 10 + gm.M)
-    vhat[-1] = rng.standard_normal(gm.modes.shape) + 1j * rng.standard_normal(
-        gm.modes.shape)
+    vhat[-1] = rng.standard_normal(gm.basis.modes.shape) + 1j * rng.standard_normal(
+        gm.basis.modes.shape)
     return vhat
 
 
@@ -225,8 +267,9 @@ class TestBandedTransform:
         # full grid: equal value for value, where only the sign of a zero
         # may differ (a real m is promoted to m + 0j).
         gm = sp.grid_map(d, n, M)
-        vhat, m = band_rows(gm), MULTIPLIERS[mult](gm)
-        got = gm.modes_to_grid((vhat[..., None] * m.T[:, None]).reshape(len(vhat), len(gm.modes), -1))
+        vhat, m = band_rows(gm), MULTIPLIERS[mult](gm.basis)
+        got = gm.modes_to_grid(
+            (vhat[..., None] * m.T[:, None]).reshape(len(vhat), len(gm.basis.modes), -1))
         A = gm.scatter(vhat)[:, :, None] * full_grid_multiplier(gm, mult)
         want = np.fft.ifftn(A.reshape((len(A), -1) + gm.shape), axes=gm.grid_axes).real * gm.vol
         assert np.array_equal(got, want)
@@ -242,25 +285,26 @@ class TestBandedTransform:
             d, n = gm.d, gm.n
             axis = np.arange(-n, n + 1)
             box = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-            assert np.array_equal(box[gm.box_pos], gm.modes)
-            assert np.array_equal(box[gm.box_neg], -gm.modes)
+            assert np.array_equal(box[gm.box_pos], gm.basis.modes)
+            assert np.array_equal(box[gm.box_neg], -gm.basis.modes)
             used = np.concatenate([gm.box_pos, gm.box_neg])
             assert len(np.unique(used)) == len(used) == len(box) - 1
             assert not np.any(box[np.setdiff1d(np.arange(len(box)), used)])
             kvec = grid_wave_numbers(gm).reshape(d, gm.vol)
-            assert np.array_equal(kvec[:, gm.pos_flat].T, gm.modes)
-            assert np.array_equal(kvec[:, gm.neg_flat].T, -gm.modes)
+            assert np.array_equal(kvec[:, gm.pos_flat].T, gm.basis.modes)
+            assert np.array_equal(kvec[:, gm.neg_flat].T, -gm.basis.modes)
             axes = [axis] * (d - 1) + [np.arange(n + 1)]
             cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-            assert np.array_equal(gm.flip, gm.modes[:, -1] < 0)
-            assert np.array_equal(cells[gm.half], np.where(gm.flip[:, None], -1, 1) * gm.modes)
+            assert np.array_equal(gm.flip, gm.basis.modes[:, -1] < 0)
+            assert np.array_equal(cells[gm.half],
+                                  np.where(gm.flip[:, None], -1, 1) * gm.basis.modes)
             assert len(np.unique(gm.half)) == len(gm.half)
 
     @pytest.mark.parametrize("mult", sorted(MULTIPLIERS))
     @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
     def test_lp_means_match_full_transform(self, d, n, M, mult):
         gm = sp.grid_map(d, n, M)
-        vhat, m = band_rows(gm), MULTIPLIERS[mult](gm)
+        vhat, m = band_rows(gm), MULTIPLIERS[mult](gm.basis)
         for p in (1.5, 2.5):
             got = gm.lp_means(vhat, m, p)
             want = lp_means_oracle(gm, vhat, full_grid_multiplier(gm, mult), p)
@@ -270,10 +314,10 @@ class TestBandedTransform:
     @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
     def test_rows_do_not_depend_on_their_batch(self, d, n, M):
         gm = sp.grid_map(d, n, M)
-        m = gm.derivative(1)
+        m = gm.basis.derivative(1)
         chunk = max(1, sp.BLOCK_VALUES // (d * d * gm.vol))
         rng = np.random.default_rng(M)
-        shape = (2 * chunk + 1,) + gm.modes.shape
+        shape = (2 * chunk + 1,) + gm.basis.modes.shape
         vhat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         got = gm.lp_means(vhat, m, 1.5)
         for r in range(len(vhat)):
@@ -287,7 +331,7 @@ class TestBandPair:
     @staticmethod
     def spectrum(gm, rows, c, seed):
         rng = np.random.default_rng(seed)
-        shape = (rows, len(gm.modes), c)
+        shape = (rows, len(gm.basis.modes), c)
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
@@ -328,9 +372,9 @@ class TestSymbols:
         # (c, Z) at the half-space modes, the full-grid values there, and
         # their conjugates at the partners: the symbol of a real operator
         gm = sp.grid_map(d, n, M)
-        m, full = MULTIPLIERS[mult](gm), full_grid_multiplier(gm, mult)
+        m, full = MULTIPLIERS[mult](gm.basis), full_grid_multiplier(gm, mult)
         full = full.reshape(len(full), gm.vol)
-        assert m.shape == (len(full), len(gm.modes))
+        assert m.shape == (len(full), len(gm.basis.modes))
         assert m.tobytes() == full[:, gm.pos_flat].tobytes()
         assert np.array_equal(np.conj(m), full[:, gm.neg_flat])
 
@@ -500,7 +544,7 @@ class TestGridLpMeans:
         x = np.random.default_rng(10 * d + n).standard_normal((6, lam.size))
         x *= (1.0 + lam) ** -0.5
         want = np.sum(PARSEVAL_WEIGHTS[mult](lam) * x * x, axis=1)
-        got = sp.grid_lp_means(x, d, n, 2.0, MULTIPLIERS[mult])
+        got = sp.grid_lp_means(x, d, n, 2.0, MULTIPLIERS[mult](sp.basis(d, n)))
         assert np.max(np.abs(got - want) / want) <= 1e-14
 
     @pytest.mark.parametrize("p", [0.5, 0.0, float("nan")])
@@ -510,9 +554,9 @@ class TestGridLpMeans:
             raise AssertionError("a grid was picked")
 
         monkeypatch.setattr(sp, "norm_grid_size", no_search)
-        x = np.ones((1, sp.grid_map(2, 2, 5).K))
+        x = np.ones((1, sp.basis(2, 2).K))
         with pytest.raises(ValueError, match="p >= 1"):
-            sp.grid_lp_means(x, 2, 2, p, MULTIPLIERS["bessel"])
+            sp.grid_lp_means(x, 2, 2, p, MULTIPLIERS["bessel"](sp.basis(2, 2)))
         with pytest.raises(ValueError, match="p >= 1"):
             sp.gradient_lp_norm(random_field(0), p)
 
@@ -530,12 +574,12 @@ def probe_error(d, n, p, M, R):
     (1 + 4 pi^2 |z|^2)^-1, the Bessel, Laplacian and gradient symbols, and
     the largest relative difference from the R^d reference grid."""
     ref = sp.grid_map(d, n, R)
-    x = np.random.default_rng(0).standard_normal((2, ref.K))
-    vhat = ref.coords_to_modes(x * (1.0 + ref.lam_coord) ** -0.5)
+    x = np.random.default_rng(0).standard_normal((2, ref.basis.K))
+    vhat = ref.basis.coords_to_modes(x * (1.0 + ref.basis.lam_coord) ** -0.5)
     gm = sp.grid_map(d, n, M)
-    return max(float(np.max(np.abs(gm.lp_means(vhat, m(gm), p) - want) / want))
+    return max(float(np.max(np.abs(gm.lp_means(vhat, m(gm.basis), p) - want) / want))
                for m in MULTIPLIERS.values()
-               for want in [ref.lp_means(vhat, m(ref), p)])
+               for want in [ref.lp_means(vhat, m(ref.basis), p)])
 
 
 class TestNormGrid:
