@@ -9,8 +9,9 @@ check lists the run, path index and step of each diverged record.
 Reports are strict JSON (RFC 8259): a non-finite number is written as the
 string "inf", "-inf" or "nan".
 SPLF_THREADS caps the worker count for ensemble runs.  In `simulate` each
-ensemble worker writes its own paths' CSVs and snapshots as it finishes
-them; the parent then hashes those files and writes the manifest.
+ensemble worker writes its own paths' CSVs and snapshots block by block and
+sends back only each path's outcome; the parent then hashes those files and
+writes the manifest.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .config import OutputOptions, config_to_ini, parse_config
 from .diagnostics import (MANIFEST_ONLY, energy_experiment, gronwall_experiment,
                           identical_noise_separation)
 from .exponents import critical_exponents, exponent_report, uniqueness_threshold
-from .integrator import SimConfig, TrajectoryRecord, simulate_ensemble
+from .integrator import PathOutcome, SimConfig, TrajectoryRecord, simulate_ensemble
 from .snapshot import write_snapshot
 from .spectral import coords_to_field
 
@@ -65,9 +66,10 @@ def _write_record_csv(record: TrajectoryRecord, path: Path) -> None:
         f.writelines(row % tuple(r) for r in table.tolist())
 
 
-def _path_outputs(record: TrajectoryRecord, snapshots: bool) -> list:
-    """File names of one path's outputs: its CSV, then its final snapshot
-    if snapshots are on and the path did not diverge."""
+def _path_outputs(record: PathOutcome, snapshots: bool) -> list:
+    """File names of one path's outputs (of its record or its outcome):
+    its CSV, then its final snapshot if snapshots are on and the path did
+    not diverge."""
     stem = f"path_{record.path_index:06d}"
     return [f"{stem}.csv"] + (
         [f"{stem}_final.splf"] if snapshots and not record.diverged else [])
@@ -160,15 +162,14 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    records = simulate_ensemble(config, write=functools.partial(
+    outcomes = simulate_ensemble(config, write=functools.partial(
         _write_path, out_dir, outputs.snapshots, config))
-    files = [out_dir / name for r in records
-             for name in _path_outputs(r, outputs.snapshots)]
-    paths = [{"path_index": r.path_index, "diverged": r.diverged,
-              "diverged_step": r.diverged_step} for r in records]
-    _write_manifest(out_dir, config, outputs, paths, files, started)
-    n_div = sum(r.diverged for r in records)
-    print(f"simulate,done,paths={len(records)},diverged={n_div},out={out_dir}")
+    files = [out_dir / name for o in outcomes
+             for name in _path_outputs(o, outputs.snapshots)]
+    _write_manifest(out_dir, config, outputs, [o._asdict() for o in outcomes],
+                    files, started)
+    n_div = sum(o.diverged for o in outcomes)
+    print(f"simulate,done,paths={len(outcomes)},diverged={n_div},out={out_dir}")
     return 0
 
 

@@ -18,7 +18,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "GaussianInit",
     "SimConfig",
     "TrajectoryRecord",
+    "PathOutcome",
     "step",
     "simulate",
     "simulate_paired",
@@ -164,13 +165,9 @@ class TrajectoryRecord:
     Running integrals use the left-endpoint rule matching the discrete Ito
     identity of the explicit schemes, so they are nondecreasing and the
     discrete energy balance closes up to the stepper's own bias.  The norm
-    quadrature ||X||_{p,1}^p, by `spectral.grid_lp_means` for every p, is
-    filled in by the ensemble route (`simulate`, `simulate_ensemble`, in its
-    workers), whose readers are the `simulate` CSV and `apriori_check`.  It
-    is None on the records of `simulate_paired` and of
-    `simulate_ensemble(..., norm_p1=False)`, which `energy_experiment` uses:
-    no consumer of those reads it.  `_norm_p1_p` computes it from `coords`
-    bit for bit.
+    ||X||_{p,1}^p (`_norm_p1_p` of `coords`), for the `simulate` CSV, is
+    None on pair records and with norm_p1=False.  With write=,
+    `simulate_ensemble` returns a PathOutcome in place of each record.
     """
 
     path_index: int
@@ -187,6 +184,11 @@ class TrajectoryRecord:
     @property
     def final_coords(self) -> np.ndarray:
         return self.coords[-1]
+
+
+# What `simulate_ensemble(..., write=...)` keeps of a record, for the manifest.
+PathOutcome = NamedTuple("PathOutcome", [
+    ("path_index", int), ("diverged", bool), ("diverged_step", Optional[int])])
 
 
 def initial_coords(config: SimConfig, path_index: int) -> np.ndarray:
@@ -283,32 +285,36 @@ class _BlockStepper:
         """Records of the paths whose initial rows are x0 (P, K).
 
         Each row draws its increments from the stream of its path index;
-        rows with the same index share every draw.
+        rows with the same index share every draw.  Recorded rows fill one
+        buffer, (P, R, K) for the state and (P, R) per column; a record's
+        arrays are views of its slot.
         """
         c = self.config
         dt = self.dt
         x = np.array(x0, dtype=float)
-        live = np.arange(len(path_indices))     # block row -> slot in the output
-        rows = [[] for _ in live]
+        (P, K), R = x.shape, (self.n_steps - 1) // c.record_every + 2
+        live = np.arange(P)                     # block row -> slot in the buffer
+        n_rec = np.full(P, R)                   # recorded rows of each slot
+        sums = {"int_diss": np.zeros(P), "int_gamma": np.zeros(P)}
+        buf = {"coords": np.empty((P, R, K)), **{
+            name: np.empty((P, R)) for name in ("times", "norm_l2_sq", *sums)}}
         diverged_step = {}
-        int_diss = np.zeros(len(live))
-        int_gamma = np.zeros(len(live))
 
-        def record(t):
-            for xj, slot, l2, i_diss, i_gam in zip(
-                    x, live, np.vecdot(x, x), int_diss, int_gamma):
-                rows[slot].append((t, xj.copy(), l2, i_diss, i_gam))
+        def record(r, t):
+            for name, v in (("times", t), ("coords", x),
+                            ("norm_l2_sq", np.vecdot(x, x)), *sums.items()):
+                buf[name][live, r] = v
 
         for k in range(self.n_steps):
             if k % c.record_every == 0:
-                record(k * dt)
+                record(k // c.record_every, k * dt)
             b, diss = drift_and_dissipation(x, c.d, c.n, self.params)
             # a row whose drift is not finite diverges at step k; every
             # stepper then gives it a non-finite state, so it leaves the
             # block below with the rows whose norm fails at step k + 1
             fail_step = np.where(np.isfinite(b).all(axis=1), k + 1, k)
-            int_diss += dt * diss
-            int_gamma += dt * np.vecdot(x * x, self.gamma)
+            sums["int_diss"] += dt * diss
+            sums["int_gamma"] += dt * np.vecdot(x * x, self.gamma)
             labels = [path_indices[slot] for slot in live]
             draws = {q: self.increment(q, k) for q in set(labels)}
             dW = np.array([draws[q] for q in labels])
@@ -317,52 +323,48 @@ class _BlockStepper:
             keep = np.isfinite(nrm) & (nrm <= c.norm_ceiling)
             if not keep.all():
                 diverged_step.update(zip(live[~keep].tolist(), fail_step[~keep].tolist()))
-                x, int_diss, int_gamma, live = (
-                    a[keep] for a in (x, int_diss, int_gamma, live))
+                n_rec[live[~keep]] = k // c.record_every + 1
+                x, live = x[keep], live[keep]
+                sums = {name: v[keep] for name, v in sums.items()}
                 if not live.size:
                     break
         else:
-            record(self.n_steps * dt)
-        return [_to_record(c, path_index, rows[slot], diverged_step.get(slot))
-                for slot, path_index in enumerate(path_indices)]
-
-
-def _to_record(config: SimConfig, path_index: int, rows: list,
-               diverged_step: Optional[int]) -> TrajectoryRecord:
-    times, coords, l2, i_diss, i_gam = (np.array(col) for col in zip(*rows))
-    return TrajectoryRecord(
-        path_index=path_index, dt=config.dt_eff, times=times, coords=coords,
-        norm_l2_sq=l2, norm_p1_p=None, int_diss=i_diss, int_gamma=i_gam,
-        diverged=diverged_step is not None, diverged_step=diverged_step)
+            record(R - 1, self.n_steps * dt)
+        return [TrajectoryRecord(
+            path_index=q, dt=dt, norm_p1_p=None,
+            **{name: col[s, :m] for name, col in buf.items()},
+            diverged=s in diverged_step, diverged_step=diverged_step.get(s))
+            for s, (q, m) in enumerate(zip(path_indices, n_rec.tolist()))]
 
 
 def _run_blocks(config: SimConfig, labels: Sequence[int], x0: np.ndarray,
-                rows: int) -> List[TrajectoryRecord]:
-    """Records of the initial rows x0 (N, K) with path labels `labels`,
-    integrated `rows` rows per block, in row order."""
+                rows: int, finish: Callable = lambda rec: rec) -> list:
+    """finish(record) of each row of x0 (N, K), labelled by `labels`, in blocks
+    of `rows` rows; a block's records are finished before the next runs."""
     stepper = _BlockStepper(config)
-    records = []
+    out = []
     for start in range(0, len(labels), rows):
-        records += stepper.run(labels[start:start + rows], x0[start:start + rows])
-    return records
+        out += map(finish, stepper.run(labels[start:start + rows],
+                                       x0[start:start + rows]))
+    return out
 
 
 def _run_paths(config: SimConfig, indices: Sequence[int], norm_p1: bool = True,
-               write: Optional[Callable[[TrajectoryRecord], None]] = None
-               ) -> List[TrajectoryRecord]:
-    """Records of the given paths from their own initial conditions,
-    integrated block by block, with their ||X||_{p,1}^p filled in if
-    norm_p1 (else left None).  write, if given, is then called on each
-    record in this process, so an ensemble worker writes its own paths'
-    outputs."""
-    x0 = np.array([initial_coords(config, i) for i in indices])
-    records = _run_blocks(config, indices, x0, block_size(config.d, config.n))
-    for rec in records:
+               write: Optional[Callable] = None) -> list:
+    """Records of the given paths from their own initial conditions, each
+    with its ||X||_{p,1}^p if norm_p1 (else None).  With write, each record
+    goes to write as soon as its block ends, and its PathOutcome is kept in
+    its place: a process holds one block of records at a time."""
+    def finish(rec):
         if norm_p1:
             rec.norm_p1_p = _norm_p1_p(rec.coords, config)
-        if write is not None:
-            write(rec)
-    return records
+        if write is None:
+            return rec
+        write(rec)
+        return PathOutcome(rec.path_index, rec.diverged, rec.diverged_step)
+
+    x0 = np.array([initial_coords(config, i) for i in indices])
+    return _run_blocks(config, indices, x0, block_size(config.d, config.n), finish)
 
 
 def simulate(config: SimConfig, path_index: int) -> TrajectoryRecord:
@@ -409,16 +411,14 @@ def max_workers() -> int:
 
 def simulate_ensemble(config: SimConfig, norm_p1: bool = True,
                       write: Optional[Callable[[TrajectoryRecord], None]] = None):
-    """All paths of the ensemble, in path order.
+    """Every path of the ensemble in path-index order, whatever the
+    scheduling: TrajectoryRecords without write, PathOutcomes with it.
 
-    Paths are independent; with SPLF_THREADS > 1 they are farmed out to
-    worker processes, which also compute the norm_p1_p column.  With
-    norm_p1=False that column is left None, as on pair records.  write, a
-    picklable callable, is applied to each record, after its norm column,
-    in the process that computed it: each worker writes its own paths'
-    outputs, and an error it raises there ends the call.  Results are
-    always assembled in path-index order so downstream reductions are
-    scheduling-independent.
+    With SPLF_THREADS > 1 the paths are farmed out to worker processes,
+    which also compute the norm_p1_p column (None with norm_p1=False).
+    write, a picklable callable, gets each record with its norm column in
+    the process that computed it, as soon as the record's block ends; an
+    error it raises there ends the call.  A worker sends back only outcomes.
     """
     indices = list(range(config.n_paths))
     workers = max_workers()

@@ -140,6 +140,21 @@ def test_diverged_rows_leave_the_block(ceiling):
     assert len(steps) > 1 and not all(r.diverged for r in records)
 
 
+def test_uneven_rows_fill_the_block_buffer():
+    # 50 steps recorded every third: the last row comes two steps after the
+    # one before it.  All 16 paths share one block; the norm ceiling fails a
+    # row on the state after step k, so it leaves the block at step
+    # k = diverged_step - 1, some just after a recorded row (k = 3) and some
+    # between two (k = 2, 4, 5): their slots of the buffer end at different
+    # rows
+    c = dataclasses.replace(diverging_config(), record_every=3)
+    assert c.n_steps % c.record_every != 0
+    records = assert_blocks_match_oracle(c)
+    left = [r.diverged_step - 1 for r in records if r.diverged]
+    assert {k % c.record_every == 0 for k in left} == {True, False}
+    assert len(left) < len(records)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("stepper", it.STEPPERS)
 def test_pairs_share_one_stream(d, stepper):

@@ -5,16 +5,20 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import platform
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from splf import cli
 from splf import diagnostics as dg
+from splf import integrator as it
 from splf.config import (OutputOptions, config_to_ini, parse_config,
                          parse_config_string)
-from splf.integrator import (ConfigError, GaussianInit, SimConfig,
+from splf.integrator import (ConfigError, GaussianInit, PathOutcome, SimConfig,
                              SingleModeInit, TrajectoryRecord, initial_coords,
                              simulate_ensemble, simulate_paired)
 from splf.noise import ExplicitSpectrum, PowerLawSpectrum, SpectrumError
@@ -55,6 +59,15 @@ class TestParsing:
         assert isinstance(cfg.init, SingleModeInit)
         assert isinstance(cfg.gamma, PowerLawSpectrum)
         assert out.snapshots is False
+
+    def test_readme_ini_samples_parse(self):
+        # a user copies these; the parser reads text after a value as part
+        # of the value, so a comment must take a line of its own
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+        assert blocks
+        for block in blocks:
+            parse_config_string(block)
 
     def test_p_one_rejected(self):
         with pytest.raises(ConfigError, match="p:"):
@@ -444,6 +457,96 @@ class TestWorkerWrites:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+class LogWrites:
+    """A picklable `write` that appends `<pid> write <path index>` to a log
+    file, so forked ensemble workers log to the same file."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __call__(self, record):
+        assert isinstance(record, TrajectoryRecord) and record.norm_p1_p is not None
+        with open(self.log, "a") as f:
+            f.write(f"{os.getpid()} write {record.path_index}\n")
+
+
+def ini_config(tmp_path, ini, **kw):
+    """The small or the diverging INI as a SimConfig."""
+    if ini == "diverging":
+        (tmp_path / "run.ini").write_text(DIVERGING)
+        path = tmp_path / "run.ini"
+    else:
+        path = small_ini(tmp_path)
+    return dataclasses.replace(parse_config(path)[0], **kw)
+
+
+class TestOutcomeRoute:
+    """simulate_ensemble(config, write=...) hands every record to write as
+    soon as its block ends and returns only each path's PathOutcome."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ini", ["small", "diverging"])
+    def test_outcomes_match_records(self, tmp_path, monkeypatch, threads, ini):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = ini_config(tmp_path, ini)
+        monkeypatch.setenv("SPLF_THREADS", "1")
+        records = simulate_ensemble(config)
+        monkeypatch.setenv("SPLF_THREADS", str(threads))
+        log = tmp_path / "writes.log"
+        outcomes = simulate_ensemble(config, write=LogWrites(log))
+        assert all(isinstance(o, PathOutcome) for o in outcomes)
+        assert [tuple(o) for o in outcomes] == [
+            (r.path_index, r.diverged, r.diverged_step) for r in records]
+        assert any(o.diverged for o in outcomes) == (ini == "diverging")
+        written = [int(line.split()[2]) for line in log.read_text().splitlines()]
+        assert sorted(written) == list(range(config.n_paths))
+
+    @pytest.mark.parametrize("ini", ["small", "diverging"])
+    def test_worker_result_is_small(self, tmp_path, ini):
+        # what a worker pickles back to the parent: three fields per path,
+        # not the records (about 100 KB per path of the d=3 benchmark)
+        config = ini_config(tmp_path, ini)
+        task = (config, list(range(config.n_paths)), True)
+        outcomes = it._worker((*task, LogWrites(tmp_path / "writes.log")))
+        records = it._worker((*task, None))
+        size = len(pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL))
+        assert size < 200 * config.n_paths
+        assert len(pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)) > 10 * size
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_write_gets_each_block_before_the_next_runs(self, tmp_path, monkeypatch,
+                                                        threads):
+        # 70 paths at d=2, n=2 run in blocks of 32; each process logs the
+        # start of every block and every write, and forked workers inherit
+        # the wrapped run
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("SPLF_THREADS", str(threads))
+        log = tmp_path / "writes.log"
+        run = it._BlockStepper.run
+
+        def logged_run(self, labels, x0):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} run {','.join(map(str, labels))}\n")
+            return run(self, labels, x0)
+
+        monkeypatch.setattr(it._BlockStepper, "run", logged_run)
+        config = ini_config(tmp_path, "small", n_paths=70)
+        assert it.block_size(config.d, config.n) == 32
+        simulate_ensemble(config, write=LogWrites(log))
+        by_pid = {}
+        for line in log.read_text().splitlines():
+            pid, what, labels = line.split()
+            by_pid.setdefault(pid, []).append((what, labels))
+        chunks = [list(range(70))[i::threads] for i in range(threads)]
+        want = []
+        for chunk in chunks:
+            blocks = [chunk[i:i + 32] for i in range(0, len(chunk), 32)]
+            want.append([e for b in blocks for e in
+                         [("run", ",".join(map(str, b)))] + [("write", str(i)) for i in b]])
+        assert sorted(by_pid.values()) == sorted(want)
+        assert (str(os.getpid()) in by_pid) == (threads == 1)
 
 
 def reject_constant(token):
