@@ -182,12 +182,20 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     d(d+1)/2 stress components tau_ij with i <= j (e, and so tau, is exactly
     symmetric) go through gm.analyse, the adjoint, to the modes, where the
     divergence 2 pi i z_j tau_ij(z) and the subtraction of the advection
-    are taken.  The pointwise stress, advection and dissipation keep the
-    components before the grid axes, with one transposing copy from and to
-    the pair's layout.  The pair acts on each row alone, einsum sums each
-    point alone and the dissipation is a mean over each row's contiguous
-    grid axis, that row's own pairwise sum; so a row's result does not
-    depend on the block it was computed in.
+    are taken.  The pointwise stage keeps the components before the grid
+    axes, with one transposing copy from the pair's layout, and works in
+    place so that few block-sized arrays are alive at once: the advection
+    goes straight into the pair's layout, the synthesised values are
+    dropped once the strain is formed, the dissipation density overwrites
+    the strain, each tau_ij is copied into the layout on its own, and the
+    strain and stress are dropped before the analysis.  One call at d=3,
+    n=2 peaks at 270-290 kB per path (tracemalloc), so the memory grows
+    slowly with the block.  The values are those of the oracle routes'
+    _strain_from_gradient, _stress_from_strain and sum(e * tau), byte for
+    byte.  The pair acts on each row alone, einsum sums each point alone
+    and the dissipation is a mean over each row's contiguous grid axis,
+    that row's own pairwise sum; so a row's result does not depend on the
+    block it was computed in.
     """
     d, M = gm.d, gm.M
     block = x.reshape(-1, x.shape[-1])
@@ -201,19 +209,22 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     # in blocks of 32
     down = np.ascontiguousarray(gm.synthesize(spec).swapaxes(1, 2)).reshape(
         (P, -1) + gm.shape)
-    V = down[:, :d]
     G = down[:, d:].reshape((P, d, d) + gm.shape)
-    e = _strain_from_gradient(G, axis=1)
-    tau = _stress_from_strain(e, params, axis=1)
-    density = np.sum(e * tau, axis=(1, 2))
-    diss = density.reshape(P, -1).mean(axis=1)
     i, j, sym = _symmetric_components(d)
     # the advection and tau_ij, i <= j, written straight into the pair's layout
     c = d + len(i)
     values = np.empty((P,) + gm.shape[:-1] + (c, M))
     up = np.moveaxis(values, -2, 1)                       # a view, (P, c, M, .., M)
-    np.einsum("pj...,pij...->pi...", V, G, out=up[:, :d])
-    up[:, d:] = tau[:, i, j]
+    np.einsum("pj...,pij...->pi...", down[:, :d], G, out=up[:, :d])
+    e = np.add(G, G.swapaxes(1, 2))
+    e *= 0.5
+    del down, G
+    tau = _stress_from_strain(e, params, axis=1)
+    density = np.sum(np.multiply(e, tau, out=e), axis=(1, 2))
+    diss = density.reshape(P, -1).mean(axis=1)
+    for k, (a, b) in enumerate(zip(i, j)):
+        up[:, d + k] = tau[:, a, b]
+    del e, tau
     band = gm.analyse(values.reshape(P, -1, c, M))        # (P, Z, c)
     div_tau = np.einsum("zj,pzij->pzi", ik, band[:, :, d + sym])
     b = gm.basis.modes_to_coords(div_tau - band[:, :, :d])

@@ -26,7 +26,7 @@ from . import rng
 from .constitutive import FluidParams, drift_and_dissipation
 from .noise import (ExplicitSpectrum, PowerLawSpectrum, gamma_vector,
                     validate_spectrum)
-from .spectral import BLOCK_VALUES, basis, grid_lp_means, pairing_grid_size
+from .spectral import basis, grid_lp_means, pairing_grid_size
 
 __all__ = [
     "ConfigError",
@@ -247,11 +247,26 @@ def _norm_p1_p(coords: np.ndarray, config: SimConfig) -> np.ndarray:
                          basis(config.d, config.n).bessel(1.0))
 
 
+# Drift grid values that one block may synthesise, and the block cap.  They
+# give blocks of 32 paths at d=2, n=2 (the cap) and of 4 at d=3, n=2.  2-core
+# x86 host, numpy 2.4.6 with scipy-openblas 0.3.31, one BLAS thread, CPU time
+# per path of one d=3, n=2 drift call (minimum of 7 alternating sets): 240 us
+# alone and 219, 180, 168 and 283 us in blocks of 2, 4, 8 and 16.  Blocks of
+# 16 take about 1000 minor page faults per call, against none below, as
+# their temporaries leave the heap for fresh mmaps.  Blocks of 8 ran about
+# as fast as 4 end to end but raised simulate-d3's peak RSS by 3.2%, against
+# 0.9% for 4 (perfbench, against blocks of 2); at d=2, n=2 blocks of 64 and
+# 128 were slower per path than 32.
+DRIFT_VALUES = 48_000
+MAX_BLOCK = 32
+
+
 def block_size(d: int, n: int) -> int:
-    """Paths stepped together: the largest power of two whose drift grid
-    values from `synthesize`, (d + d^2) M^d per path, fit in BLOCK_VALUES."""
+    """Paths stepped together: the largest power of two, at most MAX_BLOCK,
+    whose drift grid values from `synthesize`, (d + d^2) M^d per path, fit
+    in DRIFT_VALUES."""
     per_path = (d + d * d) * pairing_grid_size(n) ** d
-    return 1 << max(0, (BLOCK_VALUES // per_path).bit_length() - 1)
+    return min(MAX_BLOCK, 1 << max(0, (DRIFT_VALUES // per_path).bit_length() - 1))
 
 
 class _BlockStepper:

@@ -59,17 +59,10 @@ class StructureError(ValueError):
     """A field is not divergence free, or a tensor field not symmetric."""
 
 
-# Grid values that one batched `synthesize` may return: the d + d^2
-# components of a drift block of paths, or the d c components of an L_p
-# chunk of rows (one d=3 row of 3 x 20^3 on the simulate-d3 grid; five d=2
-# gradient rows of 4 x 34^2 on the uniqueness-d2 grid).  It gives drift
-# blocks of 32 paths at d=2, n=2 and of 2 at d=3, n=2, as does any value
-# in [24000, 38400).  2-core x86 host, numpy 2.4.6 with scipy-openblas
-# 0.3.31, one BLAS thread: per path, d=2, n=2 took 79 us alone and 18, 14,
-# 13, 18 and 20 us in blocks of 8, 16, 32, 64 and 128 (the drift before the
-# band pair); in the pair's layout, 8 d=3, n=2 paths of 50 steps took
-# 0.21-0.23 s of CPU time in blocks of 2 against 0.25-0.26 s one at a time
-# (medians of 10 alternating sets, blocks of 2 faster in 8 of 10).
+# Grid values that one batched `synthesize` of `lp_means` may return: the
+# d c components of a chunk of rows (one d=3 row of 3 x 20^3 on the
+# simulate-d3 grid; five d=2 gradient rows of 4 x 34^2 on the uniqueness-d2
+# grid).  The drift's blocks have their own budget, integrator.DRIFT_VALUES.
 BLOCK_VALUES = 24_000
 
 

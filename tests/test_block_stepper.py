@@ -20,6 +20,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +93,9 @@ def config(d, stepper, **kw):
     return it.SimConfig(**defaults)
 
 
-def assert_blocks_match_oracle(c):
+def assert_blocks_match_oracle(c, sizes=(1, 7, 64)):
     oracle = [per_path_loop(c, i, it.initial_coords(c, i)) for i in range(c.n_paths)]
-    for size in (1, 7, 64):
+    for size in sizes:
         records = run_in_blocks(c, size)
         assert [r.path_index for r in records] == list(range(c.n_paths))
         for rec, want in zip(records, oracle):
@@ -125,6 +126,16 @@ def test_blocks_match_per_path_loop(d, stepper):
     # row would dominate the test
     c = config(d, stepper, record_every=2 if d == 2 else 5)
     assert_blocks_match_oracle(c)
+
+
+def test_d3_blocks_match_per_path_loop():
+    # the simulate-d3 model, d=3, n=2, p=1.9, tamed, in blocks of one, of
+    # the rule's size and of 7; 9 paths leave a short last block, and the
+    # last recorded row comes one step after the one before it
+    c = config(3, "tamed", n=2, p=1.9, T=1e-2, n_paths=9, record_every=2)
+    size = it.block_size(c.d, c.n)
+    assert 1 < size < 7
+    assert_blocks_match_oracle(c, sizes=(1, size, 7))
 
 
 @pytest.mark.parametrize("ceiling", [40.0, float("inf")])
@@ -210,14 +221,38 @@ def test_ensemble_and_single_paths_match_oracle():
 
 
 def test_block_size_rule():
-    # (d + d^2) M^d synthesised grid values per path against the block budget
+    # (d + d^2) M^d synthesised grid values per path against the drift
+    # budget, at most MAX_BLOCK paths
+    assert it.MAX_BLOCK == 32
     assert it.block_size(2, 2) == 32
-    assert it.block_size(3, 2) == 2
-    for d, n in [(2, 1), (2, 5), (2, 8), (3, 1), (3, 4)]:
+    assert it.block_size(3, 2) == 4
+    for d, n in [(2, 1), (2, 2), (2, 5), (2, 8), (3, 1), (3, 2), (3, 4)]:
         size = it.block_size(d, n)
         per_path = (d + d * d) * sp.pairing_grid_size(n) ** d
-        assert size >= 1 and size & (size - 1) == 0
-        assert size == 1 or size * per_path <= it.BLOCK_VALUES < 2 * size * per_path
+        assert 1 <= size <= it.MAX_BLOCK and size & (size - 1) == 0
+        assert size == 1 or size * per_path <= it.DRIFT_VALUES
+        assert size == it.MAX_BLOCK or it.DRIFT_VALUES < 2 * size * per_path
+
+
+# bytes per path: 300 KiB at d=3, and 0.67 MiB over a d=2 block of 32
+@pytest.mark.parametrize("d,limit", [(3, 300 * 1024), (2, 0.67 * 2 ** 20 / 32)])
+def test_drift_memory_per_path(d, limit):
+    # tracemalloc peak of one drift call in a block of the rule's size at
+    # n=2: the pointwise stage works in place, so few block-sized arrays
+    # are alive at once (410 kB per path at d=3 when every one of them
+    # lives to the end of the call)
+    n = 2
+    P = it.block_size(d, n)
+    x = np.random.default_rng(d).standard_normal((P, sp.basis(d, n).K))
+    params = co.FluidParams(p=1.9, nu=1.0)
+    co.drift_and_dissipation(x, d, n, params)     # builds the cached grid tables
+    tracemalloc.start()
+    try:
+        co.drift_and_dissipation(x, d, n, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * P
 
 
 def test_streams_rewind_to_any_label():
