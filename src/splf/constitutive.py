@@ -32,7 +32,6 @@ from .spectral import (
 __all__ = [
     "FluidParams",
     "rate_of_strain",
-    "rate_of_strain_modes",
     "stress",
     "pairing_stress",
     "convection",
@@ -95,14 +94,6 @@ def rate_of_strain(v: SpectralField, M: int | None = None) -> GridTensorField:
     gm = _common_map(v, M=M)
     _, G = _grid_and_gradient(v, gm)
     return GridTensorField(d=v.d, M=gm.M, values=_strain_from_gradient(G))
-
-
-def rate_of_strain_modes(v: SpectralField):
-    """Spectral form of the strain: (modes, tensor coefficients (Z, d, d))."""
-    z = v.modes.astype(float)
-    strain = 1j * np.pi * (z[:, :, None] * v.coeffs[:, None, :] +
-                           z[:, None, :] * v.coeffs[:, :, None])
-    return v.modes, strain
 
 
 def stress(v: SpectralField, params: FluidParams, M: int | None = None) -> GridTensorField:

@@ -36,6 +36,11 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be an integer >= 2, got {d}")
 
 
+def _check_p(p: Number) -> None:
+    if not 1 < p < math.inf:
+        raise ValueError(f"p: must be finite and exceed 1, got {p}")
+
+
 @dataclass(frozen=True)
 class CriticalExponents:
     p1: Fraction
@@ -63,8 +68,7 @@ def admissible_existence(p: Number, d: int) -> bool:
     (p1, p2) union (p3, inf) for d = 9, and (p3, inf) for d >= 10.
     """
     _check_dim(d)
-    if not p > 1:
-        raise ValueError(f"power-law exponent must exceed 1, got p={p}")
+    _check_p(p)
     c = critical_exponents(d)
     if d <= 8:
         return p > c.p1
@@ -116,8 +120,7 @@ def regularity_weight(p: float, d: int) -> float:
 
 def moment_exponent(p: float) -> float:
     """Exponent p/(p+2) of the convection moment bound."""
-    if not p > 1:
-        raise ValueError(f"power-law exponent must exceed 1, got p={p}")
+    _check_p(p)
     return p / (p + 2.0)
 
 
@@ -184,8 +187,9 @@ class ExponentReport:
 def exponent_report(d: int, p: float) -> ExponentReport:
     """Assemble the full exponent report for one (d, p) pair.
 
+    p must be finite and exceed 1 (admissible_existence raises otherwise).
     Exponents whose hypotheses fail at this (d, p) are reported as NaN with
-    a named flag rather than raising, so the report is total.
+    a named flag rather than raising, so the report is total over those p.
     """
     c = critical_exponents(d)
     flags = []

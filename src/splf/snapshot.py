@@ -64,6 +64,13 @@ def bytes_to_field(blob: bytes) -> SpectralField:
             f"snapshot length {len(blob)} != expected {expected}")
     body = np.frombuffer(blob, dtype=_mode_dtype(d), count=count, offset=20)
     c = body["c"]
+    # a NaN would pass every divergence comparison of SpectralField
+    bad = np.argwhere(~np.isfinite(c))
+    if len(bad):
+        k, i = bad[0]
+        raise SnapshotError(
+            f"snapshot coefficients: must be finite, got {c[k, i]} at mode "
+            f"{tuple(int(v) for v in body['z'][k])}")
     return SpectralField(d=int(d), n=int(n), modes=body["z"].astype(np.int64),
                          coeffs=c[:, 0::2] + 1j * c[:, 1::2])
 

@@ -5,8 +5,8 @@ complex Fourier coefficients on a canonical half of the integer lattice;
 the conjugate partner of every stored mode is implicit, so reality of the
 field is structural.  On top of the coefficient representation this module
 provides the real orthonormal cos/sin basis of the divergence-free subspace,
-round trips to uniform physical-space grids, Bessel-potential Sobolev norms,
-and the Leray and truncation projections.
+sampling on uniform physical-space grids, Bessel-potential Sobolev norms
+and the truncation projection.
 """
 
 from __future__ import annotations
@@ -32,10 +32,7 @@ __all__ = [
     "field_to_coords",
     "coords_to_field",
     "to_grid",
-    "from_grid",
-    "project_div_free",
     "truncate_modes",
-    "inner_product",
     "sobolev_norm",
     "gradient_lp_norm",
     "laplacian_lp_norm",
@@ -340,15 +337,20 @@ class SpectralField:
         if modes.shape != coeffs.shape or modes.ndim != 2 or modes.shape[1] != self.d:
             raise DimensionError("modes and coeffs must both have shape (Z, d)")
         if modes.size:
-            pos = _mode_index(modes, self.n, self.d)
-            if (pos < 0).any():
-                z = modes[pos < 0][0]
+            # from the modes alone, at a cost that does not grow with the
+            # (2n+1)^d box: inside it, first nonzero component positive
+            outside = np.abs(modes).max(axis=1) > self.n
+            lead = modes[np.arange(len(modes)), np.argmax(modes != 0, axis=1)]
+            bad = outside | (lead <= 0)
+            if bad.any():
+                k = int(np.argmax(bad))
                 why = (f"outside the truncation box n={self.n}"
-                       if np.abs(z).max() > self.n else "not canonical")
-                raise DimensionError(f"mode {tuple(int(c) for c in z)} is {why}")
+                       if outside[k] else "not canonical")
+                raise DimensionError(f"mode {tuple(int(c) for c in modes[k])} is {why}")
             # not np.unique: numpy 2 imports numpy.ma on its first call,
             # about 1 MB in every ensemble worker that writes a snapshot
-            if np.bincount(pos).max() > 1:
+            rows = modes[np.lexsort(modes.T)]
+            if (rows[1:] == rows[:-1]).all(axis=1).any():
                 raise DimensionError("a mode is stored twice")
             if np.max(np.abs(np.einsum("zd,zd->z", modes, coeffs))) >= 1e-13 * max(
                     1.0, self.n * np.abs(coeffs).max()):
@@ -396,24 +398,10 @@ class SpectralField:
         v = _aligned_modes(self, self.n)[k]
         return v if sign == 1 else np.conj(v)
 
-    def coeff_map(self) -> dict:
-        return {tuple(int(c) for c in z): self.coeffs[k].copy()
-                for k, z in enumerate(self.modes)}
-
     def __mul__(self, scalar: float) -> "SpectralField":
         return SpectralField(self.d, self.n, self.modes, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        if other.d != self.d:
-            raise DimensionError("dimension mismatch in field addition")
-        n = max(self.n, other.n)
-        return SpectralField(self.d, n, basis(self.d, n).modes,
-                             _aligned_modes(self, n) + _aligned_modes(other, n))
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return self + (-1.0) * other
 
 
 @dataclass(frozen=True)
@@ -646,36 +634,6 @@ def to_grid(field: SpectralField, M: int | None = None) -> GridVectorField:
     return GridVectorField(d=field.d, M=M, values=gm.modes_to_grid(vhat))
 
 
-def from_grid(grid: GridVectorField, n: int) -> dict:
-    """Raw half-space mode coefficients of grid samples, order n.
-
-    The output carries no divergence-free constraint; feed it through
-    project_div_free to obtain a SpectralField.
-    """
-    if grid.M < 2 * n + 1:
-        raise AliasingError(f"M={grid.M} cannot resolve modes of order {n}")
-    gm = grid_map(grid.d, n, grid.M)
-    vhat = gm.grid_to_modes(grid.values)
-    return {tuple(int(c) for c in z): vhat[k] for k, z in enumerate(gm.basis.modes)}
-
-
-def project_div_free(raw: dict, d: int, n: int) -> SpectralField:
-    """Leray projection of raw mode data onto the divergence-free space.
-
-    Each coefficient is replaced by v - (z.v) z / |z|^2; z = 0 entries are
-    dropped.  Idempotent, and the identity on already divergence-free data.
-    """
-    cleaned = {}
-    for z, v in raw.items():
-        zt = tuple(int(c) for c in z)
-        if all(c == 0 for c in zt):
-            continue
-        za = np.asarray(zt, dtype=float)
-        v = np.asarray(v, dtype=np.complex128)
-        cleaned[zt] = v - (za @ v) / (za @ za) * za
-    return SpectralField.from_coeff_map(cleaned, d=d, n=n)
-
-
 def truncate_modes(field: SpectralField, n: int) -> SpectralField:
     """Orthogonal projection onto modes with z in [-n,n]^d (sup-norm box).
 
@@ -697,15 +655,6 @@ def _aligned_modes(field: SpectralField, n: int) -> np.ndarray:
                     dtype=np.complex128)
     vhat[pos] = field.coeffs
     return vhat
-
-
-def inner_product(u: SpectralField, v: SpectralField) -> float:
-    """L2 inner product by Parseval: 2 Re sum over stored modes."""
-    if u.d != v.d:
-        raise DimensionError("dimension mismatch in inner product")
-    n = max(u.n, v.n)
-    return float(2.0 * np.real(np.einsum(
-        "zd,zd->", _aligned_modes(u, n), np.conj(_aligned_modes(v, n)))))
 
 
 def grid_lp_means(coords: np.ndarray, d: int, n: int, p: float, symbol,

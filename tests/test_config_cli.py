@@ -253,6 +253,13 @@ class TestCliExponents:
         assert cli.main(["exponents", "--d", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["inf", "nan", "1.0"])
+    def test_p_must_be_finite_and_exceed_one(self, capsys, p):
+        assert cli.main(["exponents", "--d", "2", "--p", p]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: p: must be finite and exceed 1, got {float(p)}\n"
+
 
 def small_ini(tmp_path, n_paths=4, record_every=5):
     text = MINIMAL.replace("n_paths = 10", f"n_paths = {n_paths}")

@@ -60,20 +60,6 @@ class TestRateOfStrain:
                 want[i, j] = eval_symbolic(xs, [eij], grid_points(M, 2))[0]
         assert np.abs(got - want).max() < 1e-12
 
-    def test_spectral_form_matches_grid(self):
-        f = random_field(4, d=2, n=2)
-        modes, strain_hat = co.rate_of_strain_modes(f)
-        # reassemble on the grid from the spectral tensor
-        M = 10
-        gm = sp.grid_map(2, 2, M)
-        vals = np.zeros((2, 2, M, M))
-        for i in range(2):
-            for j in range(2):
-                comp = gm.modes_to_grid(strain_hat[:, i, j][:, None])
-                vals[i, j] = comp[0]
-        want = co.rate_of_strain(f, M=M).values
-        assert np.abs(vals - want).max() < 1e-12
-
 
 class TestStress:
     def test_newtonian_is_linear(self):

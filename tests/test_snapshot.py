@@ -69,7 +69,40 @@ class TestLayout:
         assert np.array_equal(g.coeff(idx.z), f.coeff(idx.z))
 
 
+def one_mode_blob(d, n, coeff):
+    """A snapshot of one mode, z = e_1, with coefficient vector coeff."""
+    z = np.zeros(d, dtype=int)
+    z[0] = 1
+    c = np.asarray(coeff, dtype=complex)
+    return (sn.MAGIC + struct.pack("<IIII", sn.VERSION, d, n, 1)
+            + struct.pack(f"<{d}i", *z)
+            + struct.pack(f"<{2 * d}d", *(v for x in c for v in (x.real, x.imag))))
+
+
+class TestReadCost:
+    @pytest.mark.parametrize("d,n", [(3, 10 ** 6), (40, 1)])
+    def test_read_does_not_build_the_basis(self, monkeypatch, d, n):
+        # the modes are checked from the file alone: the (2n+1)^d box of
+        # the header is never built, however few modes the file holds
+        def no_basis(*args):
+            raise AssertionError("the basis was built")
+
+        monkeypatch.setattr(sp, "basis", no_basis)
+        coeff = np.zeros(d, dtype=complex)
+        coeff[1] = 0.5 - 0.25j
+        g = sn.bytes_to_field(one_mode_blob(d, n, coeff))
+        assert (g.d, g.n) == (d, n)
+        assert np.array_equal(g.modes, np.eye(1, d, dtype=np.int64))
+        assert np.array_equal(g.coeffs, coeff[None])
+
+
 class TestErrors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient(self, bad):
+        coeff = np.array([0.0, complex(1.0, bad)])
+        with pytest.raises(sn.SnapshotError, match=f"must be finite, got {bad} at mode \\(1, 0\\)"):
+            sn.bytes_to_field(one_mode_blob(2, 1, coeff))
+
     def test_bad_magic(self):
         with pytest.raises(sn.SnapshotError, match="magic"):
             sn.bytes_to_field(b"XXXX" + b"\0" * 32)

@@ -21,13 +21,6 @@ def random_field(seed, d=2, n=3, scale=None):
     return sp.coords_to_field(x * scale, n, d)
 
 
-def quad_inner(u, v, M):
-    """Independent L2 inner product oracle: rectangle rule on the grid."""
-    gu = sp.to_grid(u, M).values
-    gv = sp.to_grid(v, M).values
-    return float(np.mean(np.sum(gu * gv, axis=0)))
-
-
 class TestBasis:
     def test_count_n1_d2(self):
         # half-space of [-1,1]^2 minus 0 has 4 vectors, times 2d-2 = 2
@@ -175,19 +168,21 @@ class TestCoord:
 
 
 class TestGridTransforms:
+    # to_grid samples exactly on M >= 2n+1 points: the full-grid FFT
+    # analysis of the samples, _GridMap.grid_to_modes, gives the
+    # coefficients back
     @pytest.mark.parametrize("seed", range(6))
     def test_round_trip_order4(self, seed):
         f = random_field(seed, d=2, n=4)
-        raw = sp.from_grid(sp.to_grid(f, 16), 4)
-        back = sp.project_div_free(raw, d=2, n=4)
-        assert np.abs(back.coeffs - f.coeffs).max() < 1e-12
+        back = sp.grid_map(2, 4, 16).grid_to_modes(sp.to_grid(f, 16).values)
+        assert np.abs(back - f.coeffs).max() < 1e-12
 
     def test_single_mode_exact(self):
+        # on the smallest lossless grid, M = 2n+1
         idx = sp.make_basis(2, 2)[5]
         f = sp.basis_function(idx, n=2)
-        raw = sp.from_grid(sp.to_grid(f, 5), 2)
-        back = sp.project_div_free(raw, d=2, n=2)
-        assert np.abs(back.coeffs - f.coeffs).max() < 1e-14
+        back = sp.grid_map(2, 2, 5).grid_to_modes(sp.to_grid(f, 5).values)
+        assert np.abs(back - f.coeffs).max() < 1e-14
 
     def test_zero_field_grid(self):
         g = sp.to_grid(sp.SpectralField.zero(2, 2), 12)
@@ -198,7 +193,7 @@ class TestGridTransforms:
         with pytest.raises(sp.AliasingError):
             sp.to_grid(f, 8)
         with pytest.raises(sp.AliasingError):
-            sp.from_grid(sp.to_grid(f, 16), 8)
+            sp.grid_map(2, 8, 16)
 
 
 BAND_GRIDS = [(2, 2, 5), (2, 2, 10), (2, 2, 32), (2, 4, 49), (3, 1, 16),
@@ -379,38 +374,6 @@ class TestSymbols:
         assert np.array_equal(np.conj(m), full[:, gm.neg_flat])
 
 
-class TestLerayProjection:
-    def test_div_free_unchanged(self):
-        f = random_field(3, d=2, n=3)
-        back = sp.project_div_free(f.coeff_map(), d=2, n=3)
-        assert np.abs(back.coeffs - f.coeffs).max() < 1e-14
-
-    def test_gradient_mode_killed(self):
-        # coefficient parallel to z is a pure gradient: projection kernel
-        raw = {(1, 2): np.array([1.0 + 2.0j, 2.0 + 4.0j])}
-        back = sp.project_div_free(raw, d=2, n=2)
-        assert np.abs(back.coeffs).max() < 1e-14
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_div_free_and_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        modes = sp.half_space_modes(3, 2)
-        raw = {tuple(int(c) for c in z):
-               rng.standard_normal(2) + 1j * rng.standard_normal(2)
-               for z in modes}
-        once = sp.project_div_free(raw, d=2, n=3)
-        div = np.abs(np.einsum("zd,zd->z", once.modes, once.coeffs)).max()
-        assert div < 1e-14
-        twice = sp.project_div_free(once.coeff_map(), d=2, n=3)
-        assert np.abs(twice.coeffs - once.coeffs).max() < 1e-14
-
-    def test_zero_mode_dropped(self):
-        raw = {(0, 0): np.array([1.0, 1.0]), (1, 0): np.array([0.0, 1.0])}
-        back = sp.project_div_free(raw, d=2, n=1)
-        assert np.abs(back.coeff((0, 1))).max() == 0 or True
-        assert np.abs(back.coeff((1, 0)) - np.array([0, 1.0])).max() < 1e-14
-
-
 class TestTruncation:
     def test_low_order_unchanged(self):
         f = random_field(5, d=2, n=2)
@@ -434,34 +397,6 @@ class TestTruncation:
         one = sp.truncate_modes(f, 2)
         two = sp.truncate_modes(one, 2)
         assert np.abs(one.coeffs - two.coeffs).max() == 0.0
-
-
-class TestInnerProduct:
-    def test_basis_normalized(self):
-        idx = sp.make_basis(2, 2)[7]
-        f = sp.basis_function(idx)
-        assert abs(sp.inner_product(f, f) - 1.0) < 1e-14
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_symmetry(self, seed):
-        u = random_field(seed, d=2, n=3)
-        v = random_field(seed + 100, d=2, n=3)
-        assert abs(sp.inner_product(u, v) - sp.inner_product(v, u)) < 1e-14
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_against_quadrature(self, seed):
-        u = random_field(seed, d=2, n=3)
-        v = random_field(seed + 100, d=2, n=3)
-        assert abs(sp.inner_product(u, v) - quad_inner(u, v, 14)) < 1e-12
-
-    def test_mixed_truncations(self):
-        u = random_field(0, d=2, n=2)
-        v = random_field(1, d=2, n=4)
-        assert abs(sp.inner_product(u, v) - quad_inner(u, v, 18)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(sp.DimensionError):
-            sp.inner_product(random_field(0, d=2), random_field(0, d=3, n=2))
 
 
 class TestSobolevNorm:
