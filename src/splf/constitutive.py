@@ -153,6 +153,79 @@ def dissipation_pairing(v: SpectralField, params: FluidParams,
 # ---------------------------------------------------------------------------
 
 
+def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
+    """Drift coordinates and dissipation < e, tau > in one grid pass.
+
+    x is one coordinate vector (K,) or a block of paths (P, K); the block
+    gives drift rows (P, K) and one dissipation per row.  The drift is
+    P_n (div tau(e) - (v . grad) v): _drift_divergence at d >= 3 and
+    _drift_gradient at d = 2.  The values of both are within rounding of
+    the oracle routes (convection, pairing_stress and the full-grid FFT
+    drift of the tests), which share none of their code.  Each row's result
+    is the same alone and in any block.
+    """
+    block = x.reshape(-1, x.shape[-1])
+    kernel = _drift_gradient if gm.d == 2 else _drift_divergence
+    b, diss = kernel(block, gm, params)
+    if x.ndim == 1:
+        return b[0], float(diss[0])
+    return b, diss
+
+
+def _drift_divergence(block: np.ndarray, gm: _GridMap, params: FluidParams):
+    """The drift of a block (P, K) in divergence form,
+    b = P_n div(tau(e) - v (x) v), which is the drift because
+    (v . grad) v = div(v (x) v) for divergence-free v.
+
+    Down: one matmul with the first of basis.drift_tables takes the
+    coordinates to the coefficients of v and of its d(d+1)/2 strain
+    components e_ij, i <= j, and gm.synthesize gives their grid values.
+    Pointwise, with the components before the grid axes (one transposing
+    copy): |e|^2 = sum e_ii^2 + 2 sum_{i<j} e_ij^2,
+    f = 2 nu (1 + |e|^2)^((p-2)/2), the dissipation density f |e|^2, and
+    tau_ij - v_i v_j = f e_ij - v_i v_j, written straight into the layout of
+    gm.analyse.  Up: the analysis of those d(d+1)/2 components and one
+    matmul with the second table give the drift coordinates.  The stage
+    works in place: one call at d=3, n=2 peaks at 185 KiB per path
+    (tracemalloc).  The matmuls act on each row's slice alone, einsum sums
+    each point alone and the dissipation is a mean over each row's
+    contiguous grid axis, that row's own pairwise sum; so no row depends on
+    its block.
+    """
+    d, M = gm.d, gm.M
+    P = block.shape[0]
+    down, up = gm.basis.drift_tables
+    c = d * (d + 1) // 2
+    spec = (block.reshape(P, -1, 1, 2 * d - 2) @ down).reshape(P, -1, 2 * (d + c))
+    # one expression, so the synthesized values are freed before the
+    # pointwise steps
+    g = np.ascontiguousarray(gm.synthesize(spec.view(np.complex128)).swapaxes(1, 2))
+    v, e = g[:, :d], g[:, d:]                             # (P, ., M^(d-1), M)
+    esq = np.einsum("pcxm,pcxm->pxm", e, e)
+    esq += np.einsum("pcxm,pcxm->pxm", e[:, d:], e[:, d:])    # i < j twice
+    f = esq + 1.0
+    np.power(f, (params.p - 2.0) / 2.0, out=f)
+    f *= 2.0 * params.nu
+    diss = np.multiply(f, esq, out=esq).reshape(P, -1).mean(axis=1)
+    e *= f[:, None]                                       # tau
+    del f, esq
+    # v_i v_j in the order of the tables: i < j row by row, then the
+    # diagonal over v itself
+    vv = np.empty((P, c - d) + v.shape[2:])
+    k = 0
+    for a in range(d - 1):
+        np.multiply(v[:, a:a + 1], v[:, a + 1:], out=vv[:, k:k + d - 1 - a])
+        k += d - 1 - a
+    np.multiply(v, v, out=v)
+    values = np.empty((P, M ** (d - 1), c, M))
+    S = np.moveaxis(values, 2, 1)                         # a view, (P, c, M^(d-1), M)
+    np.subtract(e[:, :d], v, out=S[:, :d])
+    np.subtract(e[:, d:], vv, out=S[:, d:])
+    del g, v, e, vv
+    band = gm.analyse(values)                             # (P, Z, c)
+    return (band.view(np.float64)[:, :, None] @ up).reshape(P, -1), diss
+
+
 @lru_cache(maxsize=None)
 def _symmetric_components(d: int):
     """Row and column of the d(d+1)/2 components i <= j of a symmetric
@@ -163,33 +236,23 @@ def _symmetric_components(d: int):
     return i, j, sym
 
 
-def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
-    """Drift coordinates and dissipation < e, tau > in one grid pass.
+def _drift_gradient(block: np.ndarray, gm: _GridMap, params: FluidParams):
+    """The drift of a block (P, K) in gradient form, the kernel that
+    preceded the divergence form, byte for byte; it stays at d = 2 until
+    perfbench's speed probe can time a round shorter than its 0.2 s period
+    (ROADMAP item 5).  The divergence form runs a d=2, n=2 call in blocks
+    of 32 in 0.69x the time, and energy-d2's commands in about 0.77x
+    (0.248 -> 0.190 s median), so their rounds would end before the
+    probe's first sample.
 
-    x is one coordinate vector (K,) or a block of paths (P, K); the block
-    gives drift rows (P, K) and one dissipation per row.  Down: the field v
-    and its gradient v_i(z) 2 pi i z_j, formed at the modes, go through
-    gm.synthesize, which gives real grid values.  Up: the advection and the
-    d(d+1)/2 stress components tau_ij with i <= j (e, and so tau, is exactly
-    symmetric) go through gm.analyse, the adjoint, to the modes, where the
+    Down: the field v and its gradient v_i(z) 2 pi i z_j, formed at the
+    modes, go through gm.synthesize.  Up: the advection and the d(d+1)/2
+    stress components tau_ij, i <= j, go through gm.analyse, and the
     divergence 2 pi i z_j tau_ij(z) and the subtraction of the advection
-    are taken.  The pointwise stage keeps the components before the grid
-    axes, with one transposing copy from the pair's layout, and works in
-    place so that few block-sized arrays are alive at once: the advection
-    goes straight into the pair's layout, the synthesised values are
-    dropped once the strain is formed, the dissipation density overwrites
-    the strain, each tau_ij is copied into the layout on its own, and the
-    strain and stress are dropped before the analysis.  One call at d=3,
-    n=2 peaks at 270-290 kB per path (tracemalloc), so the memory grows
-    slowly with the block.  The values are those of the oracle routes'
-    _strain_from_gradient, _stress_from_strain and sum(e * tau), byte for
-    byte.  The pair acts on each row alone, einsum sums each point alone
-    and the dissipation is a mean over each row's contiguous grid axis,
-    that row's own pairwise sum; so a row's result does not depend on the
-    block it was computed in.
+    are taken at the modes.  The pointwise stage works in place, as in
+    _drift_divergence; a d=2, n=2 block of 32 peaks at 0.59 MB.
     """
     d, M = gm.d, gm.M
-    block = x.reshape(-1, x.shape[-1])
     P = block.shape[0]
     ik = gm.basis.derivative(1).T                         # (Z, d)
     vhat = gm.basis.coords_to_modes(block)                # (P, Z, d)
@@ -210,7 +273,9 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     e = np.add(G, G.swapaxes(1, 2))
     e *= 0.5
     del down, G
-    tau = _stress_from_strain(e, params, axis=1)
+    esq = np.sum(e ** 2, axis=(1, 2), keepdims=True)
+    tau = 2.0 * params.nu * (1.0 + esq) ** ((params.p - 2.0) / 2.0) * e
+    del esq
     density = np.sum(np.multiply(e, tau, out=e), axis=(1, 2))
     diss = density.reshape(P, -1).mean(axis=1)
     for k, (a, b) in enumerate(zip(i, j)):
@@ -218,10 +283,7 @@ def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     del e, tau
     band = gm.analyse(values.reshape(P, -1, c, M))        # (P, Z, c)
     div_tau = np.einsum("zj,pzij->pzi", ik, band[:, :, d + sym])
-    b = gm.basis.modes_to_coords(div_tau - band[:, :, :d])
-    if x.ndim == 1:
-        return b[0], float(diss[0])
-    return b, diss
+    return gm.basis.modes_to_coords(div_tau - band[:, :, :d]), diss
 
 
 def drift_and_dissipation(x: np.ndarray, d: int, n: int, params: FluidParams):

@@ -87,6 +87,7 @@ def weak_space_exponent(p: float, d: int, alpha: float = 1.0) -> float:
     of the underlying estimate but still computes here.
     """
     _check_dim(d)
+    _check_p(p)
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not p > 2 * d / (d + 2 * alpha):
@@ -109,6 +110,7 @@ def regularity_weight(p: float, d: int) -> float:
     which requires p > (3d - 4)/d so the denominator is positive.
     """
     _check_dim(d)
+    _check_p(p)
     if d == 2:
         return 0.0
     denom = d * p - 3 * d + 4
@@ -151,6 +153,7 @@ def uniqueness_threshold(d: int) -> Fraction:
 def gronwall_exponent(p: float, d: int) -> float:
     """Exponent 2p/(2p - d) on the gradient norm in the uniqueness envelope."""
     _check_dim(d)
+    _check_p(p)
     if not 2 * p > d:
         raise ValueError(f"need 2p > d, got p={p}, d={d}")
     return 2.0 * p / (2.0 * p - d)

@@ -256,15 +256,18 @@ def _norm_p1_p(coords: np.ndarray, config: SimConfig) -> np.ndarray:
 # their temporaries leave the heap for fresh mmaps.  Blocks of 8 ran about
 # as fast as 4 end to end but raised simulate-d3's peak RSS by 3.2%, against
 # 0.9% for 4 (perfbench, against blocks of 2); at d=2, n=2 blocks of 64 and
-# 128 were slower per path than 32.
+# 128 were slower per path than 32.  The budget still counts the (d + d^2)
+# M^d values per path of the gradient form that it was sized on; the d=3
+# drift, in divergence form, synthesises d + d(d+1)/2 components, 9 of 12,
+# and keeps its blocks of 4.
 DRIFT_VALUES = 48_000
 MAX_BLOCK = 32
 
 
 def block_size(d: int, n: int) -> int:
     """Paths stepped together: the largest power of two, at most MAX_BLOCK,
-    whose drift grid values from `synthesize`, (d + d^2) M^d per path, fit
-    in DRIFT_VALUES."""
+    whose (d + d^2) M^d drift grid values per path, those of the gradient
+    form, fit in DRIFT_VALUES."""
     per_path = (d + d * d) * pairing_grid_size(n) ** d
     return min(MAX_BLOCK, 1 << max(0, (DRIFT_VALUES // per_path).bit_length() - 1))
 

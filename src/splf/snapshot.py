@@ -32,6 +32,19 @@ def _mode_dtype(d: int) -> np.dtype:
     return np.dtype([("z", "<i4", (d,)), ("c", "<f8", (2 * d,))])
 
 
+def _check_finite(body: np.ndarray) -> None:
+    """Raise SnapshotError at the first NaN or infinite value of the mode
+    records body; a NaN would pass every divergence comparison of
+    SpectralField, so neither the writer nor the reader lets one through."""
+    c = body["c"]
+    bad = np.argwhere(~np.isfinite(c))
+    if len(bad):
+        k, i = bad[0]
+        raise SnapshotError(
+            f"snapshot coefficients: must be finite, got {c[k, i]} at mode "
+            f"{tuple(int(v) for v in body['z'][k])}")
+
+
 def field_to_bytes(field: SpectralField) -> bytes:
     head = MAGIC + struct.pack("<IIII", VERSION, field.d, field.n,
                                field.modes.shape[0])
@@ -39,6 +52,7 @@ def field_to_bytes(field: SpectralField) -> bytes:
     body["z"] = field.modes
     body["c"][:, 0::2] = field.coeffs.real
     body["c"][:, 1::2] = field.coeffs.imag
+    _check_finite(body)
     return head + body.tobytes()
 
 
@@ -63,21 +77,18 @@ def bytes_to_field(blob: bytes) -> SpectralField:
         raise SnapshotError(
             f"snapshot length {len(blob)} != expected {expected}")
     body = np.frombuffer(blob, dtype=_mode_dtype(d), count=count, offset=20)
+    _check_finite(body)
     c = body["c"]
-    # a NaN would pass every divergence comparison of SpectralField
-    bad = np.argwhere(~np.isfinite(c))
-    if len(bad):
-        k, i = bad[0]
-        raise SnapshotError(
-            f"snapshot coefficients: must be finite, got {c[k, i]} at mode "
-            f"{tuple(int(v) for v in body['z'][k])}")
     return SpectralField(d=int(d), n=int(n), modes=body["z"].astype(np.int64),
                          coeffs=c[:, 0::2] + 1j * c[:, 1::2])
 
 
 def write_snapshot(field: SpectralField, path) -> None:
+    """Write field to path; a non-finite coefficient raises SnapshotError
+    before the file is opened."""
+    blob = field_to_bytes(field)
     with open(path, "wb") as fh:
-        fh.write(field_to_bytes(field))
+        fh.write(blob)
 
 
 def read_snapshot(path) -> SpectralField:

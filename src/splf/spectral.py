@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -282,6 +282,41 @@ class _Basis:
         proj = np.einsum("...zd,zjd->...zj", vhat, self.E) * np.sqrt(2.0)
         return np.concatenate([proj.real, -proj.imag], axis=-1).reshape(
             vhat.shape[:-2] + (-1,))
+
+    @cached_property
+    def drift_tables(self):
+        """(down, up): the two tables of the Galerkin drift in divergence
+        form, b = P_n div S for a symmetric tensor field S, as float arrays
+        for one batched matmul on each side of the band.  A symmetric
+        tensor is carried by its c = d(d+1)/2 components (i, j), i <= j:
+        the diagonal, then i < j row by row.
+
+        down (Z, 2d-2, 2(d+c)) is the float view of a complex table: a row's
+        coordinates at a mode, (2d-2,) in the layout of `coord`, times it
+        give the coefficients (d+c,) of the field v and of its strain
+        e_ij = (d_j v_i + d_i v_j)/2, those of coords_to_modes and of the
+        gradient symbol.  up (Z, 2c, 2d-2) takes S's coefficients at a mode,
+        as (real, imaginary) float pairs, to the coordinates that
+        modes_to_coords gives of (div S)_i = sum_j 2 pi i z_j S_ij: its rows
+        are the real parts and minus the imaginary parts of the complex
+        table, so the float product is the real part of the complex one."""
+        d, Z = self.d, len(self.modes)
+        i, j = (np.append(np.arange(d), a) for a in np.triu_indices(d, 1))
+        ik = self.derivative(1).T                                    # (Z, d)
+        E = self.E[:, np.arange(2 * d - 2) % (d - 1)]                # (Z, 2d-2, d)
+        # cos coordinates are the real parts, sin ones minus the imaginary
+        branch = np.where(np.arange(2 * d - 2) < d - 1, 1.0, 1j)[:, None]
+        v = np.conj(branch) * E / np.sqrt(2.0)
+        e = 0.5 * (v[..., i] * ik[:, None, j] + v[..., j] * ik[:, None, i])
+        down = np.concatenate([v, e], axis=2).view(np.float64)
+        # div S at the modes: S_ij, i < j, enters (div S)_i and (div S)_j
+        unit = np.eye(d)
+        div = ik[:, j, None] * unit[i] + ik[:, i, None] * unit[j] * (i != j)[:, None]
+        U = np.sqrt(2.0) * np.einsum("zca,zka->zck", div, E) * branch.T
+        up = np.stack([U.real, -U.imag], axis=2).reshape(Z, -1, 2 * d - 2)
+        for a in (down, up):
+            a.setflags(write=False)
+        return down, up
 
     def bessel(self, alpha: float) -> np.ndarray:
         """Symbol (1, Z) of (1 - Laplacian)^{alpha/2}: (1 + 4 pi^2 |z|^2)^{alpha/2}."""

@@ -206,3 +206,13 @@ class TestReport:
     def test_csv_row_shape(self):
         r = ex.exponent_report(2, 3.0)
         assert len(r.as_row()) == len(r.HEADER)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 1.0])
+@pytest.mark.parametrize("fn", [ex.regularity_weight, ex.weak_space_exponent,
+                                ex.gronwall_exponent])
+def test_p_must_be_finite_and_exceed_one(fn, p):
+    # without the check, p = inf gave a number (0.0, 1.0 and nan) and
+    # regularity_weight(nan, 3) gave nan
+    with pytest.raises(ValueError, match=f"^p: must be finite and exceed 1, got {p}$"):
+        fn(p, 3)

@@ -103,6 +103,19 @@ class TestErrors:
         with pytest.raises(sn.SnapshotError, match=f"must be finite, got {bad} at mode \\(1, 0\\)"):
             sn.bytes_to_field(one_mode_blob(2, 1, coeff))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_writer_refuses_non_finite(self, tmp_path, bad):
+        # the writer raises what the reader would, before it opens the file
+        modes = sp.basis(2, 1).modes
+        coeffs = np.zeros(modes.shape, dtype=complex)
+        coeffs[0, 0] = bad                      # at mode (0, 1), divergence free
+        f = sp.SpectralField(d=2, n=1, modes=modes, coeffs=coeffs)
+        path = tmp_path / "field.splf"
+        with pytest.raises(sn.SnapshotError,
+                           match=f"^snapshot coefficients: must be finite, got {bad} at mode \\(0, 1\\)$"):
+            sn.write_snapshot(f, path)
+        assert not path.exists()
+
     def test_bad_magic(self):
         with pytest.raises(sn.SnapshotError, match="magic"):
             sn.bytes_to_field(b"XXXX" + b"\0" * 32)

@@ -75,6 +75,32 @@ def test_coordinate_layout_stays_in_spectral():
     assert not found, found
 
 
+# The helpers of constitutive's oracle routes (stress, pairing_stress,
+# convection, pairing_convection and the tests' full-grid drift)
+ORACLE_HELPERS = {"_strain_from_gradient", "_stress_from_strain",
+                  "_grid_and_gradient", "convection", "pairing_stress",
+                  "pairing_convection"}
+
+
+def test_drift_kernel_shares_no_oracle_helper():
+    # the identity tests compare the drift with the oracle routes, so the
+    # two must stay independent: _drift_core, and every function of
+    # constitutive that it reaches, names none of the oracles' helpers
+    path = Path(splf.__file__).parent / "constitutive.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    found, todo, seen = [], ["_drift_core"], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            found += [f"constitutive.py:{node.lineno}: {hit} (in {name})"
+                      for hit in named(node) & ORACLE_HELPERS]
+            todo += [hit for hit in named(node) & set(functions) - seen - {name}]
+    assert not found, found
+
+
 def library_names():
     """{qualified name: function} of the library's public names: each
     module-level function in a module's __all__, and each method that a

@@ -96,6 +96,31 @@ class TestCoordinates:
         f2 = sp.coords_to_field(x, f.n, f.d)
         assert np.abs(f.coeffs - f2.coeffs).max() < 1e-13
 
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 1), (3, 2), (4, 1)])
+    def test_drift_tables_follow_the_coordinate_maps(self, d, n):
+        # the tables restate coords_to_modes and modes_to_coords with the
+        # gradient symbol folded in: down gives v and its strain e_ij,
+        # i <= j (the diagonal, then i < j row by row), and up the
+        # coordinates of div S for a symmetric S given by those components
+        b = sp.basis(d, n)
+        down, up = b.drift_tables
+        i, j = (np.append(np.arange(d), a) for a in np.triu_indices(d, 1))
+        ik = b.derivative(1).T
+        rng = np.random.default_rng(10 * d + n)
+        x = rng.standard_normal((3, b.K))
+        spec = (x.reshape(3, -1, 1, 2 * d - 2) @ down).reshape(3, len(ik), -1)
+        spec = spec.view(complex)
+        vhat = b.coords_to_modes(x)
+        grad = vhat[..., :, None] * ik[:, None, :]                  # d_j v_i
+        strain = 0.5 * (grad[..., i, j] + grad[..., j, i])
+        assert np.abs(spec - np.concatenate([vhat, strain], axis=2)).max() < 1e-13
+        S = rng.standard_normal((3, len(ik), len(i), 2)).view(complex)[..., 0]
+        full = np.zeros((3, len(ik), d, d), dtype=complex)
+        full[..., i, j] = full[..., j, i] = S
+        want = b.modes_to_coords(np.einsum("zj,pzij->pzi", ik, full))
+        got = (S.view(float)[:, :, None] @ up).reshape(3, -1)
+        assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
     def test_truncation_mismatch(self):
         f = random_field(0, d=2, n=4)
         with pytest.raises(sp.DimensionError):
