@@ -18,7 +18,7 @@ config = it.SimConfig(
     stepper="euler_maruyama", record_every=1)
 
 print("exact branch: identical data, identical noise")
-sep = dg.identical_noise_separation(config, 0)
+sep = dg.identical_noise_separation(config, [0])
 print(f"  max ||Z_t||_2 = {sep:.2e}  (deterministic map: zero to roundoff)\n")
 
 print("perturbed branch: epsilon = 1e-3 initial separation")

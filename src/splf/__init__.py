@@ -2,26 +2,3 @@
 power-law fluids on the periodic torus."""
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    config,
-    constitutive,
-    diagnostics,
-    exponents,
-    integrator,
-    noise,
-    rng,
-    snapshot,
-    spectral,
-)
-from .constitutive import FluidParams  # noqa: F401
-from .integrator import (  # noqa: F401
-    GaussianInit,
-    SimConfig,
-    SingleModeInit,
-    simulate,
-    simulate_ensemble,
-    simulate_paired,
-)
-from .noise import ExplicitSpectrum, PowerLawSpectrum  # noqa: F401
-from .spectral import SpectralField, make_basis  # noqa: F401

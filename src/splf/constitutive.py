@@ -11,11 +11,13 @@ aliasing is part of the quadrature error budget at small truncations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .exponents import _check_p
 from .spectral import (
     BasisIndex,
     GridTensorField,
@@ -45,16 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FluidParams:
-    """Power-law exponent p > 1 and kinematic viscosity nu > 0."""
+    """Power-law exponent p > 1 and kinematic viscosity nu > 0, both finite."""
 
     p: float
     nu: float
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ValueError(f"power-law exponent must exceed 1, got p={self.p}")
-        if not self.nu > 0:
-            raise ValueError(f"viscosity must be positive, got nu={self.nu}")
+        _check_p(self.p)
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu: must be positive and finite, got {self.nu}")
 
 
 def _common_map(*fields: SpectralField, M: int | None = None) -> _GridMap:

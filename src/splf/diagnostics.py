@@ -12,7 +12,6 @@ by step-halving control runs rather than assumed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -354,15 +353,14 @@ def _grad_integral(record: TrajectoryRecord, config: SimConfig) -> np.ndarray:
     return out
 
 
-def _separation_and_integral(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
-                             config: SimConfig):
-    """||Z_t||^2 along a pair and the gradient integral I_t of its first
-    member; the pair must share one time grid."""
+def _separation(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord) -> np.ndarray:
+    """||Z_t||^2 at each recorded row of a pair; the pair must share one
+    time grid."""
     if rec_a.times.shape != rec_b.times.shape or not np.array_equal(
             rec_a.times, rec_b.times):
         raise ValueError("paired records have mismatched time grids")
     z = rec_a.coords - rec_b.coords
-    return np.einsum("rk,rk->r", z, z), _grad_integral(rec_a, config)
+    return np.einsum("rk,rk->r", z, z)
 
 
 def _check_envelope_input(name: str, value: float) -> None:
@@ -383,7 +381,7 @@ def gronwall_check(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
     """
     _check_envelope_input("c_hat", c_hat)
     _check_envelope_input("margin", margin)
-    sep, I = _separation_and_integral(rec_a, rec_b, config)
+    sep, I = _separation(rec_a, rec_b), _grad_integral(rec_a, config)
     env = sep[0] * np.exp(c_hat * (1.0 + margin) * I)
     tol = 1e-12 * max(1.0, float(sep[0]))
     violations = int(np.sum(sep > env + tol))
@@ -404,7 +402,7 @@ def calibrate_gronwall(pairs: Sequence[Tuple[TrajectoryRecord, TrajectoryRecord]
     """
     c_max = 0.0
     for rec_a, rec_b in pairs:
-        sep, I = _separation_and_integral(rec_a, rec_b, config)
+        sep, I = _separation(rec_a, rec_b), _grad_integral(rec_a, config)
         if sep[0] <= 0:
             continue
         mask = I > 0
@@ -442,12 +440,15 @@ class GronwallExperimentReport:
 
 
 def _perturbed_pairs(config: SimConfig, path_indices: Sequence[int], eps: float):
-    """(rec_a, rec_b) of each pair: a starts from its path's initial
-    condition, b from the same state moved by eps along the first basis
-    element; all pairs run in one batched call."""
+    """(rec_a, rec_b) of each pair, the one builder of common-noise pairs:
+    a starts from its path's initial condition, b from a copy of it moved
+    by eps along the first basis element; all pairs run in one batched
+    call.  At eps = 0, b starts from a bitwise copy: adding 0.0 would turn
+    a -0.0 coordinate into +0.0."""
     x0 = np.array([initial_coords(config, i) for i in path_indices])
     y0 = x0.copy()
-    y0[:, 0] += eps
+    if eps:
+        y0[:, 0] += eps
     recs = simulate_paired(config, path_indices, x0, y0)
     return list(zip(recs[::2], recs[1::2]))
 
@@ -498,10 +499,10 @@ def gronwall_experiment(config: SimConfig, eps: float,
         n_diverged=len(diverged), diverged=diverged)
 
 
-def identical_noise_separation(config: SimConfig, path_index,
+def identical_noise_separation(config: SimConfig, path_indices: Sequence[int],
                                diverged: Optional[list] = None) -> float:
-    """Max separation ||Z_t||_2 over a pair with identical data and noise,
-    or over the pairs of a sequence of path indices, run in one batch.
+    """Max separation ||Z_t||_2 over the pairs of a sequence of path
+    indices, each pair with identical data and noise, run in one batch.
 
     The discrete map is deterministic given the noise, so this is zero to
     roundoff; it is the exact branch of the uniqueness statement.  If a
@@ -509,15 +510,10 @@ def identical_noise_separation(config: SimConfig, path_index,
     computation shows nothing about uniqueness.  A `diverged` list gets
     the manifest entry (run "exact") of each diverged record.
     """
-    indices = [path_index] if isinstance(path_index, numbers.Integral) else path_index
-    x0 = np.array([initial_coords(config, i) for i in indices])
-    recs = simulate_paired(config, indices, x0, x0.copy())
+    pairs = _perturbed_pairs(config, path_indices, 0.0)
+    recs = [r for pair in pairs for r in pair]
     if diverged is not None:
         diverged.extend(_diverged("exact", recs))
     if any(r.diverged for r in recs):
         return math.inf
-    worst = 0.0
-    for rec_a, rec_b in zip(recs[::2], recs[1::2]):
-        z = rec_a.coords - rec_b.coords
-        worst = max(worst, float(np.sqrt(np.einsum("rk,rk->r", z, z).max())))
-    return worst
+    return max(float(np.sqrt(_separation(a, b).max())) for a, b in pairs)

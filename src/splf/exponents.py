@@ -135,8 +135,8 @@ def interpolation_exponent(q: float, d: int) -> float:
     """
     _check_dim(d)
     if d == 2:
-        if not q > 2:
-            raise ValueError(f"need q > 2 for d=2, got q={q}")
+        if not 2 < q < math.inf:
+            raise ValueError(f"need 2 < q < inf for d=2, got q={q}")
     else:
         if not 2 <= q <= 2 * d / (d - 2):
             raise ValueError(

@@ -390,23 +390,18 @@ def simulate(config: SimConfig, path_index: int) -> TrajectoryRecord:
     return _run_paths(config, [path_index])[0]
 
 
-def simulate_paired(config: SimConfig, path_index, init_a, init_b):
-    """Trajectory pairs, the two members of a pair driven by one noise stream.
+def simulate_paired(config: SimConfig, path_indices: Sequence[int],
+                    init_a, init_b) -> List[TrajectoryRecord]:
+    """The 2N records [a_0, b_0, a_1, b_1, ...] of N trajectory pairs, the
+    two members of a pair driven by one noise stream.
 
-    With an integer path_index: the records (rec_a, rec_b) of the pair whose
-    initial basis coordinates are init_a and init_b; the increments keyed
-    by path_index feed both runs step for step.  With a sequence of N path
-    indices and (N, K) arrays init_a and init_b: the 2N records of the N
-    pairs as one flat list [a_0, b_0, a_1, b_1, ...].
-
-    Pairs run as adjacent rows of full blocks, max(1, block_size // 2) pairs
-    to a block; a record does not depend on which pairs share its block.
-    Pair records carry norm_p1_p=None.
+    Pair i starts from rows i of the (N, K) initial basis coordinates
+    init_a and init_b; the increments keyed by path_indices[i] feed both
+    runs step for step.  Pairs run as adjacent rows of full blocks,
+    max(1, block_size // 2) pairs to a block; a record does not depend on
+    which pairs share its block.  Pair records carry norm_p1_p=None.
     """
-    if isinstance(path_index, numbers.Integral):
-        rec_a, rec_b = simulate_paired(config, [path_index], [init_a], [init_b])
-        return rec_a, rec_b
-    labels = [i for i in path_index for _ in range(2)]
+    labels = [i for i in path_indices for _ in range(2)]
     x0 = np.stack([np.asarray(init_a, dtype=float),
                    np.asarray(init_b, dtype=float)], axis=1)
     pairs = max(1, block_size(config.d, config.n) // 2)

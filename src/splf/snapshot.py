@@ -34,8 +34,7 @@ def _mode_dtype(d: int) -> np.dtype:
 
 def _check_finite(body: np.ndarray) -> None:
     """Raise SnapshotError at the first NaN or infinite value of the mode
-    records body; a NaN would pass every divergence comparison of
-    SpectralField, so neither the writer nor the reader lets one through."""
+    records body read from a file, before SpectralField sees it."""
     c = body["c"]
     bad = np.argwhere(~np.isfinite(c))
     if len(bad):
@@ -52,7 +51,6 @@ def field_to_bytes(field: SpectralField) -> bytes:
     body["z"] = field.modes
     body["c"][:, 0::2] = field.coeffs.real
     body["c"][:, 1::2] = field.coeffs.imag
-    _check_finite(body)
     return head + body.tobytes()
 
 
@@ -84,8 +82,7 @@ def bytes_to_field(blob: bytes) -> SpectralField:
 
 
 def write_snapshot(field: SpectralField, path) -> None:
-    """Write field to path; a non-finite coefficient raises SnapshotError
-    before the file is opened."""
+    """Write field to path."""
     blob = field_to_bytes(field)
     with open(path, "wb") as fh:
         fh.write(blob)

@@ -53,7 +53,8 @@ class AliasingError(ValueError):
 
 
 class StructureError(ValueError):
-    """A field is not divergence free, or a tensor field not symmetric."""
+    """A field is not divergence free or not finite, or a tensor field not
+    symmetric."""
 
 
 # Grid values that one batched `synthesize` of `lp_means` may return: the
@@ -387,6 +388,13 @@ class SpectralField:
             rows = modes[np.lexsort(modes.T)]
             if (rows[1:] == rows[:-1]).all(axis=1).any():
                 raise DimensionError("a mode is stored twice")
+            # a NaN would pass the divergence comparison below
+            finite = np.isfinite(coeffs).all(axis=1)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise StructureError(
+                    f"mode {tuple(int(c) for c in modes[k])}: coefficients must "
+                    f"be finite, got {tuple(complex(c) for c in coeffs[k])}")
             if np.max(np.abs(np.einsum("zd,zd->z", modes, coeffs))) >= 1e-13 * max(
                     1.0, self.n * np.abs(coeffs).max()):
                 raise StructureError("field is not divergence free")
@@ -661,9 +669,6 @@ def to_grid(field: SpectralField, M: int | None = None) -> GridVectorField:
     """Sample the field on the uniform M^d grid (exact for M >= 2n+1)."""
     if M is None:
         M = pairing_grid_size(field.n)
-    if M < 2 * field.n + 1:
-        raise AliasingError(
-            f"M={M} below lossless threshold {2 * field.n + 1} for n={field.n}")
     gm = grid_map(field.d, field.n, M)
     vhat = _aligned_modes(field, field.n)
     return GridVectorField(d=field.d, M=M, values=gm.modes_to_grid(vhat))

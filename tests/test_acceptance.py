@@ -189,8 +189,7 @@ def test_criterion_6_pathwise_uniqueness_exact():
         init=it.GaussianInit(sigma=0.5, decay=1.5),
         gamma=noise.PowerLawSpectrum(c=0.1, s=3.0),
         stepper="tamed", record_every=1)
-    worst = max(dg.identical_noise_separation(cfg, i)
-                for i in range(cfg.n_paths))
+    worst = dg.identical_noise_separation(cfg, range(cfg.n_paths))
     ok = worst < 1e-12
     verdict(6, "pathwise uniqueness (exact branch)", ok,
             f"max ||Z_t||_2 over {cfg.n_paths} common-noise pairs = {worst:.2e}")

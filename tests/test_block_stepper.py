@@ -173,9 +173,38 @@ def test_pairs_share_one_stream(d, stepper):
     x0 = it.initial_coords(c, 3)
     y0 = x0.copy()
     y0[0] += 1e-3
-    rec_a, rec_b = it.simulate_paired(c, 3, x0, y0)
+    rec_a, rec_b = it.simulate_paired(c, [3], [x0], [y0])
     assert_matches(with_norm(rec_a, c), per_path_loop(c, 3, x0))
     assert_matches(with_norm(rec_b, c), per_path_loop(c, 3, y0))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stepper_draws_sample_increment(d, monkeypatch):
+    # acceptance criterion 8 tests the law of noise.sample_increment: the
+    # stepper's own draw equals it bit for bit, and the two rows of each
+    # pair get one draw, that of the pair's path label
+    c = config(d, "tamed", n_paths=1)
+    gamma = noise.gamma_vector(c.gamma, c.n, c.d)
+
+    def law(q, k):
+        return noise.sample_increment(c.gamma, c.n, c.d, c.dt_eff,
+                                      rng.stream(c.seed, q, k), gamma=gamma)
+
+    stepper = it._BlockStepper(c)
+    for q, k in [(0, 0), (3, 4), (2 ** 40, 1), (3, 0)]:
+        assert np.array_equal(stepper.increment(q, k), law(q, k))
+    seen, advance = [], it._advance
+
+    def spy(x, dt, dW, *args):
+        seen.append(dW.copy())
+        return advance(x, dt, dW, *args)
+
+    monkeypatch.setattr(it, "_advance", spy)
+    x0 = np.array([it.initial_coords(c, i) for i in (3, 5)])
+    it.simulate_paired(c, [3, 5], x0, x0 + 1e-3)
+    assert len(seen) == c.n_steps
+    for k, dW in enumerate(seen):
+        assert np.array_equal(dW, [law(3, k), law(3, k), law(5, k), law(5, k)])
 
 
 def assert_same_record(got, want):
@@ -202,8 +231,8 @@ def test_pair_records_do_not_depend_on_their_block(case):
     assert len(batched) == 2 * n and len(first16) == 32
     assert [r.path_index for r in batched] == [i for i in range(n) for _ in "ab"]
     for i in range(n):
-        alone = it.simulate_paired(c, i, x0[i], y0[i])
-        assert isinstance(alone, tuple) and len(alone) == 2
+        alone = it.simulate_paired(c, [i], x0[i:i + 1], y0[i:i + 1])
+        assert len(alone) == 2
         for member in range(2):
             assert_same_record(batched[2 * i + member], alone[member])
             if i < 16:
@@ -307,7 +336,7 @@ def paired_records():
     x0 = it.initial_coords(c, 3)
     y0 = x0.copy()
     y0[0] += 1e-3
-    return [with_norm(rec, c) for rec in it.simulate_paired(c, 3, x0, y0)]
+    return [with_norm(rec, c) for rec in it.simulate_paired(c, [3], [x0], [y0])]
 
 
 # (run, record digest, trajectory digest, and the same two under the

@@ -61,6 +61,20 @@ class TestRateOfStrain:
         assert np.abs(got - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("p,nu,match", [
+    (float("inf"), 1.0, "^p: must be finite and exceed 1, got inf$"),
+    (float("nan"), 1.0, "^p: must be finite and exceed 1, got nan$"),
+    (1.0, 1.0, "^p: must be finite and exceed 1, got 1.0$"),
+    (3.0, float("inf"), "^nu: must be positive and finite, got inf$"),
+    (3.0, float("nan"), "^nu: must be positive and finite, got nan$"),
+    (3.0, 0.0, "^nu: must be positive and finite, got 0.0$")])
+def test_fluid_params_must_be_finite(p, nu, match):
+    # an infinite p or nu made drift_and_dissipation return a non-finite
+    # drift without an error
+    with pytest.raises(ValueError, match=match):
+        co.FluidParams(p, nu)
+
+
 class TestStress:
     def test_newtonian_is_linear(self):
         f = random_field(1, d=2, n=3)

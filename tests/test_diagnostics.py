@@ -249,7 +249,19 @@ class TestGronwall:
     def test_identical_pair_zero_separation(self):
         gamma = noise.PowerLawSpectrum(c=0.1, s=3.0)
         cfg = base_config(gamma=gamma)
-        assert dg.identical_noise_separation(cfg, 0) < 1e-12
+        assert dg.identical_noise_separation(cfg, [0]) < 1e-12
+
+    def test_exact_pairs_start_from_bitwise_copies(self):
+        # sigma = 0 draws a -0.0 for every negative normal; the exact
+        # branch's b must start from those bits, not from x + 0.0 = +0.0
+        # (at seed 99, path 4's first coordinate, the one eps moves, is -0.0)
+        cfg = base_config(init=it.GaussianInit(sigma=0.0, decay=1.0), T=2e-3)
+        pairs = dg._perturbed_pairs(cfg, [0, 4], 0.0)
+        assert np.signbit(pairs[1][0].coords[0][0])
+        for a, b in pairs:
+            assert a.coords[0].tobytes() == b.coords[0].tobytes()
+        [(a, b)] = dg._perturbed_pairs(cfg, [0], 1e-3)
+        assert b.coords[0][0] == a.coords[0][0] + 1e-3
 
     def test_zero_noise_linear_regime_envelope(self):
         # tiny initial data decays; envelope with any constant holds
@@ -258,7 +270,7 @@ class TestGronwall:
         x0 = it.initial_coords(cfg, 0)
         y0 = x0.copy()
         y0[0] += 1e-6
-        a, b = it.simulate_paired(cfg, 0, x0, y0)
+        a, b = it.simulate_paired(cfg, [0], [x0], [y0])
         rep = dg.gronwall_check(a, b, cfg, c_hat=0.0, margin=0.5)
         assert rep.holds
         assert rep.in_uniqueness_regime  # p = 2 = 1 + d/2
@@ -266,7 +278,7 @@ class TestGronwall:
     def test_out_of_regime_labeled(self):
         cfg = base_config(p=1.8, stepper="tamed", record_every=1)
         x0 = it.initial_coords(cfg, 0)
-        a, b = it.simulate_paired(cfg, 0, x0, x0.copy())
+        a, b = it.simulate_paired(cfg, [0], [x0], [x0.copy()])
         rep = dg.gronwall_check(a, b, cfg, c_hat=1.0)
         assert not rep.in_uniqueness_regime
 
@@ -282,7 +294,7 @@ class TestGronwall:
     def test_calibration_rejects_mismatched_pairs(self, grid):
         cfg = base_config(record_every=1)
         x0 = it.initial_coords(cfg, 0)
-        a, b = it.simulate_paired(cfg, 0, x0, x0 + 1e-6)
+        a, b = it.simulate_paired(cfg, [0], [x0], [x0 + 1e-6])
         if grid == "dt/2":
             b = it.simulate(dataclasses.replace(cfg, dt=cfg.dt / 2), 0)
         else:
@@ -344,7 +356,7 @@ class TestGronwall:
     def test_check_rejects_margin(self, margin):
         cfg = base_config(record_every=1)
         x0 = it.initial_coords(cfg, 0)
-        a, b = it.simulate_paired(cfg, 0, x0, x0 + 1e-6)
+        a, b = it.simulate_paired(cfg, [0], [x0], [x0 + 1e-6])
         assert dg.gronwall_check(a, b, cfg, c_hat=1.0, margin=0.0).holds
         with pytest.raises(ValueError, match="^margin: must be finite and at least 0"):
             dg.gronwall_check(a, b, cfg, c_hat=1.0, margin=margin)
@@ -355,7 +367,7 @@ class TestGronwall:
         # envelope, which no separation exceeds
         cfg = base_config(record_every=1)
         x0 = it.initial_coords(cfg, 0)
-        a, b = it.simulate_paired(cfg, 0, x0, x0 + 1e-3)
+        a, b = it.simulate_paired(cfg, [0], [x0], [x0 + 1e-3])
         assert dg.gronwall_check(a, b, cfg, c_hat=0.0).holds
         with pytest.raises(ValueError, match=re.escape(
                 f"c_hat: must be finite and at least 0, got {c_hat}")):
@@ -368,8 +380,8 @@ class TestGronwall:
                           init=it.GaussianInit(sigma=0.4, decay=1.0),
                           gamma=noise.PowerLawSpectrum(c=0.5, s=3.0),
                           record_every=1, norm_ceiling=40.0)
-        assert dg.identical_noise_separation(cfg, 0) == np.inf
-        assert dg.identical_noise_separation(cfg, 1) == 0.0
+        assert dg.identical_noise_separation(cfg, [0]) == np.inf
+        assert dg.identical_noise_separation(cfg, [1]) == 0.0
         rep = dg.gronwall_experiment(cfg, eps=1e-3, n_calibration=8,
                                      n_validation=8)
         assert rep.n_diverged > 0 and not rep.passed
@@ -386,7 +398,7 @@ def pinned_pair(p, d=2, record_every=1):
     x0 = it.initial_coords(cfg, 5)
     y0 = x0.copy()
     y0[0] += 1e-3
-    rec_a, _ = it.simulate_paired(cfg, 5, x0, y0)
+    rec_a, _ = it.simulate_paired(cfg, [5], [x0], [y0])
     return rec_a, cfg
 
 

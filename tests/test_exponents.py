@@ -216,3 +216,10 @@ def test_p_must_be_finite_and_exceed_one(fn, p):
     # regularity_weight(nan, 3) gave nan
     with pytest.raises(ValueError, match=f"^p: must be finite and exceed 1, got {p}$"):
         fn(p, 3)
+
+
+@pytest.mark.parametrize("q,d", [(math.inf, 2), (math.nan, 2), (math.inf, 3), (math.nan, 3)])
+def test_interpolation_exponent_rejects_non_finite_q(q, d):
+    # q = inf at d = 2 gave (4 - inf * 0) / inf = nan
+    with pytest.raises(ValueError, match=f"got q={q}$"):
+        ex.interpolation_exponent(q, d)

@@ -259,7 +259,7 @@ class TestPaired:
     def test_identical_inputs_identical_paths(self):
         cfg = base_config(gamma=noise.PowerLawSpectrum(c=0.1, s=3.0))
         x0 = it.initial_coords(cfg, 0)
-        a, b = it.simulate_paired(cfg, 0, x0, x0.copy())
+        a, b = it.simulate_paired(cfg, [0], [x0], [x0.copy()])
         assert np.array_equal(a.coords, b.coords)
 
     def test_separation_recorded(self):
@@ -267,7 +267,7 @@ class TestPaired:
         x0 = it.initial_coords(cfg, 0)
         y0 = x0.copy()
         y0[0] += 1e-3
-        a, b = it.simulate_paired(cfg, 0, x0, y0)
+        a, b = it.simulate_paired(cfg, [0], [x0], [y0])
         sep = np.sqrt(np.sum((a.coords - b.coords) ** 2, axis=1))
         assert np.all(np.isfinite(sep))
         assert sep[0] == pytest.approx(1e-3)
@@ -279,7 +279,7 @@ class TestPaired:
         # compare against two independent paths which do differ in noise
         cfg = base_config(gamma=noise.PowerLawSpectrum(c=0.5, s=3.0))
         x0 = it.initial_coords(cfg, 0)
-        a, b = it.simulate_paired(cfg, 0, x0, x0.copy())
+        a, b = it.simulate_paired(cfg, [0], [x0], [x0.copy()])
         c = it.simulate(dataclasses.replace(cfg, seed=cfg.seed + 1), 0)
         assert np.array_equal(a.coords, b.coords)
         assert not np.array_equal(a.coords, c.coords)

@@ -75,6 +75,18 @@ def test_coordinate_layout_stays_in_spectral():
     assert not found, found
 
 
+def test_pairs_are_built_in_one_place():
+    # both uniqueness branches take their common-noise pairs from
+    # diagnostics._perturbed_pairs, the one call site of simulate_paired
+    sites = []
+    for path in sorted(Path(splf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites += [(path.name, getattr(top, "name", None)) for top in tree.body
+                  for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and "simulate_paired" in named(node.func)]
+    assert sites == [("diagnostics.py", "_perturbed_pairs")], sites
+
+
 # The helpers of constitutive's oracle routes (stress, pairing_stress,
 # convection, pairing_convection and the tests' full-grid drift)
 ORACLE_HELPERS = {"_strain_from_gradient", "_stress_from_strain",

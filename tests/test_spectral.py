@@ -639,6 +639,18 @@ class TestInvariants:
         with pytest.raises(sp.DimensionError, match=f"{z[0]}, {z[1]}.*{why}"):
             sp.SpectralField(d=2, n=1, modes=modes, coeffs=coeffs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_field_rejects_non_finite_coeffs(self, bad):
+        # a NaN passes the divergence comparison, so it is refused first;
+        # the last coordinate belongs to mode (1, 1)
+        coords = np.zeros(sp.basis(2, 1).K)
+        coords[-1] = bad
+        with pytest.raises(sp.StructureError,
+                           match=r"^mode \(1, 1\): coefficients must be finite"):
+            sp.coords_to_field(coords, 1, 2)
+        with pytest.raises(sp.StructureError, match=r"^mode \(0, 1\)"):
+            sp.coords_to_field(np.full(coords.size, bad), 1, 2)
+
     def test_field_rejects_repeated_mode(self):
         modes = np.array([[1, 0], [0, 1], [1, 0]])
         coeffs = np.zeros((3, 2), dtype=np.complex128)
