@@ -9,9 +9,9 @@ check lists the run, path index and step of each diverged record.
 Reports are strict JSON (RFC 8259): a non-finite number is written as the
 string "inf", "-inf" or "nan".
 SPLF_THREADS caps the worker count for ensemble runs.  In `simulate` each
-ensemble worker writes its own paths' CSVs and snapshots block by block and
-sends back only each path's outcome; the parent then hashes those files and
-writes the manifest.
+ensemble worker writes its own paths' CSVs and snapshots block by block,
+hashes the bytes it writes, and sends back only each path's outcome with
+those digests; the parent then writes the manifest.  No output is read back.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -34,7 +35,7 @@ from .config import OutputOptions, config_to_ini, parse_config
 from .diagnostics import (MANIFEST_ONLY, energy_experiment, gronwall_experiment,
                           identical_noise_separation)
 from .exponents import critical_exponents, exponent_report, uniqueness_threshold
-from .integrator import PathOutcome, SimConfig, TrajectoryRecord, simulate_ensemble
+from .integrator import SimConfig, TrajectoryRecord, simulate_ensemble
 from .snapshot import write_snapshot
 from .spectral import coords_to_field
 
@@ -49,41 +50,42 @@ def _fmt(x: float) -> str:
     return _FLOAT % float(x)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+def _sha256(data: bytes) -> str:
+    """Digest of an output's bytes, taken by the writer that wrote them."""
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_record_csv(record: TrajectoryRecord, path: Path) -> None:
+def _write_record_csv(record: TrajectoryRecord, path: Path) -> str:
+    """Write the record as CSV to path, one row at a time, and return the
+    sha256 of the bytes written, hashed as they are written."""
     table = np.column_stack([record.times, record.norm_l2_sq, record.norm_p1_p,
                              record.int_diss, record.int_gamma, record.coords])
     header = ["t", "normL2sq", "normVp1_p", "int_diss", "int_gammaXX"] + [
         f"x_{k}" for k in range(record.coords.shape[1])]
     row = ",".join([_FLOAT] * table.shape[1]) + "\n"
-    with path.open("w") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(row % tuple(r) for r in table.tolist())
-
-
-def _path_outputs(record: PathOutcome, snapshots: bool) -> list:
-    """File names of one path's outputs (of its record or its outcome):
-    its CSV, then its final snapshot if snapshots are on and the path did
-    not diverge."""
-    stem = f"path_{record.path_index:06d}"
-    return [f"{stem}.csv"] + (
-        [f"{stem}_final.splf"] if snapshots and not record.diverged else [])
+    h = hashlib.sha256()
+    with path.open("wb") as f:
+        for line in itertools.chain([",".join(header) + "\n"],
+                                    (row % tuple(r.tolist()) for r in table)):
+            data = line.encode()
+            h.update(data)
+            f.write(data)
+    return h.hexdigest()
 
 
 def _write_path(out_dir: Path, snapshots: bool, config: SimConfig,
-                record: TrajectoryRecord) -> None:
-    """Write the _path_outputs of one record.  `simulate` runs it in the
-    ensemble worker that computed the record."""
-    csv_name, *snap_name = _path_outputs(record, snapshots)
-    _write_record_csv(record, out_dir / csv_name)
-    if snap_name:
-        write_snapshot(coords_to_field(record.final_coords, config.n, config.d),
-                       out_dir / snap_name[0])
+                record: TrajectoryRecord) -> list:
+    """Write one record's outputs, its CSV, then its final snapshot if
+    snapshots are on and the path did not diverge; return the (file name,
+    sha256) of each, hashed from the bytes written.  `simulate` runs it in
+    the ensemble worker that computed the record."""
+    stem = f"path_{record.path_index:06d}"
+    written = [(f"{stem}.csv", _write_record_csv(record, out_dir / f"{stem}.csv"))]
+    if snapshots and not record.diverged:
+        field = coords_to_field(record.final_coords, config.n, config.d)
+        name = f"{stem}_final.splf"
+        written.append((name, _sha256(write_snapshot(field, out_dir / name))))
+    return written
 
 
 def _blas() -> dict:
@@ -95,6 +97,9 @@ def _blas() -> dict:
 
 def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
                     paths, files, started: float, verdict=None) -> Path:
+    """Write manifest.json to out_dir; return its path.  files lists the
+    (file name, sha256) of each output, in order, as its writer hashed the
+    bytes it wrote, so no output is read back here."""
     manifest = {
         "tool": "splf",
         "version": __version__,
@@ -111,7 +116,7 @@ def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
         "platform": "-".join([platform.system(), platform.release(),
                               platform.machine()]),
         "paths": paths,
-        "outputs": [{"file": f.name, "sha256": _sha256(f)} for f in files],
+        "outputs": [{"file": name, "sha256": digest} for name, digest in files],
     }
     if verdict is not None:
         manifest["verdict"] = verdict
@@ -151,9 +156,10 @@ def _verdict(args, config: SimConfig, outputs: OutputOptions, started: float,
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         rp = out_dir / f"{args.command.removesuffix('-check')}_report.json"
-        rp.write_text(json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n")
-        _write_manifest(out_dir, config, outputs, list(diverged), [rp], started,
-                        verdict=status)
+        data = (json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n").encode()
+        rp.write_bytes(data)
+        _write_manifest(out_dir, config, outputs, list(diverged),
+                        [(rp.name, _sha256(data))], started, verdict=status)
     return 0 if passed else 1
 
 
@@ -164,10 +170,10 @@ def _cmd_simulate(args) -> int:
     started = time.time()
     outcomes = simulate_ensemble(config, write=functools.partial(
         _write_path, out_dir, outputs.snapshots, config))
-    files = [out_dir / name for o in outcomes
-             for name in _path_outputs(o, outputs.snapshots)]
-    _write_manifest(out_dir, config, outputs, [o._asdict() for o in outcomes],
-                    files, started)
+    paths = [{"path_index": o.path_index, "diverged": o.diverged,
+              "diverged_step": o.diverged_step} for o in outcomes]
+    _write_manifest(out_dir, config, outputs, paths,
+                    [f for o in outcomes for f in o.written], started)
     n_div = sum(o.diverged for o in outcomes)
     print(f"simulate,done,paths={len(outcomes)},diverged={n_div},out={out_dir}")
     return 0

@@ -18,7 +18,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -186,9 +186,13 @@ class TrajectoryRecord:
         return self.coords[-1]
 
 
-# What `simulate_ensemble(..., write=...)` keeps of a record, for the manifest.
+# What `simulate_ensemble(..., write=...)` keeps of a record, for the
+# manifest: its path's divergence and what write returned for it, in
+# `simulate` the (file name, sha256) of each output, hashed in the process
+# that wrote the file.
 PathOutcome = NamedTuple("PathOutcome", [
-    ("path_index", int), ("diverged", bool), ("diverged_step", Optional[int])])
+    ("path_index", int), ("diverged", bool), ("diverged_step", Optional[int]),
+    ("written", Any)])
 
 
 def initial_coords(config: SimConfig, path_index: int) -> np.ndarray:
@@ -378,8 +382,7 @@ def _run_paths(config: SimConfig, indices: Sequence[int], norm_p1: bool = True,
             rec.norm_p1_p = _norm_p1_p(rec.coords, config)
         if write is None:
             return rec
-        write(rec)
-        return PathOutcome(rec.path_index, rec.diverged, rec.diverged_step)
+        return PathOutcome(rec.path_index, rec.diverged, rec.diverged_step, write(rec))
 
     x0 = np.array([initial_coords(config, i) for i in indices])
     return _run_blocks(config, indices, x0, block_size(config.d, config.n), finish)
@@ -431,7 +434,9 @@ def simulate_ensemble(config: SimConfig, norm_p1: bool = True,
     which also compute the norm_p1_p column (None with norm_p1=False).
     write, a picklable callable, gets each record with its norm column in
     the process that computed it, as soon as the record's block ends; an
-    error it raises there ends the call.  A worker sends back only outcomes.
+    error it raises there ends the call.  Its return value is the record's
+    PathOutcome.written, so a digest of what it wrote comes back without
+    the file being read.  A worker sends back only outcomes.
     """
     indices = list(range(config.n_paths))
     workers = max_workers()

@@ -81,11 +81,12 @@ def bytes_to_field(blob: bytes) -> SpectralField:
                          coeffs=c[:, 0::2] + 1j * c[:, 1::2])
 
 
-def write_snapshot(field: SpectralField, path) -> None:
-    """Write field to path."""
+def write_snapshot(field: SpectralField, path) -> bytes:
+    """Write field to path; return the bytes written."""
     blob = field_to_bytes(field)
     with open(path, "wb") as fh:
         fh.write(blob)
+    return blob
 
 
 def read_snapshot(path) -> SpectralField:

@@ -58,10 +58,18 @@ class StructureError(ValueError):
 
 
 # Grid values that one batched `synthesize` of `lp_means` may return: the
-# d c components of a chunk of rows (one d=3 row of 3 x 20^3 on the
-# simulate-d3 grid; five d=2 gradient rows of 4 x 34^2 on the uniqueness-d2
-# grid).  The drift's blocks have their own budget, integrator.DRIFT_VALUES.
-BLOCK_VALUES = 24_000
+# d c components of a chunk of rows (two d=3 rows of 3 x 20^3 on the
+# simulate-d3 grid; ten d=2 gradient rows of 4 x 34^2 on the uniqueness-d2
+# grid).  2-core x86 host, numpy 2.4.6 with scipy-openblas 0.3.31, one BLAS
+# thread, CPU time of one simulate-d3 record's norm column (51 rows, minimum
+# of 40 alternating sets): 4.9-5.0 ms at one row per batch, 4.4-4.5 ms at two
+# and 4.3-4.4 ms at four.  Four rows would also give twenty d=2 gradient
+# rows, and a 51-row uniqueness-d2 record then took 1.14 ms against 0.68 ms
+# at ten (both uniqueness-d2 commands: 0.27 -> 0.31-0.36 s).  With each
+# batch's grid values freed before the next, a simulate-d3 worker's peak RSS
+# is the same at one and two d=3 rows (33.5-33.7 MB) and 0.3-0.4 MB higher
+# at four.  The drift's blocks have their own budget, integrator.DRIFT_VALUES.
+BLOCK_VALUES = 48_000
 
 
 def pairing_grid_size(n: int) -> int:
@@ -352,6 +360,17 @@ def make_basis(n: int, d: int):
     return list(_basis_cached(n, d))
 
 
+def _check_finite(modes: np.ndarray, values: np.ndarray) -> None:
+    """Raise StructureError at the first mode whose values (Z, ...), its
+    coefficients or its basis coordinates, are not all finite."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise StructureError(
+            f"mode {tuple(int(c) for c in modes[k])}: coefficients must "
+            f"be finite, got {tuple(values[k].tolist())}")
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Mean-zero, divergence-free real vector field in coefficient form.
@@ -389,12 +408,7 @@ class SpectralField:
             if (rows[1:] == rows[:-1]).all(axis=1).any():
                 raise DimensionError("a mode is stored twice")
             # a NaN would pass the divergence comparison below
-            finite = np.isfinite(coeffs).all(axis=1)
-            if not finite.all():
-                k = int(np.argmin(finite))
-                raise StructureError(
-                    f"mode {tuple(int(c) for c in modes[k])}: coefficients must "
-                    f"be finite, got {tuple(complex(c) for c in coeffs[k])}")
+            _check_finite(modes, coeffs)
             if np.max(np.abs(np.einsum("zd,zd->z", modes, coeffs))) >= 1e-13 * max(
                     1.0, self.n * np.abs(coeffs).max()):
                 raise StructureError("field is not divergence free")
@@ -563,8 +577,12 @@ class _GridMap:
         A = np.fft.fftn(values, axes=self.grid_axes) / self.vol
         return self.gather(A)
 
-    # the band transform pair.  Both act on each row alone: every matmul
-    # calls BLAS once per row's slice, so no row depends on its block.
+    # the band transform pair.  Both act on each row alone.  Every complex
+    # matmul calls BLAS once per row's slice; synthesize's real last pass is
+    # one matmul over the whole batch, whose values are each one dot product
+    # of 2n+2 terms, as the tests hold byte for byte.  Rows folded into the
+    # columns of the complex passes instead moved a d=3 batch of 4 by up to
+    # 2e-16 of its largest value, so they are not folded.
 
     def synthesize(self, spec: np.ndarray) -> np.ndarray:
         """Real grid values (P, M^(d-1), c, M) of band coefficients spec
@@ -584,7 +602,7 @@ class _GridMap:
         A = A.reshape(P, -1, L, c)[:, :, n:].swapaxes(-1, -2)   # k_last >= 0
         for a in range(d - 1):               # (P, M^a, L, ...) -> (P, M^a, M, ...)
             A = self.F @ A.reshape(P, M ** a, L, -1)
-        return (A.reshape(P, -1, n + 1).view(np.float64) @ self.W).reshape(P, -1, c, M)
+        return (A.reshape(-1, n + 1).view(np.float64) @ self.W).reshape(P, -1, c, M)
 
     def analyse(self, values: np.ndarray) -> np.ndarray:
         """Band coefficients (P, Z, c) of real grid values (P, M^(d-1), c, M)
@@ -613,12 +631,12 @@ class _GridMap:
         The multiplied coefficients v m go through synthesize; the squares
         are summed over the components and raised to p/2.  The cost is
         about linear in the M^d grid points: a Bessel row at d=3, n=2 takes
-        about 0.2 ms on the 20^3 grid that norm_grid_size picks at p = 1.9,
-        and 0.43-0.64 ms on 32^3 (2 cores, numpy 2.4).
-        Rows go in batches of at most BLOCK_VALUES grid values; synthesize
-        acts on each row alone, einsum sums each point alone and a mean over
-        a row's contiguous grid axis is that row's pairwise sum, so no row
-        depends on its batch.  Other modules reach it through grid_lp_means,
+        about 0.1 ms on the 20^3 grid that norm_grid_size picks at p = 1.9,
+        and 0.27-0.36 ms on 32^3 (2 cores, numpy 2.4, one BLAS thread).
+        Rows go in batches of at most BLOCK_VALUES grid values, two at d=3
+        on 20^3; synthesize acts on each row alone, einsum sums each point
+        alone and a mean over a row's contiguous grid axis is that row's
+        pairwise sum, so no row depends on its batch.  Other modules reach it through grid_lp_means,
         which picks the grid."""
         d, c = self.d, len(multiplier)
         m = multiplier.T[:, None]                                    # (Z, 1, c)
@@ -629,6 +647,7 @@ class _GridMap:
             r = len(v)
             values = self.synthesize((v * m).reshape(r, -1, d * c))
             sq = np.einsum("...cx,...cx->...x", values, values)
+            del values      # not alive beside the next batch's grid values
             means.append(np.power(sq, p / 2.0, out=sq).reshape(r, -1).mean(axis=1))
         return np.concatenate(means)
 
@@ -662,6 +681,8 @@ def coords_to_field(coords: np.ndarray, n: int, d: int) -> SpectralField:
     if coords.size != b.K:
         raise DimensionError(
             f"coordinate vector has length {coords.size}, basis has {b.K}")
+    # before coords_to_modes, whose complex products of an inf warn
+    _check_finite(b.modes, coords.reshape(len(b.modes), -1))
     return SpectralField(d=d, n=n, modes=b.modes, coeffs=b.coords_to_modes(coords))
 
 

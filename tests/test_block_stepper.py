@@ -138,7 +138,11 @@ def test_d3_blocks_match_per_path_loop():
     assert_blocks_match_oracle(c, sizes=(1, size, 7))
 
 
-@pytest.mark.parametrize("ceiling", [40.0, float("inf")])
+@pytest.mark.parametrize("ceiling", [
+    40.0,
+    # with no ceiling the paths overflow in the drift, the norm and vecdot
+    pytest.param(float("inf"),
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))])
 def test_diverged_rows_leave_the_block(ceiling):
     # explicit Euler on the stiff p=4 stress: paths with more energy blow up
     # sooner, so they leave the block at different steps, by the norm

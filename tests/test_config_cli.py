@@ -414,7 +414,7 @@ class TestWorkerWrites:
         def logged(record, path):
             with open(log, "a") as f:
                 f.write(f"{os.getpid()}\n")
-            write_csv(record, path)
+            return write_csv(record, path)
 
         monkeypatch.setattr(cli, "_write_record_csv", logged)
 
@@ -445,6 +445,14 @@ class TestWorkerWrites:
                 assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
         one, two = (json.loads((outs[t] / "manifest.json").read_text()) for t in (1, 2))
         assert one["outputs"] == two["outputs"] and one["paths"] == two["paths"]
+        # each digest was taken from the bytes its writer wrote, in the
+        # process that wrote them: it must be the digest of the file
+        for t, manifest in ((1, one), (2, two)):
+            assert sorted(o["file"] for o in manifest["outputs"]) == [
+                name for name in names if name != "manifest.json"]
+            for o in manifest["outputs"]:
+                assert o["sha256"] == hashlib.sha256(
+                    (outs[t] / o["file"]).read_bytes()).hexdigest()
         assert pids[1] == {os.getpid()}
         assert pids[2] and os.getpid() not in pids[2]
 
@@ -505,15 +513,16 @@ class TestOutcomeRoute:
         outcomes = simulate_ensemble(config, write=LogWrites(log))
         assert all(isinstance(o, PathOutcome) for o in outcomes)
         assert [tuple(o) for o in outcomes] == [
-            (r.path_index, r.diverged, r.diverged_step) for r in records]
+            (r.path_index, r.diverged, r.diverged_step, None) for r in records]
         assert any(o.diverged for o in outcomes) == (ini == "diverging")
         written = [int(line.split()[2]) for line in log.read_text().splitlines()]
         assert sorted(written) == list(range(config.n_paths))
 
     @pytest.mark.parametrize("ini", ["small", "diverging"])
     def test_worker_result_is_small(self, tmp_path, ini):
-        # what a worker pickles back to the parent: three fields per path,
-        # not the records (about 100 KB per path of the d=3 benchmark)
+        # what a worker pickles back to the parent: four fields per path
+        # (write's return value last, here None), not the records (about
+        # 100 KB per path of the d=3 benchmark)
         config = ini_config(tmp_path, ini)
         task = (config, list(range(config.n_paths)), True)
         outcomes = it._worker((*task, LogWrites(tmp_path / "writes.log")))

@@ -223,6 +223,12 @@ class TestGridTransforms:
 
 BAND_GRIDS = [(2, 2, 5), (2, 2, 10), (2, 2, 32), (2, 4, 49), (3, 1, 16),
               (3, 2, 15), (3, 2, 32)]
+# The grid of the simulate-d3 norm column, norm_grid_size at d=3, n=2,
+# p = 1.9, where lp_means batches rows of the Bessel symbol: the
+# batch-independence tests run it with that symbol and the others with the
+# gradient or the drift's components.
+LP_GRID = (3, 2, 20)
+BATCH_GRIDS = BAND_GRIDS + [pytest.param(*LP_GRID, id="3-2-20-bessel")]
 MULTIPLIERS = {"bessel": lambda b: b.bessel(1.0),
                "gradient": lambda b: b.derivative(1),
                "laplacian": lambda b: b.derivative(2)}
@@ -331,11 +337,11 @@ class TestBandedTransform:
             assert got[0] == 0.0 and want[0] == 0.0
             assert np.all(np.abs(got[1:] - want[1:]) <= 1e-14 * want[1:])
 
-    @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
+    @pytest.mark.parametrize("d,n,M", BATCH_GRIDS)
     def test_rows_do_not_depend_on_their_batch(self, d, n, M):
         gm = sp.grid_map(d, n, M)
-        m = gm.basis.derivative(1)
-        chunk = max(1, sp.BLOCK_VALUES // (d * d * gm.vol))
+        m = gm.basis.bessel(1.0) if (d, n, M) == LP_GRID else gm.basis.derivative(1)
+        chunk = max(1, sp.BLOCK_VALUES // (d * len(m) * gm.vol))
         rng = np.random.default_rng(M)
         shape = (2 * chunk + 1,) + gm.basis.modes.shape
         vhat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -374,10 +380,15 @@ class TestBandPair:
         want = gm.modes_to_grid(spec).reshape(2, 2, M ** (d - 1), M)
         assert np.abs(values - want).max() <= 1e-14 * np.abs(want).max()
 
-    @pytest.mark.parametrize("d,n,M", BAND_GRIDS)
+    @pytest.mark.parametrize("d,n,M", BATCH_GRIDS)
     def test_rows_are_byte_equal_alone_and_in_a_batch(self, d, n, M):
         gm = sp.grid_map(d, n, M)
-        spec = self.spectrum(gm, 5, d + d * d, 2 * M)
+        if (d, n, M) == LP_GRID:     # one full batch of lp_means: v times the symbol
+            rows = sp.BLOCK_VALUES // (d * gm.vol)
+            assert 2 <= rows <= 4
+            spec = self.spectrum(gm, rows, d, 2 * M) * gm.basis.bessel(1.0).T
+        else:
+            spec = self.spectrum(gm, 5, d + d * d, 2 * M)
         values = gm.synthesize(spec)
         band = gm.analyse(values)
         for r in range(len(spec)):
