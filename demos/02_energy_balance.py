@@ -43,7 +43,7 @@ for dt in (1e-3, 5e-4, 2.5e-4):
 print("\nper-path quadratic variation stays under the operator-norm bound:")
 cfg1 = dataclasses.replace(config, n_paths=1, record_every=10)
 rec = it.simulate(cfg1, 0)
-qv = dg.quadratic_variation(rec)
+qv = rec.int_gamma
 bound = dg.quadratic_variation_bound(rec, cfg1)
 for k in range(0, len(rec.times), 3):
     print(f"  t = {rec.times[k]:.2f}: <M>_t = {qv[k]:.3e} <= {bound[k]:.3e}")

@@ -82,7 +82,7 @@ def _write_path(out_dir: Path, snapshots: bool, config: SimConfig,
     stem = f"path_{record.path_index:06d}"
     written = [(f"{stem}.csv", _write_record_csv(record, out_dir / f"{stem}.csv"))]
     if snapshots and not record.diverged:
-        field = coords_to_field(record.final_coords, config.n, config.d)
+        field = coords_to_field(record.coords[-1], config.n, config.d)
         name = f"{stem}_final.splf"
         written.append((name, _sha256(write_snapshot(field, out_dir / name))))
     return written

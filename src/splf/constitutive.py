@@ -105,13 +105,12 @@ def stress(v: SpectralField, params: FluidParams, M: int | None = None) -> GridT
     return GridTensorField(d=v.d, M=gm.M, values=_stress_from_strain(e, params))
 
 
-def pairing_stress(phi: SpectralField, v: SpectralField, params: FluidParams,
-                   M: int | None = None) -> float:
+def pairing_stress(phi: SpectralField, v: SpectralField, params: FluidParams) -> float:
     """< e(phi), tau(v) > by grid quadrature of the tensor contraction.
 
     Equals minus the weak divergence pairing < phi, div tau(v) >.
     """
-    gm = _common_map(phi, v, M=M)
+    gm = _common_map(phi, v)
     _, Gv = _grid_and_gradient(v, gm)
     _, Gp = _grid_and_gradient(phi, gm)
     tau = _stress_from_strain(_strain_from_gradient(Gv), params)
@@ -128,14 +127,13 @@ def convection(v: SpectralField, w: SpectralField, M: int | None = None) -> Grid
     return GridVectorField(d=v.d, M=gm.M, values=vals)
 
 
-def pairing_convection(w: SpectralField, v: SpectralField, phi: SpectralField,
-                       M: int | None = None) -> float:
+def pairing_convection(w: SpectralField, v: SpectralField, phi: SpectralField) -> float:
     """Trilinear pairing < w, (v . grad) phi > by alias-free quadrature.
 
     Antisymmetric under swapping w and phi for divergence-free v, with the
     self-pairing < w, (v . grad) w > vanishing.
     """
-    gm = _common_map(w, v, phi, M=M)
+    gm = _common_map(w, v, phi)
     Vw, _ = _grid_and_gradient(w, gm)
     Vv, _ = _grid_and_gradient(v, gm)
     _, Gp = _grid_and_gradient(phi, gm)
@@ -143,10 +141,9 @@ def pairing_convection(w: SpectralField, v: SpectralField, phi: SpectralField,
     return float(np.mean(np.sum(Vw * adv, axis=0)))
 
 
-def dissipation_pairing(v: SpectralField, params: FluidParams,
-                        M: int | None = None) -> float:
+def dissipation_pairing(v: SpectralField, params: FluidParams) -> float:
     """< e(v), tau(v) >, the (nonnegative) viscous dissipation rate."""
-    return pairing_stress(v, v, params, M=M)
+    return pairing_stress(v, v, params)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +238,7 @@ def _drift_gradient(block: np.ndarray, gm: _GridMap, params: FluidParams):
     """The drift of a block (P, K) in gradient form, the kernel that
     preceded the divergence form, byte for byte; it stays at d = 2 until
     perfbench's speed probe can time a round shorter than its 0.2 s period
-    (ROADMAP item 5).  The divergence form runs a d=2, n=2 call in blocks
+    (ROADMAP item 2).  The divergence form runs a d=2, n=2 call in blocks
     of 32 in 0.69x the time, and energy-d2's commands in about 0.77x
     (0.248 -> 0.190 s median), so their rounds would end before the
     probe's first sample.
@@ -301,11 +298,9 @@ def drift(X: SpectralField, n: int, params: FluidParams) -> np.ndarray:
 def drift_coord(X: SpectralField, idx: BasisIndex, params: FluidParams) -> float:
     """Single drift coordinate < X, (X . grad) psi > - < tau(X), e(psi) >.
 
-    Quadrature grid matches the vectorized drift at the covering truncation,
-    so the two routes agree to roundoff.
+    psi is built at the covering truncation n, so both pairings run on the
+    vectorized drift's pairing grid and the two routes agree to roundoff.
     """
     n = max(X.n, max(abs(c) for c in idx.z))
     psi = basis_function(idx, n=n)
-    M = pairing_grid_size(n)
-    return (pairing_convection(X, X, psi, M=M)
-            - pairing_stress(psi, X, params, M=M))
+    return pairing_convection(X, X, psi) - pairing_stress(psi, X, params)

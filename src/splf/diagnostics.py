@@ -31,7 +31,6 @@ __all__ = [
     "energy_experiment",
     "energy_defect",
     "apriori_check",
-    "quadratic_variation",
     "quadratic_variation_bound",
     "dissipation_functional",
     "gronwall_check",
@@ -268,16 +267,10 @@ def apriori_check(config: SimConfig) -> AprioriReport:
 # ---------------------------------------------------------------------------
 
 
-def quadratic_variation(record: TrajectoryRecord) -> np.ndarray:
-    """Running quadratic variation int_0^t < Gamma X, X > ds at the
-    recorded times (accumulated every step, left endpoint)."""
-    return record.int_gamma.copy()
-
-
 def quadratic_variation_bound(record: TrajectoryRecord,
                               config: SimConfig) -> np.ndarray:
-    """Operator-norm bound ||Gamma|| int_0^t ||X||_2^2 ds from the recorded
-    rows (exact when every step is recorded)."""
+    """Operator-norm bound ||Gamma|| int_0^t ||X||_2^2 ds on the quadratic
+    variation record.int_gamma (exact when every step is recorded)."""
     norm = operator_norm(config.gamma, config.n, config.d)
     t = record.times
     cum = np.concatenate([[0.0], np.cumsum(record.norm_l2_sq[:-1] * np.diff(t))])
@@ -453,10 +446,10 @@ def _perturbed_pairs(config: SimConfig, path_indices: Sequence[int], eps: float)
     return list(zip(recs[::2], recs[1::2]))
 
 
-def gronwall_experiment(config: SimConfig, eps: float,
-                        n_calibration: int = 64, n_validation: int = 50,
-                        margin: float = 0.5) -> GronwallExperimentReport:
-    """Calibrate the envelope constant on held-out pairs, then validate.
+def gronwall_experiment(config: SimConfig, eps: float, *, n_calibration: int,
+                        n_validation: int, margin: float) -> GronwallExperimentReport:
+    """Calibrate the envelope constant on n_calibration held-out pairs, then
+    validate it on n_validation pairs with margin; each caller states all three.
 
     Calibration pairs use path indices offset by CALIBRATION_PATH_OFFSET, so
     their noise and initial data are fresh relative to the validation set;

@@ -26,7 +26,7 @@ from . import rng
 from .constitutive import FluidParams, drift_and_dissipation
 from .noise import (ExplicitSpectrum, PowerLawSpectrum, gamma_vector,
                     validate_spectrum)
-from .spectral import basis, grid_lp_means, pairing_grid_size
+from .spectral import _is_lattice_vector, basis, grid_lp_means, pairing_grid_size
 
 __all__ = [
     "ConfigError",
@@ -52,11 +52,10 @@ class ConfigError(ValueError):
 
 
 class StepFailure(RuntimeError):
-    """step() met a non-finite drift.  step() does not know which step of a
-    path it takes, so step_index is None."""
+    """step() met a non-finite drift from a state of Euclidean norm `norm`
+    (inf when the state itself is not finite)."""
 
     def __init__(self, norm: float):
-        self.step_index = None
         self.norm = norm
         super().__init__(f"non-finite state or drift (|X|_2 = {norm})")
 
@@ -129,6 +128,8 @@ class SimConfig:
                 raise ConfigError(f"init.amplitude: must be finite, got {self.init.amplitude}")
             if len(self.init.z) != self.d:
                 raise ConfigError(f"init.z: wrong dimension for d={self.d}")
+            if not _is_lattice_vector(self.init.z):
+                raise ConfigError(f"init.z: components must be integers, got {self.init.z}")
             if all(c == 0 for c in self.init.z):
                 raise ConfigError("init.z: must be nonzero (mean-zero space)")
             if max(abs(c) for c in self.init.z) > self.n:
@@ -160,7 +161,8 @@ class SimConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Diagnostics of one path at the recorded times.
+    """Diagnostics of one path at the recorded times, multiples of the
+    config's dt_eff; the final state is coords[-1].
 
     Running integrals use the left-endpoint rule matching the discrete Ito
     identity of the explicit schemes, so they are nondecreasing and the
@@ -171,7 +173,6 @@ class TrajectoryRecord:
     """
 
     path_index: int
-    dt: float
     times: np.ndarray       # (R,)
     coords: np.ndarray      # (R, K)
     norm_l2_sq: np.ndarray  # (R,)  ||X||_2^2
@@ -180,10 +181,6 @@ class TrajectoryRecord:
     int_gamma: np.ndarray   # (R,)  int_0^t < Gamma X, X > ds
     diverged: bool = False
     diverged_step: Optional[int] = None
-
-    @property
-    def final_coords(self) -> np.ndarray:
-        return self.coords[-1]
 
 
 # What `simulate_ensemble(..., write=...)` keeps of a record, for the
@@ -353,7 +350,7 @@ class _BlockStepper:
         else:
             record(R - 1, self.n_steps * dt)
         return [TrajectoryRecord(
-            path_index=q, dt=dt, norm_p1_p=None,
+            path_index=q, norm_p1_p=None,
             **{name: col[s, :m] for name, col in buf.items()},
             diverged=s in diverged_step, diverged_step=diverged_step.get(s))
             for s, (q, m) in enumerate(zip(path_indices, n_rec.tolist()))]

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .spectral import TWO_PI_SQ, basis, canonical_rep
+from .spectral import TWO_PI_SQ, _is_lattice_vector, basis, canonical_rep
 
 __all__ = [
     "SpectrumError",
@@ -59,11 +59,15 @@ class ExplicitSpectrum:
 
     @staticmethod
     def from_items(items) -> "ExplicitSpectrum":
-        canon = []
-        for z, j, g in items:
-            zc, _ = canonical_rep(z)
-            canon.append((zc, int(j), float(g)))
-        return ExplicitSpectrum(entries=tuple(canon))
+        return ExplicitSpectrum(entries=tuple(
+            (_canonical_z((z, j, g)), int(j), float(g)) for z, j, g in items))
+
+
+def _canonical_z(entry) -> tuple:
+    """canonical_rep of an explicit entry's wave vector, if it is whole."""
+    if not _is_lattice_vector(entry[0]):
+        raise SpectrumError(f"entry {entry} has a non-integer wave vector")
+    return canonical_rep(entry[0])[0]
 
 
 def validate_spectrum(spectrum, d: int):
@@ -93,7 +97,7 @@ def validate_spectrum(spectrum, d: int):
                 raise SpectrumError(f"eigenvalue at (z={z}, j={j}) is {g}, must be >= 0")
             if not 1 <= j <= 2 * d - 2:
                 raise SpectrumError(f"branch index j={j} outside 1..{2 * d - 2}")
-            zc, _ = canonical_rep(z)
+            zc = _canonical_z((z, j, g))
             if not any(zc):
                 raise SpectrumError(
                     f"entry {(z, j, g)} is at z = 0, outside the mean-zero space")

@@ -163,9 +163,17 @@ def norm_grid_size(n: int, d: int = 2, p: float = 2.0) -> int:
     return _norm_grid(d, n, p)[0]
 
 
+def _is_lattice_vector(z) -> bool:
+    """Whether every component of z is a whole number, as int() keeps it."""
+    return all(float(c).is_integer() for c in z)
+
+
 def canonical_rep(z):
     """Canonical half-space representative of {z, -z} with its sign: the one
-    above 0 in lexicographic order (first nonzero component positive)."""
+    above 0 in lexicographic order (first nonzero component positive).
+    A component that is not a whole number raises DimensionError."""
+    if not _is_lattice_vector(z):
+        raise DimensionError(f"wave vector {tuple(z)} has a non-integer component")
     z = tuple(int(c) for c in z)
     if z > (0,) * len(z):
         return z, 1
@@ -718,62 +726,58 @@ def _aligned_modes(field: SpectralField, n: int) -> np.ndarray:
     return vhat
 
 
-def grid_lp_means(coords: np.ndarray, d: int, n: int, p: float, symbol,
-                  M: int | None = None) -> np.ndarray:
+def grid_lp_means(coords: np.ndarray, d: int, n: int, p: float, symbol) -> np.ndarray:
     """Grid mean of |m(D) v|^p for each row of basis coordinates coords
     (R, K) of order n in dimension d, where symbol is a symbol m (c, Z) at
     the modes of basis(d, n): the L_p quadrature of every norm.
 
-    The rectangle rule of `_GridMap.lp_means` on the M^d grid, by default
-    norm_grid_size(n, d, p), the grid that meets the NORM_RTOL budget; for
-    p = 2 and p = 4 that is the pairing grid, on which the rule is exact.
-    This is the one place that picks the grid."""
+    The rectangle rule of `_GridMap.lp_means` on the grid of
+    norm_grid_size(n, d, p), which meets the NORM_RTOL budget; for p = 2
+    and p = 4 that is the pairing grid, on which the rule is exact.  This
+    is the one place that picks the grid."""
     if not p >= 1:
         raise ValueError(f"L_p norm needs p >= 1, got p={p}")
-    gm = grid_map(d, n, norm_grid_size(n, d, p) if M is None else M)
+    gm = grid_map(d, n, norm_grid_size(n, d, p))
     return gm.lp_means(gm.basis.coords_to_modes(coords), symbol, p)
 
 
-def _field_lp_norm(field: SpectralField, p: float, symbol, M: int | None) -> float:
+def _field_lp_norm(field: SpectralField, p: float, symbol) -> float:
     """|| m(D) v ||_{L_p} of one field by grid_lp_means."""
     coords = field_to_coords(field)[None]
-    return float(grid_lp_means(coords, field.d, field.n, p, symbol, M)[0] ** (1.0 / p))
+    return float(grid_lp_means(coords, field.d, field.n, p, symbol)[0] ** (1.0 / p))
 
 
-def sobolev_norm(field: SpectralField, p: float, alpha: float,
-                 M: int | None = None) -> float:
+def sobolev_norm(field: SpectralField, p: float, alpha: float) -> float:
     """Bessel-potential Sobolev norm || (1-Laplacian)^{alpha/2} v ||_{L_p},
-    multiplier (1 + 4 pi^2 |z|^2)^{alpha/2}, by grid_lp_means on M points
-    per axis (default norm_grid_size(n, d, p))."""
-    return _field_lp_norm(field, p, basis(field.d, field.n).bessel(alpha), M)
+    multiplier (1 + 4 pi^2 |z|^2)^{alpha/2}, by grid_lp_means."""
+    return _field_lp_norm(field, p, basis(field.d, field.n).bessel(alpha))
 
 
-def gradient_lp_norm(field: SpectralField, p: float, M: int | None = None) -> float:
+def gradient_lp_norm(field: SpectralField, p: float) -> float:
     """|| |grad v|_F ||_{L_p} by grid_lp_means."""
-    return _field_lp_norm(field, p, basis(field.d, field.n).derivative(1), M)
+    return _field_lp_norm(field, p, basis(field.d, field.n).derivative(1))
 
 
-def laplacian_lp_norm(field: SpectralField, p: float, M: int | None = None) -> float:
+def laplacian_lp_norm(field: SpectralField, p: float) -> float:
     """|| Laplacian v ||_{L_p} by grid_lp_means."""
-    return _field_lp_norm(field, p, basis(field.d, field.n).derivative(2), M)
+    return _field_lp_norm(field, p, basis(field.d, field.n).derivative(2))
 
 
-def structural_defects(field: SpectralField, M: int | None = None):
+def structural_defects(field: SpectralField):
     """Measured (divergence, conjugate-symmetry) defects of a field.
 
     Divergence defect is max_z |z . v_z| over stored modes.  The conjugate
-    defect is measured on the full DFT of the sampled field, so it reflects
+    defect is measured on the full DFT of the field sampled on its pairing
+    grid (`to_grid`'s default), so it reflects
     the actual realness of the physical samples rather than the storage
     convention.
     """
     if field.modes.size == 0:
         return 0.0, 0.0
     div = float(np.max(np.abs(np.einsum("zd,zd->z", field.modes, field.coeffs))))
-    if M is None:
-        M = pairing_grid_size(field.n)
-    g = to_grid(field, M)
+    g = to_grid(field)
     axes = tuple(range(1, field.d + 1))
-    A = np.fft.fftn(g.values, axes=axes) / (M ** field.d)
+    A = np.fft.fftn(g.values, axes=axes) / (g.M ** field.d)
     flip = (slice(None),) + (slice(None, None, -1),) * field.d
     Aneg = np.roll(np.conj(A[flip]), 1, axis=axes)
     conj_defect = float(np.max(np.abs(A - Aneg)))

@@ -384,7 +384,7 @@ def test_csv_bytes_match_python_format(tmp_path):
                1.7976931348623157e308, 0.1, -1 / 3, 1e22, 123456789.0]
     rows = np.array([special, special[::-1]])
     rec = TrajectoryRecord(
-        path_index=0, dt=0.1, times=np.array([0.0, 0.1]), coords=rows,
+        path_index=0, times=np.array([0.0, 0.1]), coords=rows,
         norm_l2_sq=np.array([np.nan, 2.5]), norm_p1_p=np.array([-0.0, np.inf]),
         int_diss=np.array([5e-324, 1.0]), int_gamma=np.array([0.0, -np.inf]))
     path = tmp_path / "rec.csv"

@@ -142,7 +142,7 @@ class TestQuadraticVariation:
     def test_zero_spectrum(self):
         cfg = base_config()
         rec = it.simulate(cfg, 0)
-        assert np.all(dg.quadratic_variation(rec) == 0.0)
+        assert np.all(rec.int_gamma == 0.0)
 
     def test_single_index_spectrum(self):
         # < M >_t = gamma int (X^{z,j})^2 when only one eigenvalue is set
@@ -152,11 +152,9 @@ class TestQuadraticVariation:
             [(basis[k].z, basis[k].j, 0.7)])
         cfg = base_config(gamma=gamma, record_every=1)
         rec = it.simulate(cfg, 0)
-        qv = dg.quadratic_variation(rec)
-        dt = rec.dt
         want = 0.7 * np.concatenate(
-            [[0.0], np.cumsum(rec.coords[:-1, k] ** 2 * dt)])
-        assert np.abs(qv - want).max() < 1e-12
+            [[0.0], np.cumsum(rec.coords[:-1, k] ** 2 * cfg.dt_eff)])
+        assert np.abs(rec.int_gamma - want).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_operator_norm_bound(self, seed):
@@ -164,15 +162,14 @@ class TestQuadraticVariation:
         cfg = base_config(gamma=gamma, seed=seed, record_every=1,
                           init=it.GaussianInit(sigma=0.4, decay=2.0))
         rec = it.simulate(cfg, 0)
-        qv = dg.quadratic_variation(rec)
         bound = dg.quadratic_variation_bound(rec, cfg)
-        assert np.all(qv <= bound * (1 + 1e-12) + 1e-15)
+        assert np.all(rec.int_gamma <= bound * (1 + 1e-12) + 1e-15)
 
     def test_nondecreasing(self):
         gamma = noise.PowerLawSpectrum(c=0.3, s=3.0)
         cfg = base_config(gamma=gamma, record_every=5)
         rec = it.simulate(cfg, 1)
-        assert np.all(np.diff(dg.quadratic_variation(rec)) >= 0)
+        assert np.all(np.diff(rec.int_gamma) >= 0)
 
 
 class TestDissipationFunctional:
@@ -323,7 +320,8 @@ class TestGronwall:
         cfg = base_config(record_every=1)
         with pytest.raises(ValueError, match="n_validation"):
             dg.gronwall_experiment(cfg, eps=1e-3, n_calibration=0,
-                                   n_validation=dg.CALIBRATION_PATH_OFFSET + 1)
+                                   n_validation=dg.CALIBRATION_PATH_OFFSET + 1,
+                                   margin=0.5)
 
     @pytest.mark.parametrize("n_calibration,n_validation,name", [
         (64, 0, "n_validation"), (-3, 5, "n_calibration"),
@@ -337,7 +335,7 @@ class TestGronwall:
         with pytest.raises(ValueError, match=name):
             dg.gronwall_experiment(base_config(record_every=1), eps=1e-3,
                                    n_calibration=n_calibration,
-                                   n_validation=n_validation)
+                                   n_validation=n_validation, margin=0.5)
 
     @pytest.mark.parametrize("margin,eps,name", [
         (float("nan"), 1e-3, "margin"), (float("inf"), 1e-3, "margin"),
@@ -383,7 +381,7 @@ class TestGronwall:
         assert dg.identical_noise_separation(cfg, [0]) == np.inf
         assert dg.identical_noise_separation(cfg, [1]) == 0.0
         rep = dg.gronwall_experiment(cfg, eps=1e-3, n_calibration=8,
-                                     n_validation=8)
+                                     n_validation=8, margin=0.5)
         assert rep.n_diverged > 0 and not rep.passed
         clean = dataclasses.replace(rep, total_violations=0, n_diverged=0)
         assert clean.passed

@@ -1,5 +1,7 @@
 """Covariance spectra, traces and Gaussian increment sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,16 @@ class TestValidation:
         # the same wave vector on another branch is another element
         noise.validate_spectrum(noise.ExplicitSpectrum.from_items(
             [((1, 0), 1, 0.5), ((-1, 0), 2, 0.2)]), 2)
+
+    @pytest.mark.parametrize("z", [(1.5, 0), (0.5, 0)])
+    def test_non_integer_wave_vector_entry_rejected(self, z):
+        # int() used to put gamma on mode (1, 0), or to report (0.5, 0) as
+        # an entry at z = 0
+        entry = re.escape(f"entry ({z}, 1, 0.5) has a non-integer wave vector")
+        with pytest.raises(noise.SpectrumError, match=entry):
+            noise.validate_spectrum(noise.ExplicitSpectrum(entries=((z, 1, 0.5),)), 2)
+        with pytest.raises(noise.SpectrumError, match=entry):
+            noise.ExplicitSpectrum.from_items([(z, 1, 0.5)])
 
     def test_negative_entry_rejected(self):
         spec = noise.ExplicitSpectrum.from_items([((1, 0), 1, -0.5)])

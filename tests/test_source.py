@@ -65,6 +65,31 @@ def test_quadrature_grid_is_picked_in_spectral():
     assert not found, found
 
 
+# The functions whose grid a caller sets: the oracle fields sampled on a
+# grid of the caller's choosing, and the pairing grid they share
+GRID_OVERRIDES = {"_common_map", "rate_of_strain", "stress", "convection",
+                  "to_grid"}
+
+
+def test_grid_override_only_where_a_caller_sets_it():
+    # every other quadrature takes its grid from one rule, the pairing grid
+    # or norm_grid_size; an M=None that no caller sets is a second rule
+    found = []
+    for path in sorted(Path(splf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            pairs = (list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                     + list(zip(a.kwonlyargs, a.kw_defaults)))
+            found += [node.name for arg, default in pairs
+                      if arg.arg == "M" and isinstance(default, ast.Constant)
+                      and default.value is None]
+    assert sorted(found) == sorted(GRID_OVERRIDES), found
+
+
 def test_coordinate_layout_stays_in_spectral():
     # spectral.basis(d, n) states where a basis element sits among the
     # coordinates (`coord`); no other module indexes the modes itself

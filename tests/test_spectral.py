@@ -183,6 +183,10 @@ class TestCoord:
         for j in (0, 3):
             with pytest.raises(sp.DimensionError, match=f"j={j}"):
                 b.coord((1, 0), j)
+        # a non-integer wave vector is not cast onto a mode or onto -1
+        for z in ((0.5, 0), (1.5, 0)):
+            with pytest.raises(sp.DimensionError, match="non-integer"):
+                b.coord(z, 1)
 
     def test_grid_map_reaches_the_basis_without_delegates(self):
         gm = sp.grid_map(2, 2, 10)
@@ -620,11 +624,16 @@ class TestNormGrid:
         assert out.stdout.strip() == str([sp.norm_grid_size(n, d, p) for d, n, p in cases])
 
     def test_default_grid_of_the_norms_is_the_rule(self):
-        f = random_field(4, d=2, n=3)
-        M = sp.norm_grid_size(3, 2, 1.5)
-        assert sp.sobolev_norm(f, 1.5, 1.0) == sp.sobolev_norm(f, 1.5, 1.0, M=M)
-        assert sp.gradient_lp_norm(f, 1.5) == sp.gradient_lp_norm(f, 1.5, M=M)
-        assert sp.laplacian_lp_norm(f, 1.5) == sp.laplacian_lp_norm(f, 1.5, M=M)
+        # each norm, byte for byte, is the rectangle rule on the grid of
+        # norm_grid_size(n, d, p)
+        f, p = random_field(4, d=2, n=3), 1.5
+        gm = sp.grid_map(2, 3, sp.norm_grid_size(3, 2, p))
+        vhat = gm.basis.coords_to_modes(sp.field_to_coords(f)[None])
+        b = gm.basis
+        for got, symbol in [(sp.sobolev_norm(f, p, 1.0), b.bessel(1.0)),
+                            (sp.gradient_lp_norm(f, p), b.derivative(1)),
+                            (sp.laplacian_lp_norm(f, p), b.derivative(2))]:
+            assert got == gm.lp_means(vhat, symbol, p)[0] ** (1 / p)
 
 
 class TestInvariants:
