@@ -95,14 +95,19 @@ def _blas() -> dict:
     return {"name": blas["name"], "version": blas["version"]}
 
 
-def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
+def _write_manifest(args, config: SimConfig, outputs: OutputOptions,
                     paths, files, started: float, verdict=None) -> Path:
-    """Write manifest.json to out_dir; return its path.  files lists the
-    (file name, sha256) of each output, in order, as its writer hashed the
-    bytes it wrote, so no output is read back here."""
+    """Write manifest.json to the directory args.out; return its path.  The
+    command's name and every option but --config and --out, which the
+    config snapshot and the manifest's own place state, are recorded.
+    files lists the (file name, sha256) of each output, in order, as its
+    writer hashed the bytes it wrote, so no output is read back here."""
     manifest = {
         "tool": "splf",
         "version": __version__,
+        "command": {"name": args.command, "options": _jsonable({
+            k: v for k, v in vars(args).items()
+            if k not in ("command", "func", "config", "out")})},
         "seed": config.seed,
         "dt_effective": config.dt_eff,
         "n_steps": config.n_steps,
@@ -120,7 +125,7 @@ def _write_manifest(out_dir: Path, config: SimConfig, outputs: OutputOptions,
     }
     if verdict is not None:
         manifest["verdict"] = verdict
-    path = out_dir / "manifest.json"
+    path = Path(args.out) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True,
                                allow_nan=False) + "\n")
     return path
@@ -158,7 +163,7 @@ def _verdict(args, config: SimConfig, outputs: OutputOptions, started: float,
         rp = out_dir / f"{args.command.removesuffix('-check')}_report.json"
         data = (json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n").encode()
         rp.write_bytes(data)
-        _write_manifest(out_dir, config, outputs, list(diverged),
+        _write_manifest(args, config, outputs, list(diverged),
                         [(rp.name, _sha256(data))], started, verdict=status)
     return 0 if passed else 1
 
@@ -172,7 +177,7 @@ def _cmd_simulate(args) -> int:
         _write_path, out_dir, outputs.snapshots, config))
     paths = [{"path_index": o.path_index, "diverged": o.diverged,
               "diverged_step": o.diverged_step} for o in outcomes]
-    _write_manifest(out_dir, config, outputs, paths,
+    _write_manifest(args, config, outputs, paths,
                     [f for o in outcomes for f in o.written], started)
     n_div = sum(o.diverged for o in outcomes)
     print(f"simulate,done,paths={len(outcomes)},diverged={n_div},out={out_dir}")

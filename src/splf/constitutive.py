@@ -154,20 +154,15 @@ def dissipation_pairing(v: SpectralField, params: FluidParams) -> float:
 def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
     """Drift coordinates and dissipation < e, tau > in one grid pass.
 
-    x is one coordinate vector (K,) or a block of paths (P, K); the block
-    gives drift rows (P, K) and one dissipation per row.  The drift is
+    x is a block of paths (P, K), one path a block of one; it gives drift
+    rows (P, K) and one dissipation per row.  The drift is
     P_n (div tau(e) - (v . grad) v): _drift_divergence at d >= 3 and
     _drift_gradient at d = 2.  The values of both are within rounding of
     the oracle routes (convection, pairing_stress and the full-grid FFT
     drift of the tests), which share none of their code.  Each row's result
     is the same alone and in any block.
     """
-    block = x.reshape(-1, x.shape[-1])
-    kernel = _drift_gradient if gm.d == 2 else _drift_divergence
-    b, diss = kernel(block, gm, params)
-    if x.ndim == 1:
-        return b[0], float(diss[0])
-    return b, diss
+    return (_drift_gradient if gm.d == 2 else _drift_divergence)(x, gm, params)
 
 
 def _drift_divergence(block: np.ndarray, gm: _GridMap, params: FluidParams):
@@ -285,14 +280,15 @@ def _drift_gradient(block: np.ndarray, gm: _GridMap, params: FluidParams):
 
 
 def drift_and_dissipation(x: np.ndarray, d: int, n: int, params: FluidParams):
-    """Drift coordinates together with < e(X), tau(X) > (shared grid pass)."""
+    """Drift rows (P, K) together with < e(X), tau(X) > (P,) of a block of
+    coordinate rows x (P, K), in one shared grid pass."""
     return _drift_core(x, grid_map(d, n, pairing_grid_size(n)), params)
 
 
 def drift(X: SpectralField, n: int, params: FluidParams) -> np.ndarray:
     """Drift coordinate vector over make_basis(n, d) for a state of order <= n."""
     x = field_to_coords(X, n=n)
-    return drift_and_dissipation(x, X.d, n, params)[0]
+    return drift_and_dissipation(x[None], X.d, n, params)[0][0]
 
 
 def drift_coord(X: SpectralField, idx: BasisIndex, params: FluidParams) -> float:

@@ -213,7 +213,7 @@ class AprioriReport:
     n_paths: int
     n_diverged: int
 
-    def affine_ok(self, margin: float = 0.5) -> bool:
+    def affine_ok(self, margin: float) -> bool:
         # the survivors alone could grow affinely: any divergence fails
         return self.superlinearity <= 1.0 + margin and self.n_diverged == 0
 
@@ -364,8 +364,7 @@ def _check_envelope_input(name: str, value: float) -> None:
 
 
 def gronwall_check(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord,
-                   config: SimConfig, c_hat: float,
-                   margin: float = 0.5) -> GronwallReport:
+                   config: SimConfig, c_hat: float, margin: float) -> GronwallReport:
     """Test ||Z_t||^2 <= ||Z_0||^2 exp(c_hat (1+margin) I_t) along a pair.
 
     The pair must share times (same config, same noise); outside the

@@ -26,7 +26,7 @@ from . import rng
 from .constitutive import FluidParams, drift_and_dissipation
 from .noise import (ExplicitSpectrum, PowerLawSpectrum, gamma_vector,
                     validate_spectrum)
-from .spectral import _is_lattice_vector, basis, grid_lp_means, pairing_grid_size
+from .spectral import _is_whole, basis, grid_lp_means, pairing_grid_size
 
 __all__ = [
     "ConfigError",
@@ -128,14 +128,15 @@ class SimConfig:
                 raise ConfigError(f"init.amplitude: must be finite, got {self.init.amplitude}")
             if len(self.init.z) != self.d:
                 raise ConfigError(f"init.z: wrong dimension for d={self.d}")
-            if not _is_lattice_vector(self.init.z):
+            if not _is_whole(*self.init.z):
                 raise ConfigError(f"init.z: components must be integers, got {self.init.z}")
             if all(c == 0 for c in self.init.z):
                 raise ConfigError("init.z: must be nonzero (mean-zero space)")
             if max(abs(c) for c in self.init.z) > self.n:
                 raise ConfigError(f"init.z: outside truncation n={self.n}")
-            if not 1 <= self.init.j <= 2 * self.d - 2:
-                raise ConfigError(f"init.j: outside 1..{2 * self.d - 2}")
+            if not (_is_whole(self.init.j) and 1 <= self.init.j <= 2 * self.d - 2):
+                raise ConfigError(f"init.j: must be an integer in 1..{2 * self.d - 2}, "
+                                  f"got {self.init.j!r}")
         elif isinstance(self.init, GaussianInit):
             if not 0 <= self.init.sigma < math.inf:
                 raise ConfigError(f"init.sigma: must be finite and >= 0, got {self.init.sigma}")
@@ -233,11 +234,11 @@ def step(x: np.ndarray, dt: float, dW: np.ndarray, d: int, n: int,
         raise ConfigError(f"dt: must be positive and finite, got {dt}")
     if stepper not in STEPPERS:
         raise ConfigError(f"stepper: unknown scheme {stepper!r}")
-    b, _ = drift_and_dissipation(x, d, n, params)
+    b, _ = drift_and_dissipation(x[None], d, n, params)
     if not np.all(np.isfinite(b)):
         raise StepFailure(float(np.linalg.norm(x)))
     lam = basis(d, n).lam_coord
-    return _advance(x[None], dt, dW[None], b[None], stepper, params.nu, lam)[0]
+    return _advance(x[None], dt, dW[None], b, stepper, params.nu, lam)[0]
 
 
 def _norm_p1_p(coords: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -304,51 +305,48 @@ class _BlockStepper:
         """Records of the paths whose initial rows are x0 (P, K).
 
         Each row draws its increments from the stream of its path index;
-        rows with the same index share every draw.  Recorded rows fill one
-        buffer, (P, R, K) for the state and (P, R) per column; a record's
-        arrays are views of its slot.
+        rows with the same index share every draw.  The live rows' state,
+        buffer slot and running sums are one ledger of row-aligned arrays,
+        which a divergence slices in one statement.  Recorded rows fill one
+        buffer, (P, R, K) for the state and (P, R) per column, at step k a
+        multiple of record_every and at the last step; a record's arrays
+        are views of its slot.
         """
-        c = self.config
-        dt = self.dt
-        x = np.array(x0, dtype=float)
-        (P, K), R = x.shape, (self.n_steps - 1) // c.record_every + 2
-        live = np.arange(P)                     # block row -> slot in the buffer
+        c, dt, n_steps = self.config, self.dt, self.n_steps
+        P, K = np.shape(x0)
+        R = (n_steps - 1) // c.record_every + 2
+        ledger = {"coords": np.array(x0, dtype=float), "slot": np.arange(P),
+                  "int_diss": np.zeros(P), "int_gamma": np.zeros(P)}
+        buf = {"coords": np.empty((P, R, K)), **{name: np.empty((P, R)) for name in (
+            "times", "norm_l2_sq", "int_diss", "int_gamma")}}
         n_rec = np.full(P, R)                   # recorded rows of each slot
-        sums = {"int_diss": np.zeros(P), "int_gamma": np.zeros(P)}
-        buf = {"coords": np.empty((P, R, K)), **{
-            name: np.empty((P, R)) for name in ("times", "norm_l2_sq", *sums)}}
         diverged_step = {}
-
-        def record(r, t):
-            for name, v in (("times", t), ("coords", x),
-                            ("norm_l2_sq", np.vecdot(x, x)), *sums.items()):
-                buf[name][live, r] = v
-
-        for k in range(self.n_steps):
-            if k % c.record_every == 0:
-                record(k // c.record_every, k * dt)
+        for k in range(n_steps + 1):
+            x, live = ledger["coords"], ledger["slot"]
+            if k % c.record_every == 0 or k == n_steps:
+                r = R - 1 if k == n_steps else k // c.record_every
+                row = {"times": k * dt, "norm_l2_sq": np.vecdot(x, x), **ledger}
+                for name, col in buf.items():
+                    col[live, r] = row[name]
+            if k == n_steps or not live.size:
+                break
             b, diss = drift_and_dissipation(x, c.d, c.n, self.params)
             # a row whose drift is not finite diverges at step k; every
             # stepper then gives it a non-finite state, so it leaves the
             # block below with the rows whose norm fails at step k + 1
             fail_step = np.where(np.isfinite(b).all(axis=1), k + 1, k)
-            sums["int_diss"] += dt * diss
-            sums["int_gamma"] += dt * np.vecdot(x * x, self.gamma)
+            ledger["int_diss"] += dt * diss
+            ledger["int_gamma"] += dt * np.vecdot(x * x, self.gamma)
             labels = [path_indices[slot] for slot in live]
             draws = {q: self.increment(q, k) for q in set(labels)}
             dW = np.array([draws[q] for q in labels])
-            x = _advance(x, dt, dW, b, c.stepper, c.nu, self.lam)
+            x = ledger["coords"] = _advance(x, dt, dW, b, c.stepper, c.nu, self.lam)
             nrm = np.sqrt(np.vecdot(x, x))
             keep = np.isfinite(nrm) & (nrm <= c.norm_ceiling)
             if not keep.all():
                 diverged_step.update(zip(live[~keep].tolist(), fail_step[~keep].tolist()))
                 n_rec[live[~keep]] = k // c.record_every + 1
-                x, live = x[keep], live[keep]
-                sums = {name: v[keep] for name, v in sums.items()}
-                if not live.size:
-                    break
-        else:
-            record(R - 1, self.n_steps * dt)
+                ledger = {name: v[keep] for name, v in ledger.items()}
         return [TrajectoryRecord(
             path_index=q, norm_p1_p=None,
             **{name: col[s, :m] for name, col in buf.items()},

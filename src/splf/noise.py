@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .spectral import TWO_PI_SQ, _is_lattice_vector, basis, canonical_rep
+from .spectral import TWO_PI_SQ, _is_whole, basis, canonical_rep
 
 __all__ = [
     "SpectrumError",
@@ -60,14 +60,18 @@ class ExplicitSpectrum:
     @staticmethod
     def from_items(items) -> "ExplicitSpectrum":
         return ExplicitSpectrum(entries=tuple(
-            (_canonical_z((z, j, g)), int(j), float(g)) for z, j, g in items))
+            (*_canonical_entry((z, j, g)), float(g)) for z, j, g in items))
 
 
-def _canonical_z(entry) -> tuple:
-    """canonical_rep of an explicit entry's wave vector, if it is whole."""
-    if not _is_lattice_vector(entry[0]):
+def _canonical_entry(entry) -> tuple:
+    """canonical_rep of an explicit entry's wave vector and its branch index
+    as an int, if both are whole."""
+    z, j, _ = entry
+    if not _is_whole(*z):
         raise SpectrumError(f"entry {entry} has a non-integer wave vector")
-    return canonical_rep(entry[0])[0]
+    if not _is_whole(j):
+        raise SpectrumError(f"entry {entry} has a non-integer branch index")
+    return canonical_rep(z)[0], int(j)
 
 
 def validate_spectrum(spectrum, d: int):
@@ -95,9 +99,9 @@ def validate_spectrum(spectrum, d: int):
                 raise SpectrumError(f"entry {z} has wrong dimension (d={d})")
             if not np.isfinite(g) or g < 0:
                 raise SpectrumError(f"eigenvalue at (z={z}, j={j}) is {g}, must be >= 0")
+            zc = _canonical_entry((z, j, g))[0]
             if not 1 <= j <= 2 * d - 2:
                 raise SpectrumError(f"branch index j={j} outside 1..{2 * d - 2}")
-            zc = _canonical_z((z, j, g))
             if not any(zc):
                 raise SpectrumError(
                     f"entry {(z, j, g)} is at z = 0, outside the mean-zero space")

@@ -12,6 +12,7 @@ and the truncation projection.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -163,16 +164,17 @@ def norm_grid_size(n: int, d: int = 2, p: float = 2.0) -> int:
     return _norm_grid(d, n, p)[0]
 
 
-def _is_lattice_vector(z) -> bool:
-    """Whether every component of z is a whole number, as int() keeps it."""
-    return all(float(c).is_integer() for c in z)
+def _is_whole(*values) -> bool:
+    """Whether every value is a real number that int() keeps whole: the
+    components of a wave vector, or a branch index."""
+    return all(isinstance(v, numbers.Real) and float(v).is_integer() for v in values)
 
 
 def canonical_rep(z):
     """Canonical half-space representative of {z, -z} with its sign: the one
     above 0 in lexicographic order (first nonzero component positive).
     A component that is not a whole number raises DimensionError."""
-    if not _is_lattice_vector(z):
+    if not _is_whole(*z):
         raise DimensionError(f"wave vector {tuple(z)} has a non-integer component")
     z = tuple(int(c) for c in z)
     if z > (0,) * len(z):
@@ -277,10 +279,14 @@ class _Basis:
         The position is k (2d-2) + j - 1, the order of make_basis, where k is
         the place in `modes` of the canonical one of z and -z; it is -1 for
         z = 0 or z outside [-n,n]^d.  The sign is -1 for a sine branch
-        (j >= d) at a non-canonical z, the sine being odd under z -> -z."""
+        (j >= d) at a non-canonical z, the sine being odd under z -> -z.
+        A j that is not a whole number raises DimensionError."""
         d = self.d
+        if not _is_whole(j):
+            raise DimensionError(f"branch index j={j} is not an integer")
         if not 1 <= j <= 2 * d - 2:
             raise DimensionError(f"branch index j={j} outside 1..{2 * d - 2}")
+        j = int(j)
         zc, sign = canonical_rep(z)
         k = int(_mode_index(zc, self.n, d))
         return (k * (2 * d - 2) + j - 1 if k >= 0 else -1), (sign if j >= d else 1)

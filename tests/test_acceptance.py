@@ -125,7 +125,7 @@ def test_criterion_2_algebraic_identities():
         route_a = co.pairing_stress(phi, v, params3)
         worst["ibp"] = max(worst["ibp"], abs(route_a + route_b))
         # energy-dissipation identity of the projected drift
-        bvec, diss = co.drift_and_dissipation(xv, d, n, params3)
+        (bvec,), (diss,) = co.drift_and_dissipation(xv[None], d, n, params3)
         worst["energy"] = max(worst["energy"], abs(xv @ bvec + diss))
     ok = all(v < 1e-10 for v in worst.values())
     verdict(2, f"algebraic identities ({n_trials} triples)", ok,

@@ -50,7 +50,7 @@ def per_path_loop(c, path_index, x0):
     for k in range(c.n_steps):
         if k % c.record_every == 0:
             record(k * dt)
-        b, diss = co.drift_and_dissipation(x, c.d, c.n, c.params)
+        (b,), (diss,) = co.drift_and_dissipation(x[None], c.d, c.n, c.params)
         if not np.all(np.isfinite(b)):
             diverged_step = k
             break
@@ -209,6 +209,23 @@ def test_stepper_draws_sample_increment(d, monkeypatch):
     assert len(seen) == c.n_steps
     for k, dW in enumerate(seen):
         assert np.array_equal(dW, [law(3, k), law(3, k), law(5, k), law(5, k)])
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_pair_rows_leave_the_block_apart(size, monkeypatch):
+    # pairs (x0, 0.8 x0) on the stiff diverging input, in blocks of 1, 3
+    # and 16 pairs: in some pairs one row crosses the norm ceiling and the
+    # other runs to T, in some both leave at different steps; the rows left
+    # in the block keep their labels' draws after each slice
+    c = diverging_config()
+    monkeypatch.setattr(it, "block_size", lambda d, n: size)
+    x0 = np.array([it.initial_coords(c, i) for i in range(c.n_paths)])
+    records = it.simulate_paired(c, range(c.n_paths), x0, 0.8 * x0)
+    steps = [(a.diverged_step, b.diverged_step) for a, b in zip(records[::2], records[1::2])]
+    assert any(None in s and s != (None, None) for s in steps)
+    assert any(None not in s and s[0] != s[1] for s in steps)
+    for rec, start in zip(records, (x for row in x0 for x in (row, 0.8 * row))):
+        assert_matches(with_norm(rec, c), per_path_loop(c, rec.path_index, start))
 
 
 def assert_same_record(got, want):
@@ -436,8 +453,7 @@ def test_records_match_pinned(case, monkeypatch):
 def full_grid_drift(x, d, n, params):
     """drift_and_dissipation through the full-grid FFT oracle."""
     gm = sp.grid_map(d, n, sp.pairing_grid_size(n))
-    b, diss = drift_full_grid(x.reshape(-1, x.shape[-1]), gm, params)
-    return (b[0], float(diss[0])) if x.ndim == 1 else (b, diss)
+    return drift_full_grid(x, gm, params)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))

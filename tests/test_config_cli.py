@@ -692,6 +692,32 @@ class TestCliChecks:
         assert manifest["verdict"] == "pass"
         assert manifest["outputs"] == [{"file": name, "sha256": digest}]
 
+    @pytest.mark.parametrize("args,options", [
+        (["simulate"], {}),
+        (["energy-check"], {}),
+        (["uniqueness-check", "--eps", "0"],
+         {"eps": 0.0, "margin": 0.5, "calibration": 64}),
+        (["uniqueness-check", "--eps", "1e-4", "--calibration", "4", "--margin", "0.25"],
+         {"eps": 1e-4, "margin": 0.25, "calibration": 4}),
+    ], ids=["simulate", "energy", "exact", "gronwall"])
+    def test_manifest_reruns_the_command(self, tmp_path, capsys, args, options):
+        # --eps, --margin and --calibration set the verdict, and neither the
+        # report nor the config snapshot held them; --config and --out are
+        # the manifest's config_ini and its own directory
+        cfg = small_ini(tmp_path, n_paths=3, record_every=1)
+        out = tmp_path / "rep"
+        code = cli.main([*args, "--config", str(cfg), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == {"name": args[0], "options": options}
+        # the manifest alone reruns it to the same output bytes
+        ini = tmp_path / "again.ini"
+        ini.write_text(manifest["config_ini"])
+        again = tmp_path / "again"
+        argv = [args[0], *(a for k, v in options.items() for a in (f"--{k}", repr(v)))]
+        assert cli.main([*argv, "--config", str(ini), "--out", str(again)]) == code
+        assert json.loads((again / "manifest.json").read_text())["outputs"] == (
+            manifest["outputs"])
+
     def test_energy_check_emits_verdict(self, tmp_path, capsys):
         # small ensemble: only the verdict wiring is under test here
         cfg = small_ini(tmp_path, n_paths=32, record_every=100)

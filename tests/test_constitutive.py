@@ -347,7 +347,6 @@ def test_drift_calls_no_fft(d, n, monkeypatch):
     x = np.random.default_rng(d).standard_normal((3, gm.basis.K))
     params = co.FluidParams(p=2.5, nu=0.7)
     co.drift_and_dissipation(x, d, n, params)
-    co.drift_and_dissipation(x[0], d, n, params)
     if d == 2:
         monkeypatch.setenv("SPLF_THREADS", "1")
         c = it.SimConfig(d=2, p=2.5, nu=0.5, n=2, dt=2e-3, T=1e-2, n_paths=3,

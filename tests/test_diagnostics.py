@@ -276,7 +276,7 @@ class TestGronwall:
         cfg = base_config(p=1.8, stepper="tamed", record_every=1)
         x0 = it.initial_coords(cfg, 0)
         a, b = it.simulate_paired(cfg, [0], [x0], [x0.copy()])
-        rep = dg.gronwall_check(a, b, cfg, c_hat=1.0)
+        rep = dg.gronwall_check(a, b, cfg, c_hat=1.0, margin=0.5)
         assert not rep.in_uniqueness_regime
 
     def test_mismatched_pairs_rejected(self):
@@ -285,7 +285,7 @@ class TestGronwall:
         a = it.simulate(cfg, 0)
         b = it.simulate(cfg2, 0)
         with pytest.raises(ValueError, match="mismatched"):
-            dg.gronwall_check(a, b, cfg, c_hat=0.0)
+            dg.gronwall_check(a, b, cfg, c_hat=0.0, margin=0.5)
 
     @pytest.mark.parametrize("grid", ["dt/2", "same length"])
     def test_calibration_rejects_mismatched_pairs(self, grid):
@@ -297,7 +297,7 @@ class TestGronwall:
         else:
             b = dataclasses.replace(b, times=b.times * 1.5)
         for check in (lambda: dg.calibrate_gronwall([(a, b)], cfg),
-                      lambda: dg.gronwall_check(a, b, cfg, c_hat=0.0)):
+                      lambda: dg.gronwall_check(a, b, cfg, c_hat=0.0, margin=0.5)):
             with pytest.raises(ValueError,
                                match="paired records have mismatched time grids"):
                 check()
@@ -366,10 +366,10 @@ class TestGronwall:
         cfg = base_config(record_every=1)
         x0 = it.initial_coords(cfg, 0)
         a, b = it.simulate_paired(cfg, [0], [x0], [x0 + 1e-3])
-        assert dg.gronwall_check(a, b, cfg, c_hat=0.0).holds
+        assert dg.gronwall_check(a, b, cfg, c_hat=0.0, margin=0.5).holds
         with pytest.raises(ValueError, match=re.escape(
                 f"c_hat: must be finite and at least 0, got {c_hat}")):
-            dg.gronwall_check(a, b, cfg, c_hat=c_hat)
+            dg.gronwall_check(a, b, cfg, c_hat=c_hat, margin=0.5)
 
     def test_diverged_pairs_fail_both_branches(self):
         # explicit Euler on the stiff p=4 stress: paths 0, 3, 5, 6 and 7

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -43,15 +44,28 @@ class TestConfig:
         with pytest.raises(it.ConfigError, match="init.j"):
             base_config(init=it.SingleModeInit(z=(1, 0), j=5, amplitude=1.0))
 
-    @pytest.mark.parametrize("z", [(1.5, 0), (0.5, 0)])
+    @pytest.mark.parametrize("z", [(1.5, 0), (0.5, 0), ("a", 0)])
     def test_non_integer_wave_vector_named(self, z):
         # int() used to cast (1.5, 0) onto mode (1, 0), and (0.5, 0) to
-        # position -1, the sine element of the last mode
+        # position -1, the sine element of the last mode; ("a", 0) raised
+        # the ValueError of float(), which named no field
         with pytest.raises(it.ConfigError, match=r"^init\.z: .*integers"):
             base_config(init=it.SingleModeInit(z=z, j=1, amplitude=1.0))
         # a whole-number float names its mode
         x = it.initial_coords(base_config(init=it.SingleModeInit(
             z=(1.0, 0), j=1, amplitude=1.0)), 0)
+        assert np.array_equal(x, it.initial_coords(base_config(), 0))
+
+    @pytest.mark.parametrize("j", [1.5, "1"])
+    def test_non_integer_branch_index_named(self, j):
+        # j = 1.5 passed the range check and the run failed in initial_coords
+        # with numpy's IndexError
+        message = f"init.j: must be an integer in 1..2, got {j!r}"
+        with pytest.raises(it.ConfigError, match=f"^{re.escape(message)}$"):
+            base_config(init=it.SingleModeInit(z=(1, 0), j=j, amplitude=1.0))
+        # a whole-number float names its branch
+        x = it.initial_coords(base_config(init=it.SingleModeInit(
+            z=(1, 0), j=1.0, amplitude=1.0)), 0)
         assert np.array_equal(x, it.initial_coords(base_config(), 0))
 
     @pytest.mark.parametrize("field,kw,shown", [
@@ -147,7 +161,7 @@ class TestStep:
         # difference = dt b (dt|b| / (1 + dt|b|)) = O(dt^2 |b|^2)
         cfg = base_config(p=3.0)
         x = 0.1 * it.initial_coords(cfg, 0)
-        b, _ = co.drift_and_dissipation(x, 2, 2, cfg.params)
+        (b,), _ = co.drift_and_dissipation(x[None], 2, 2, cfg.params)
         for dt in (1e-3, 5e-4, 2.5e-4):
             em = it.step(x, dt, np.zeros_like(x), 2, 2, cfg.params, "euler_maruyama")
             tm = it.step(x, dt, np.zeros_like(x), 2, 2, cfg.params, "tamed")

@@ -59,15 +59,31 @@ class TestValidation:
         noise.validate_spectrum(noise.ExplicitSpectrum.from_items(
             [((1, 0), 1, 0.5), ((-1, 0), 2, 0.2)]), 2)
 
-    @pytest.mark.parametrize("z", [(1.5, 0), (0.5, 0)])
+    @pytest.mark.parametrize("z", [(1.5, 0), (0.5, 0), ("a", 0)])
     def test_non_integer_wave_vector_entry_rejected(self, z):
         # int() used to put gamma on mode (1, 0), or to report (0.5, 0) as
-        # an entry at z = 0
+        # an entry at z = 0; ("a", 0) raised the ValueError of float()
         entry = re.escape(f"entry ({z}, 1, 0.5) has a non-integer wave vector")
         with pytest.raises(noise.SpectrumError, match=entry):
             noise.validate_spectrum(noise.ExplicitSpectrum(entries=((z, 1, 0.5),)), 2)
         with pytest.raises(noise.SpectrumError, match=entry):
             noise.ExplicitSpectrum.from_items([(z, 1, 0.5)])
+
+    @pytest.mark.parametrize("j", [1.5, "1"])
+    def test_non_integer_branch_index_entry_rejected(self, j):
+        # j = 1.5 passed validation and gamma_vector failed with numpy's
+        # IndexError, and from_items cast it to 1; "1" failed the range
+        # check with a TypeError
+        entry = re.escape(f"entry {((1, 0), j, 0.5)} has a non-integer branch index")
+        with pytest.raises(noise.SpectrumError, match=entry):
+            noise.validate_spectrum(noise.ExplicitSpectrum(entries=(((1, 0), j, 0.5),)), 2)
+        with pytest.raises(noise.SpectrumError, match=entry):
+            noise.ExplicitSpectrum.from_items([((1, 0), j, 0.5)])
+        # a whole-number float names its branch
+        spec = noise.ExplicitSpectrum(entries=(((1, 0), 2.0, 0.5),))
+        noise.validate_spectrum(spec, 2)
+        assert np.array_equal(noise.gamma_vector(spec, 2, 2), noise.gamma_vector(
+            noise.ExplicitSpectrum.from_items([((1, 0), 2, 0.5)]), 2, 2))
 
     def test_negative_entry_rejected(self):
         spec = noise.ExplicitSpectrum.from_items([((1, 0), 1, -0.5)])

@@ -184,9 +184,14 @@ class TestCoord:
             with pytest.raises(sp.DimensionError, match=f"j={j}"):
                 b.coord((1, 0), j)
         # a non-integer wave vector is not cast onto a mode or onto -1
-        for z in ((0.5, 0), (1.5, 0)):
+        for z in ((0.5, 0), (1.5, 0), ("a", 0)):
             with pytest.raises(sp.DimensionError, match="non-integer"):
                 b.coord(z, 1)
+        # nor is a non-integer branch index, which gave a float position
+        for j in (1.5, "1"):
+            with pytest.raises(sp.DimensionError, match=f"j={j} is not an integer"):
+                b.coord((1, 0), j)
+        assert b.coord((-1, 0), 2.0) == b.coord((-1, 0), 2)
 
     def test_grid_map_reaches_the_basis_without_delegates(self):
         gm = sp.grid_map(2, 2, 10)
