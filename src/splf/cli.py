@@ -50,24 +50,138 @@ def _fmt(x: float) -> str:
     return _FLOAT % float(x)
 
 
+# The decimal kernel of _csv_rows.  It scales |x| by an exact power of ten
+# into [1e16, 1e17) in long double, one rounding, and rounds that to the
+# 17 digits of "%.17g".  10**q is exact in the 64-bit significand of x87
+# long double for q <= 27 (5**27 < 2**63), so the kernel covers the
+# decimal exponents _EXP_MIN.._EXP_MAX.
+_EXP_MIN, _EXP_MAX = -11, 16
+
+# A value's source bytes: its 17 digits, then the literals.  A layout
+# lists, for one (decimal exponent, significant digits, sign, last in its
+# row), which source byte goes to each of a cell's _CELL bytes; the 0 bytes
+# that pad short cells are dropped at the end.
+_LITERALS = np.frombuffer(b"0123456789.e-,\n\0", dtype=np.uint8)
+_LIT = 17
+_DOT, _E, _MINUS, _COMMA, _NL, _PAD = range(_LIT + 10, _LIT + 16)
+_CELL = 25                                  # "-2.2250738585072014e-308,"
+# Where each group of four digits starts among digits 1..16, less one
+_QUAD_PLACE = np.array([[0], [4], [8], [12]], dtype=np.int8)
+# Values formatted per pass: 16 rows of the simulate records' 253 columns
+_CHUNK_VALUES = 4096
+
+
+# The tables are built on a process's first CSV, so that commands that
+# write none do not carry them.
+@functools.cache
+def _scale_tables():
+    """10**0..10**27 in long double, and the tie margin: the one rounding
+    moves a scaled value below 1e17 by at most half the spacing at 1e17,
+    so a fraction within that of 1/2 may round either way.  Where long
+    double is binary64, that is every fraction."""
+    pow10 = np.cumprod(np.r_[1, np.full(16 - _EXP_MIN, 10)].astype(np.longdouble))
+    return pow10, float(np.spacing(pow10[17]) / 2)
+
+
+def _layout(exp: int, sig: int) -> list:
+    """Source columns of the "%.17g" text of digits 0..sig-1 with decimal
+    exponent exp, behind a sign slot and before a separator slot."""
+    digits = list(range(sig))
+    if exp < -4:
+        body = digits[:1] + ([_DOT] + digits[1:] if sig > 1 else []) + [
+            _E, _MINUS, _LIT + (-exp) // 10, _LIT + (-exp) % 10]
+    elif exp < 0:
+        body = [_LIT, _DOT] + [_LIT] * (-exp - 1) + digits
+    else:
+        body = list(range(exp + 1)) + (
+            [_DOT] + digits[exp + 1:] if sig > exp + 1 else [])
+    return [_PAD] + body + [_PAD] * (_CELL - 2 - len(body)) + [_COMMA]
+
+
+@functools.cache
+def _text_tables():
+    """The layouts, indexed by ((exp - _EXP_MIN) * 17 + sig - 1) * 4
+    + 2 * sign + last in row; the four digits of 0..9999 as one word each;
+    and the place of the last significant digit in each (-32 for 0000: the
+    group counts for none)."""
+    layouts = np.array([_layout(e, s) for e in range(_EXP_MIN, _EXP_MAX + 1)
+                        for s in range(1, 18)], dtype=np.uint8)
+    layouts = np.repeat(layouts[:, None, None], 2, axis=1).repeat(2, axis=2)
+    layouts[:, 1, :, 0] = _MINUS
+    layouts[:, :, 1, -1] = _NL
+    quad = np.arange(10_000, dtype=np.uint16)
+    digits = 48 + quad[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    sig = np.select([quad == 0, quad % 1000 == 0, quad % 100 == 0, quad % 10 == 0],
+                    [-32, 1, 2, 3], 4)
+    return (layouts.reshape(-1, _CELL), digits.astype(np.uint8).view(np.uint32).ravel(),
+            sig.astype(np.int8))
+
+
+def _decimal17(x: np.ndarray):
+    """(N, exp, ok): for each x with ok, the 17 digits N in [1e16, 1e17)
+    and decimal exponent exp of "%.17g" % x, by the long-double kernel.
+    ok is false for zero, non-finite values and decimal exponents outside
+    _EXP_MIN.._EXP_MAX; where the rounding could differ from the correct
+    one; and where log10 missed the decade or the 17 digits round up into
+    the next one (no binary64 value in the range does)."""
+    pow10, tie = _scale_tables()
+    a = np.abs(x)
+    ok = (a >= 10.0 ** _EXP_MIN) & (a < 10.0 ** (_EXP_MAX + 1))
+    a = np.where(ok, a, 1.0)
+    q = (16 - np.floor(np.log10(a))).astype(np.intp).clip(0, 16 - _EXP_MIN)
+    y = np.multiply(a, pow10[q], dtype=np.longdouble)
+    whole = y.astype(np.int64)                # y < 2**63: the floor
+    frac = (y - whole).astype(np.float64)     # a few bits: exact
+    N = whole + (frac > 0.5)
+    ok &= (whole >= 10 ** 16) & (N < 10 ** 17) & (np.abs(frac - 0.5) > tie)
+    return N, 16 - q, ok
+
+
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D float64 table: the bytes of "%.17g" joined by
+    "," with "\\n" after each row, in a few numpy passes.  A value the
+    decimal kernel declines goes through _FLOAT itself."""
+    layouts, digits4, sig4 = _text_tables()
+    cols = table.shape[1]
+    x = table.ravel()
+    N, exp, ok = _decimal17(x)
+    lead, rest = np.divmod(N, 10 ** 16)
+    hi, lo = np.divmod(rest, 10 ** 8)
+    quads = np.stack(np.divmod(hi, 10 ** 4) + np.divmod(lo, 10 ** 4))
+    src = np.empty((x.size, _LIT + len(_LITERALS)), dtype=np.uint8)
+    src[:, 0] = 48 + lead
+    src[:, 1:_LIT] = digits4[quads.T.copy()].view(np.uint8).reshape(-1, 16)
+    src[:, _LIT:] = _LITERALS
+    sig_end = np.maximum((sig4[quads] + _QUAD_PLACE).max(axis=0), 0)   # sig - 1
+    layout = np.where(ok, ((exp - _EXP_MIN) * 17 + sig_end) * 4 + 2 * np.signbit(x), 0)
+    layout[cols - 1::cols] += 1
+    cells = src.ravel().take(layouts[layout] + np.arange(0, src.size, src.shape[1])[:, None])
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        text = np.array([_FLOAT % v for v in x[slow].tolist()], dtype=f"S{_CELL - 1}")
+        cells[slow, :-1] = text.view(np.uint8).reshape(-1, _CELL - 1)
+    cells = cells.ravel()
+    return cells[cells != 0].tobytes()
+
+
 def _sha256(data: bytes) -> str:
     """Digest of an output's bytes, taken by the writer that wrote them."""
     return hashlib.sha256(data).hexdigest()
 
 
 def _write_record_csv(record: TrajectoryRecord, path: Path) -> str:
-    """Write the record as CSV to path, one row at a time, and return the
-    sha256 of the bytes written, hashed as they are written."""
+    """Write the record as CSV to path, a few rows at a time, and return
+    the sha256 of the bytes written, hashed as they are written."""
     table = np.column_stack([record.times, record.norm_l2_sq, record.norm_p1_p,
                              record.int_diss, record.int_gamma, record.coords])
     header = ["t", "normL2sq", "normVp1_p", "int_diss", "int_gammaXX"] + [
         f"x_{k}" for k in range(record.coords.shape[1])]
-    row = ",".join([_FLOAT] * table.shape[1]) + "\n"
+    step = max(1, _CHUNK_VALUES // table.shape[1])
     h = hashlib.sha256()
     with path.open("wb") as f:
-        for line in itertools.chain([",".join(header) + "\n"],
-                                    (row % tuple(r.tolist()) for r in table)):
-            data = line.encode()
+        for data in itertools.chain(
+                [(",".join(header) + "\n").encode()],
+                (_csv_rows(table[i:i + step]) for i in range(0, len(table), step))):
             h.update(data)
             f.write(data)
     return h.hexdigest()

@@ -26,7 +26,7 @@ from . import rng
 from .constitutive import FluidParams, drift_and_dissipation
 from .noise import (ExplicitSpectrum, PowerLawSpectrum, gamma_vector,
                     validate_spectrum)
-from .spectral import _is_whole, basis, grid_lp_means, pairing_grid_size
+from .spectral import _is_real, _is_whole, basis, grid_lp_means, pairing_grid_size
 
 __all__ = [
     "ConfigError",
@@ -101,16 +101,16 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.d, numbers.Integral) or self.d < 2:
             raise ConfigError(f"d: must be an integer >= 2, got {self.d}")
-        if not 1 < self.p < math.inf:
-            raise ConfigError(f"p: must be finite and exceed 1, got {self.p}")
-        if not 0 < self.nu < math.inf:
-            raise ConfigError(f"nu: must be positive and finite, got {self.nu}")
+        if not (_is_real(self.p) and 1 < self.p < math.inf):
+            raise ConfigError(f"p: must be finite and exceed 1, got {self.p!r}")
+        if not (_is_real(self.nu) and 0 < self.nu < math.inf):
+            raise ConfigError(f"nu: must be positive and finite, got {self.nu!r}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ConfigError(f"n: must be an integer >= 1, got {self.n}")
-        if not 0 < self.dt < math.inf:
-            raise ConfigError(f"dt: must be positive and finite, got {self.dt}")
-        if not self.dt <= self.T < math.inf:
-            raise ConfigError(f"T: must be finite and at least dt={self.dt}, got {self.T}")
+        if not (_is_real(self.dt) and 0 < self.dt < math.inf):
+            raise ConfigError(f"dt: must be positive and finite, got {self.dt!r}")
+        if not (_is_real(self.T) and self.dt <= self.T < math.inf):
+            raise ConfigError(f"T: must be finite and at least dt={self.dt}, got {self.T!r}")
         if not (isinstance(self.n_paths, numbers.Integral) and self.n_paths >= 1):
             raise ConfigError(f"n_paths: must be an integer >= 1, got {self.n_paths}")
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2 ** 64):
@@ -121,11 +121,12 @@ class SimConfig:
                 f"stepper: unknown scheme {self.stepper!r}, choose from {STEPPERS}")
         if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
             raise ConfigError(f"record_every: must be an integer >= 1, got {self.record_every}")
-        if not self.norm_ceiling > 0:
-            raise ConfigError(f"norm_ceiling: must be positive, got {self.norm_ceiling}")
+        if not (_is_real(self.norm_ceiling) and self.norm_ceiling > 0):
+            raise ConfigError(f"norm_ceiling: must be positive, got {self.norm_ceiling!r}")
         if isinstance(self.init, SingleModeInit):
-            if not math.isfinite(self.init.amplitude):
-                raise ConfigError(f"init.amplitude: must be finite, got {self.init.amplitude}")
+            if not (_is_real(self.init.amplitude) and math.isfinite(self.init.amplitude)):
+                raise ConfigError(
+                    f"init.amplitude: must be finite, got {self.init.amplitude!r}")
             if len(self.init.z) != self.d:
                 raise ConfigError(f"init.z: wrong dimension for d={self.d}")
             if not _is_whole(*self.init.z):
@@ -138,10 +139,11 @@ class SimConfig:
                 raise ConfigError(f"init.j: must be an integer in 1..{2 * self.d - 2}, "
                                   f"got {self.init.j!r}")
         elif isinstance(self.init, GaussianInit):
-            if not 0 <= self.init.sigma < math.inf:
-                raise ConfigError(f"init.sigma: must be finite and >= 0, got {self.init.sigma}")
-            if not math.isfinite(self.init.decay):
-                raise ConfigError(f"init.decay: must be finite, got {self.init.decay}")
+            if not (_is_real(self.init.sigma) and 0 <= self.init.sigma < math.inf):
+                raise ConfigError(
+                    f"init.sigma: must be finite and >= 0, got {self.init.sigma!r}")
+            if not (_is_real(self.init.decay) and math.isfinite(self.init.decay)):
+                raise ConfigError(f"init.decay: must be finite, got {self.init.decay!r}")
         else:
             raise ConfigError(f"init: unknown descriptor {type(self.init).__name__}")
         validate_spectrum(self.gamma, self.d)

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .spectral import TWO_PI_SQ, _is_whole, basis, canonical_rep
+from .spectral import TWO_PI_SQ, _is_real, _is_whole, basis, canonical_rep
 
 __all__ = [
     "SpectrumError",
@@ -65,12 +65,14 @@ class ExplicitSpectrum:
 
 def _canonical_entry(entry) -> tuple:
     """canonical_rep of an explicit entry's wave vector and its branch index
-    as an int, if both are whole."""
-    z, j, _ = entry
+    as an int, if both are whole and its eigenvalue is a number."""
+    z, j, g = entry
     if not _is_whole(*z):
         raise SpectrumError(f"entry {entry} has a non-integer wave vector")
     if not _is_whole(j):
         raise SpectrumError(f"entry {entry} has a non-integer branch index")
+    if not _is_real(g):
+        raise SpectrumError(f"entry {entry} has a non-numeric eigenvalue")
     return canonical_rep(z)[0], int(j)
 
 
@@ -82,11 +84,11 @@ def validate_spectrum(spectrum, d: int):
     the field, the entries or the divergent sum otherwise.
     """
     if isinstance(spectrum, PowerLawSpectrum):
-        if not 0 <= spectrum.c < np.inf:
+        if not (_is_real(spectrum.c) and 0 <= spectrum.c < np.inf):
             raise SpectrumError(
-                f"power spectrum amplitude c={spectrum.c} must be finite and >= 0")
-        if not np.isfinite(spectrum.s):
-            raise SpectrumError(f"power spectrum decay s={spectrum.s} must be finite")
+                f"power spectrum amplitude c={spectrum.c!r} must be finite and >= 0")
+        if not (_is_real(spectrum.s) and np.isfinite(spectrum.s)):
+            raise SpectrumError(f"power spectrum decay s={spectrum.s!r} must be finite")
         if spectrum.c > 0 and not spectrum.s > (d + 2) / 2:
             raise SpectrumError(
                 f"sum over Z^{d} of |z|^2 (1 + 4 pi^2 |z|^2)^(-s) diverges for "
@@ -97,9 +99,9 @@ def validate_spectrum(spectrum, d: int):
         for z, j, g in spectrum.entries:
             if len(z) != d:
                 raise SpectrumError(f"entry {z} has wrong dimension (d={d})")
+            zc = _canonical_entry((z, j, g))[0]
             if not np.isfinite(g) or g < 0:
                 raise SpectrumError(f"eigenvalue at (z={z}, j={j}) is {g}, must be >= 0")
-            zc = _canonical_entry((z, j, g))[0]
             if not 1 <= j <= 2 * d - 2:
                 raise SpectrumError(f"branch index j={j} outside 1..{2 * d - 2}")
             if not any(zc):

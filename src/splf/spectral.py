@@ -164,10 +164,15 @@ def norm_grid_size(n: int, d: int = 2, p: float = 2.0) -> int:
     return _norm_grid(d, n, p)[0]
 
 
+def _is_real(*values) -> bool:
+    """Whether every value is a real number: not a string, however it reads."""
+    return all(isinstance(v, numbers.Real) for v in values)
+
+
 def _is_whole(*values) -> bool:
     """Whether every value is a real number that int() keeps whole: the
     components of a wave vector, or a branch index."""
-    return all(isinstance(v, numbers.Real) and float(v).is_integer() for v in values)
+    return _is_real(*values) and all(float(v).is_integer() for v in values)
 
 
 def canonical_rep(z):

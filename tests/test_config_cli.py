@@ -1,8 +1,10 @@
 """Config parsing and the command line front end."""
 
 import dataclasses
+import decimal
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -397,6 +399,90 @@ def test_csv_bytes_match_python_format(tmp_path):
                 rec.int_diss[i], rec.int_gamma[i], *rows[i]]
         lines.append(",".join(format(float(v), ".17g") for v in vals))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def python_rows(table: np.ndarray) -> bytes:
+    """The CSV rows of table by format(v, ".17g"), one value at a time."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                   for row in table.tolist()).encode()
+
+
+def exact_ties(rng, per_exponent=40) -> np.ndarray:
+    """Dyadic values m / 2**e, m odd, whose exact decimal m 5**e / 10**e has
+    18 significant digits ending in 5: each lies half way between two
+    17-digit values.  They run from 3e-8 (m of one or two bits) to 2e15;
+    no smaller double is a tie."""
+    ties = []
+    for e in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** e), min(10 ** 18 // 5 ** e, 2 ** 53)
+        ties += [math.ldexp(int(m), -e) for m in rng.integers(lo, hi, per_exponent)
+                 if m % 2]
+    for x in ties:
+        digits = decimal.Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+    return np.array(ties)
+
+
+def edge_values() -> np.ndarray:
+    """Both signs of: the "%g" switch points and every power of ten the
+    decimal kernel meets with the three doubles below it and the one above
+    (the rounding of 17 digits into the next decade), exact ties,
+    subnormals, the largest double, zero, infinity and nan."""
+    powers = np.array([1e-5, 9.9999999999999995e-05, 1e16, 1e17, 99999999999999999.0]
+                      + [10.0 ** k for k in range(-13, 19)])
+    below = [powers]
+    for _ in range(3):
+        below.append(np.nextafter(below[-1], 0))
+    values = np.concatenate(below + [
+        np.nextafter(powers, np.inf), exact_ties(np.random.default_rng(7)),
+        [5e-324, 3 * 5e-324, np.nextafter(2.2250738585072014e-308, 0),
+         2.2250738585072014e-308, 1.7976931348623157e308, 0.0, np.inf, np.nan]])
+    return np.concatenate([values, -values])
+
+
+def test_csv_rows_edges_match_python_format():
+    # one value per row, and the same values as rows of seven
+    values = edge_values()
+    assert cli._csv_rows(values[:, None]) == python_rows(values[:, None])
+    table = values[:len(values) // 7 * 7].reshape(-1, 7)
+    assert cli._csv_rows(table) == python_rows(table)
+
+
+def test_csv_rows_sweep_matches_python_format():
+    # 2**19 random bit patterns and 2**19 values log-uniform on 1e-13..1e18
+    # with random signs, 8192 at a time as rows of 256
+    rng = np.random.default_rng(20251020)
+    for _ in range(64):
+        bits = rng.integers(0, 2 ** 64, 8192, dtype=np.uint64).view(np.float64)
+        mags = 10.0 ** rng.uniform(-13, 18, 8192) * rng.choice([-1.0, 1.0], 8192)
+        for table in (bits.reshape(-1, 256), mags.reshape(-1, 256)):
+            assert cli._csv_rows(table) == python_rows(table)
+
+
+def test_csv_rows_do_not_depend_on_their_chunk():
+    rng = np.random.default_rng(3)
+    values = np.concatenate([edge_values(), 10.0 ** rng.uniform(-13, 18, 1000)])
+    table = rng.permutation(values)[:len(values) // 9 * 9].reshape(-1, 9)
+    whole = cli._csv_rows(table)
+    for step in (1, 4, 7):
+        assert b"".join(cli._csv_rows(table[i:i + step])
+                        for i in range(0, len(table), step)) == whole
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason=(
+    "the fallback share is pinned for x87 extended long double; where long "
+    "double is binary64 every value falls back by design"))
+def test_csv_fast_path_taken():
+    # a guard that sent more values to the fallback would keep every byte
+    # and lose the speed: at most 2% of a simulate-d3-like record falls back
+    config = SimConfig(d=3, p=1.9, nu=1.0, n=2, dt=1e-3, T=0.05, n_paths=2, seed=5,
+                       init=GaussianInit(sigma=1.0, decay=1.0),
+                       gamma=PowerLawSpectrum(c=0.1, s=3.0))
+    for rec in simulate_ensemble(config):
+        table = np.column_stack([rec.times, rec.norm_l2_sq, rec.norm_p1_p,
+                                 rec.int_diss, rec.int_gamma, rec.coords])
+        ok = cli._decimal17(table.ravel())[2]
+        assert table.size > 10_000 and 1 - ok.mean() <= 0.02
 
 
 class TestWorkerWrites:

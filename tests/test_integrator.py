@@ -76,11 +76,19 @@ class TestConfig:
         ("init.amplitude",
          dict(init=it.SingleModeInit(z=(1, 0), j=1, amplitude=-np.inf)), "-inf"),
         ("record_every", dict(record_every=0), "0"),
-        ("norm_ceiling", dict(norm_ceiling=-1.0), "-1.0")])
+        ("norm_ceiling", dict(norm_ceiling=-1.0), "-1.0"),
+        ("p", dict(p="2.5"), "'2.5'"), ("nu", dict(nu="1"), "'1'"),
+        ("dt", dict(dt="1e-3"), "'1e-3'"), ("T", dict(T="0.1"), "'0.1'"),
+        ("norm_ceiling", dict(norm_ceiling="big"), "'big'"),
+        ("init.sigma", dict(init=it.GaussianInit(sigma="a", decay=1.0)), "'a'"),
+        ("init.decay", dict(init=it.GaussianInit(sigma=1.0, decay="b")), "'b'"),
+        ("init.amplitude",
+         dict(init=it.SingleModeInit(z=(1, 0), j=1, amplitude="big")), "'big'")])
     def test_bad_values_named(self, field, kw, shown):
         # non-finite inputs would pass the range checks (T = inf) or run
-        # with every path diverging (nu = inf, sigma = nan)
-        with pytest.raises(it.ConfigError, match=f"^{field}: .*got {shown}$"):
+        # with every path diverging (nu = inf, sigma = nan); a string
+        # raised a TypeError from the comparison that named no field
+        with pytest.raises(it.ConfigError, match=f"^{re.escape(field)}: .*got {shown}$"):
             base_config(**kw)
 
     def test_seed_beyond_64_bits_rejected(self):

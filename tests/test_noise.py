@@ -33,8 +33,10 @@ class TestValidation:
         (float("nan"), 3.0, "amplitude c=nan"), (float("inf"), 3.0, "amplitude c=inf"),
         (-float("inf"), 3.0, "amplitude c=-inf"), (-0.5, 3.0, "amplitude c=-0.5"),
         (0.0, float("nan"), "decay s=nan"), (0.0, -float("inf"), "decay s=-inf"),
-        (1.0, float("inf"), "decay s=inf")])
+        (1.0, float("inf"), "decay s=inf"), ("c", 3.0, "amplitude c='c'"),
+        (1.0, "3", "decay s='3'")])
     def test_power_non_finite_rejected(self, c, s, field):
+        # a string raised a TypeError from the comparison that named no field
         with pytest.raises(noise.SpectrumError, match=field):
             noise.validate_spectrum(noise.PowerLawSpectrum(c=c, s=s), 2)
 
@@ -84,6 +86,16 @@ class TestValidation:
         noise.validate_spectrum(spec, 2)
         assert np.array_equal(noise.gamma_vector(spec, 2, 2), noise.gamma_vector(
             noise.ExplicitSpectrum.from_items([((1, 0), 2, 0.5)]), 2, 2))
+
+    @pytest.mark.parametrize("g", ["x", "0.5", None])
+    def test_non_numeric_eigenvalue_entry_rejected(self, g):
+        # validate_spectrum raised numpy's TypeError and from_items the
+        # ValueError of float(), or took "0.5" as 0.5
+        entry = re.escape(f"entry {((1, 0), 1, g)} has a non-numeric eigenvalue")
+        with pytest.raises(noise.SpectrumError, match=entry):
+            noise.validate_spectrum(noise.ExplicitSpectrum(entries=(((1, 0), 1, g),)), 2)
+        with pytest.raises(noise.SpectrumError, match=entry):
+            noise.ExplicitSpectrum.from_items([((1, 0), 1, g)])
 
     def test_negative_entry_rejected(self):
         spec = noise.ExplicitSpectrum.from_items([((1, 0), 1, -0.5)])
