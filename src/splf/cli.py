@@ -51,11 +51,37 @@ def _fmt(x: float) -> str:
 
 
 # The decimal kernel of _csv_rows.  It scales |x| by an exact power of ten
-# into [1e16, 1e17) in long double, one rounding, and rounds that to the
-# 17 digits of "%.17g".  10**q is exact in the 64-bit significand of x87
-# long double for q <= 27 (5**27 < 2**63), so the kernel covers the
-# decimal exponents _EXP_MIN.._EXP_MAX.
+# into [1e16, 1e17) and rounds that to the 17 digits of "%.17g".  10**q,
+# q <= 27, is the sum hi + lo of two doubles; |x|*hi is taken exactly, as
+# its rounded value and its error (Dekker 1971, "A floating-point technique
+# for extending the available precision"), and |x|*lo < 16 is added to the
+# error.  So the kernel covers the decimal exponents _EXP_MIN.._EXP_MAX.
 _EXP_MIN, _EXP_MAX = -11, 16
+# The scaled fraction is off by less than 2**-48: |x|*lo < 16 and its sum
+# with the error (< 32) are rounded once each, by at most 2**-50 and
+# 2**-49, and t - floor(t) by at most 2**-54 where -1 < t < 0.  A fraction
+# within 16 times that of 1/2, exact ties included, goes to the fallback.
+_TIE = 2.0 ** -44
+
+
+def _split(a: np.ndarray):
+    """Veltkamp's split of binary64 values into halves of 26 bits each,
+    whose products with each other are exact."""
+    c = 134217729.0 * a                         # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _pow10_parts() -> np.ndarray:
+    """Rows hi, the two halves of hi, and lo, for 10**0..10**27: hi is the
+    double nearest 10**q, and lo = 10**q - hi is a double too."""
+    exact = [10 ** q for q in range(17 - _EXP_MIN)]
+    hi = np.array([float(v) for v in exact])
+    lo = np.array([float(v - int(h)) for v, h in zip(exact, hi.tolist())])
+    return np.stack([hi, *_split(hi), lo])
+
+
+_POW10 = _pow10_parts()
 
 # A value's source bytes: its 17 digits, then the literals.  A layout
 # lists, for one (decimal exponent, significant digits, sign, last in its
@@ -69,18 +95,6 @@ _CELL = 25                                  # "-2.2250738585072014e-308,"
 _QUAD_PLACE = np.array([[0], [4], [8], [12]], dtype=np.int8)
 # Values formatted per pass: 16 rows of the simulate records' 253 columns
 _CHUNK_VALUES = 4096
-
-
-# The tables are built on a process's first CSV, so that commands that
-# write none do not carry them.
-@functools.cache
-def _scale_tables():
-    """10**0..10**27 in long double, and the tie margin: the one rounding
-    moves a scaled value below 1e17 by at most half the spacing at 1e17,
-    so a fraction within that of 1/2 may round either way.  Where long
-    double is binary64, that is every fraction."""
-    pow10 = np.cumprod(np.r_[1, np.full(16 - _EXP_MIN, 10)].astype(np.longdouble))
-    return pow10, float(np.spacing(pow10[17]) / 2)
 
 
 def _layout(exp: int, sig: int) -> list:
@@ -98,6 +112,8 @@ def _layout(exp: int, sig: int) -> list:
     return [_PAD] + body + [_PAD] * (_CELL - 2 - len(body)) + [_COMMA]
 
 
+# The text tables are built on a process's first CSV, so that commands
+# that write none do not carry them.
 @functools.cache
 def _text_tables():
     """The layouts, indexed by ((exp - _EXP_MIN) * 17 + sig - 1) * 4
@@ -119,21 +135,26 @@ def _text_tables():
 
 def _decimal17(x: np.ndarray):
     """(N, exp, ok): for each x with ok, the 17 digits N in [1e16, 1e17)
-    and decimal exponent exp of "%.17g" % x, by the long-double kernel.
+    and decimal exponent exp of "%.17g" % x, by the exact-product kernel.
     ok is false for zero, non-finite values and decimal exponents outside
-    _EXP_MIN.._EXP_MAX; where the rounding could differ from the correct
-    one; and where log10 missed the decade or the 17 digits round up into
-    the next one (no binary64 value in the range does)."""
-    pow10, tie = _scale_tables()
+    _EXP_MIN.._EXP_MAX; where the scaled fraction lies within _TIE of 1/2,
+    so that the rounding could differ from the correct one; and where
+    log10 missed the decade or the 17 digits round up into the next one
+    (no binary64 value in the range does)."""
     a = np.abs(x)
     ok = (a >= 10.0 ** _EXP_MIN) & (a < 10.0 ** (_EXP_MAX + 1))
     a = np.where(ok, a, 1.0)
     q = (16 - np.floor(np.log10(a))).astype(np.intp).clip(0, 16 - _EXP_MIN)
-    y = np.multiply(a, pow10[q], dtype=np.longdouble)
-    whole = y.astype(np.int64)                # y < 2**63: the floor
-    frac = (y - whole).astype(np.float64)     # a few bits: exact
+    hi, hi_h, hi_l, lo = _POW10[:, q]
+    a_h, a_l = _split(a)
+    y = a * hi                                  # a whole number where ok
+    err = ((a_h * hi_h - y) + a_h * hi_l + a_l * hi_h) + a_l * hi_l
+    t = err + a * lo                            # |t| < 32
+    floor = np.floor(t)
+    frac = t - floor
+    whole = y.astype(np.int64) + floor.astype(np.int64)
     N = whole + (frac > 0.5)
-    ok &= (whole >= 10 ** 16) & (N < 10 ** 17) & (np.abs(frac - 0.5) > tie)
+    ok &= (whole >= 10 ** 16) & (N < 10 ** 17) & (np.abs(frac - 0.5) > _TIE)
     return N, 16 - q, ok
 
 

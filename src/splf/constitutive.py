@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exponents import _check_p
+from .exponents import _check_p, _shown
 from .spectral import (
     BasisIndex,
     GridTensorField,
@@ -25,6 +25,7 @@ from .spectral import (
     SpectralField,
     _aligned_modes,
     _GridMap,
+    _is_real,
     basis_function,
     field_to_coords,
     grid_map,
@@ -54,8 +55,8 @@ class FluidParams:
 
     def __post_init__(self):
         _check_p(self.p)
-        if not 0 < self.nu < math.inf:
-            raise ValueError(f"nu: must be positive and finite, got {self.nu}")
+        if not (_is_real(self.nu) and 0 < self.nu < math.inf):
+            raise ValueError(f"nu: must be positive and finite, got {_shown(self.nu)}")
 
 
 def _common_map(*fields: SpectralField, M: int | None = None) -> _GridMap:

@@ -36,9 +36,16 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be an integer >= 2, got {d}")
 
 
+def _shown(value) -> str:
+    """A value as an error message shows it: a number as it prints, anything
+    else, a string above all, by its repr."""
+    return str(value) if isinstance(value, numbers.Real) else repr(value)
+
+
 def _check_p(p: Number) -> None:
-    if not 1 < p < math.inf:
-        raise ValueError(f"p: must be finite and exceed 1, got {p}")
+    # a non-number is refused by name, by spectral._is_real's rule
+    if not (isinstance(p, numbers.Real) and 1 < p < math.inf):
+        raise ValueError(f"p: must be finite and exceed 1, got {_shown(p)}")
 
 
 @dataclass(frozen=True)

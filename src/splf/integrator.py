@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Union
 
@@ -429,6 +428,8 @@ def simulate_ensemble(config: SimConfig, norm_p1: bool = True,
 
     With SPLF_THREADS > 1 the paths are farmed out to worker processes,
     which also compute the norm_p1_p column (None with norm_p1=False).
+    The process pool, and the multiprocessing modules under it, are
+    imported only then: a run that stays in one process never loads them.
     write, a picklable callable, gets each record with its norm column in
     the process that computed it, as soon as the record's block ends; an
     error it raises there ends the call.  Its return value is the record's
@@ -439,6 +440,8 @@ def simulate_ensemble(config: SimConfig, norm_p1: bool = True,
     workers = max_workers()
     if workers == 1 or len(indices) < 2 * workers:
         return _run_paths(config, indices, norm_p1, write)
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = [indices[i::workers] for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         results = list(ex.map(_worker, [(config, ch, norm_p1, write)

@@ -229,11 +229,12 @@ def test_criterion_8_structural_invariants():
     k = next(i for i, bb in enumerate(sp.make_basis(1, 2))
              if bb.z == (1, 0) and bb.j == 1)
     m = 100_000
+    gam, streams = noise.gamma_vector(spec, 1, 2), rng.Streams(SEED)
     d1 = np.array([noise.sample_increment(spec, 1, 2, 0.01,
-                                          rng.stream(SEED, 0, s))[k]
+                                          streams.at(0, s), gamma=gam)[k]
                    for s in range(m)])
     d4 = np.array([noise.sample_increment(spec, 1, 2, 0.04,
-                                          rng.stream(SEED, 1, s))[k]
+                                          streams.at(1, s), gamma=gam)[k]
                    for s in range(m)])
     ratio = d4.var(ddof=1) / d1.var(ddof=1)
     se = ratio * np.sqrt(4.0 / (m - 1))
@@ -246,12 +247,13 @@ def test_criterion_8_structural_invariants():
 
 
 @pytest.mark.slow
-def test_criterion_9_reproducibility(tmp_path):
+def test_criterion_9_reproducibility(tmp_path, monkeypatch):
     ini = ENERGY_INI.format(record_every=10)
     cfg_file = tmp_path / "energy.ini"
     cfg_file.write_text(ini)
 
-    def run(tag):
+    def run(tag, threads):
+        monkeypatch.setenv("SPLF_THREADS", threads)
         out = tmp_path / tag
         code = cli.main(["simulate", "--config", str(cfg_file),
                          "--out", str(out)])
@@ -261,8 +263,10 @@ def test_criterion_9_reproducibility(tmp_path):
             digests[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
         return digests
 
-    first = run("run_a")
-    second = run("run_b")
+    # the rerun fans out to two workers, so equal digests also show that
+    # a record does not depend on the worker count
+    first = run("run_a", "1")
+    second = run("run_b", "2")
     ok = first == second and len(first) == 2000
     n_diff = sum(first[k] != second[k] for k in first)
     verdict(9, "bit-identical reruns", ok,

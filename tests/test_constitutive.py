@@ -4,11 +4,14 @@ Single-mode cases are checked against symbolic differentiation (sympy) as
 an independent oracle; identities are checked on seeded random fields.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy as sy
 
 from splf import constitutive as co
+from splf import exponents as ex
 from splf import integrator as it
 from splf import noise
 from splf import spectral as sp
@@ -73,6 +76,20 @@ def test_fluid_params_must_be_finite(p, nu, match):
     # drift without an error
     with pytest.raises(ValueError, match=match):
         co.FluidParams(p, nu)
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: co.FluidParams("2.5", 1.0), "^p: must be finite and exceed 1, got '2.5'$"),
+    (lambda: co.FluidParams(2.5, "1"), "^nu: must be positive and finite, got '1'$"),
+    (lambda: ex.regularity_weight("2.5", 3), "^p: must be finite and exceed 1, got '2.5'$"),
+    (lambda: ex.regularity_weight(Fraction(1, 2), 3),
+     "^p: must be finite and exceed 1, got 1/2$")],
+    ids=["FluidParams-p", "FluidParams-nu", "regularity_weight-p", "Fraction"])
+def test_non_numbers_refused_by_name(make, match):
+    # a string p or nu raised TypeError: '<' not supported between
+    # instances of 'int' and 'str'; a number keeps its printed form
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 class TestStress:

@@ -156,8 +156,9 @@ class TestSampling:
         m = 60_000
         k = next(i for i, b in enumerate(sp.make_basis(1, 2))
                  if b.z == (1, 0) and b.j == 1)
+        gam, streams = noise.gamma_vector(spec, 1, 2), rng.Streams(7)
         draws = np.array([
-            noise.sample_increment(spec, 1, 2, 0.01, rng.stream(7, 0, step))[k]
+            noise.sample_increment(spec, 1, 2, 0.01, streams.at(0, step), gamma=gam)[k]
             for step in range(m)])
         var = draws.var(ddof=1)
         se = 4e-4 * np.sqrt(2.0 / (m - 1))
@@ -167,8 +168,9 @@ class TestSampling:
         spec = noise.PowerLawSpectrum(c=1.0, s=2.5)
         gam = noise.gamma_vector(spec, 1, 2)
         m = 40_000
+        streams = rng.Streams(3)
         draws = np.array([
-            noise.sample_increment(spec, 1, 2, 1.0, rng.stream(3, 0, step), gamma=gam)
+            noise.sample_increment(spec, 1, 2, 1.0, streams.at(0, step), gamma=gam)
             for step in range(m)])
         # correlation between distinct coordinates ~ N(0, 1/m)
         c01 = np.mean(draws[:, 0] * draws[:, 1]) / np.sqrt(gam[0] * gam[1])
@@ -181,11 +183,12 @@ class TestSampling:
         k = next(i for i, b in enumerate(sp.make_basis(1, 2))
                  if b.z == (1, 0) and b.j == 1)
         m = 30_000
+        gam, streams = noise.gamma_vector(spec, 1, 2), rng.Streams(5)
         d1 = np.array([noise.sample_increment(spec, 1, 2, 0.01,
-                                              rng.stream(5, 0, s))[k]
+                                              streams.at(0, s), gamma=gam)[k]
                        for s in range(m)])
         d4 = np.array([noise.sample_increment(spec, 1, 2, 0.04,
-                                              rng.stream(5, 1, s))[k]
+                                              streams.at(1, s), gamma=gam)[k]
                        for s in range(m)])
         v1, v4 = d1.var(ddof=1), d4.var(ddof=1)
         ratio = v4 / v1

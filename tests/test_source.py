@@ -282,3 +282,21 @@ def test_library_layer_is_the_readme_table(tmp_path):
     table = readme_library_layer()
     assert len(table) == len(set(table)), "a name is listed twice"
     assert json.loads(out.stdout.splitlines()[-1]) == sorted(table)
+
+
+def test_single_worker_run_loads_no_process_pool(tmp_path):
+    # the process pool and the multiprocessing modules under it add about
+    # 2 MB to a fresh process's peak RSS; only an ensemble that fans out
+    # imports them
+    (tmp_path / "a.ini").write_text(COMMAND_CONFIGS["a.ini"])
+    code = ("import json, sys; from splf import cli; "
+            "code = cli.main(['energy-check', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(json.dumps([code, [m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules]]))")
+    src = str(Path(splf.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "a.ini"),
+                          str(tmp_path / "energy")],
+                         env=dict(os.environ, PYTHONPATH=src, SPLF_THREADS="1"),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
