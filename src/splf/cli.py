@@ -9,9 +9,9 @@ check lists the run, path index and step of each diverged record.
 Reports are strict JSON (RFC 8259): a non-finite number is written as the
 string "inf", "-inf" or "nan".
 SPLF_THREADS caps the worker count for ensemble runs.  In `simulate` each
-ensemble worker writes its own paths' CSVs and snapshots block by block,
-hashes the bytes it writes, and sends back only each path's outcome with
-those digests; the parent then writes the manifest.  No output is read back.
+forked worker inherits the writer, writes its paths' CSVs and snapshots
+block by block, hashes the bytes it writes, and pipes back only each path's
+outcome with those digests; the parent then writes the manifest from them.
 """
 
 from __future__ import annotations

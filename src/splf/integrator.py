@@ -413,11 +413,13 @@ def _worker(payload):
 
 def max_workers() -> int:
     """Worker cap from SPLF_THREADS (default 1 = sequential), at most the
-    number of cores."""
+    number of cores; 1 where the platform has no os.fork."""
     raw = os.environ.get("SPLF_THREADS", "1")
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ConfigError(
             f"SPLF_THREADS: must be a positive integer, got {raw!r}")
+    if not hasattr(os, "fork"):
+        return 1
     return min(int(raw), os.cpu_count() or 1)
 
 
@@ -426,25 +428,24 @@ def simulate_ensemble(config: SimConfig, norm_p1: bool = True,
     """Every path of the ensemble in path-index order, whatever the
     scheduling: TrajectoryRecords without write, PathOutcomes with it.
 
-    With SPLF_THREADS > 1 the paths are farmed out to worker processes,
-    which also compute the norm_p1_p column (None with norm_p1=False).
-    The process pool, and the multiprocessing modules under it, are
-    imported only then: a run that stays in one process never loads them.
-    write, a picklable callable, gets each record with its norm column in
-    the process that computed it, as soon as the record's block ends; an
-    error it raises there ends the call.  Its return value is the record's
-    PathOutcome.written, so a digest of what it wrote comes back without
-    the file being read.  A worker sends back only outcomes.
+    With SPLF_THREADS > 1 the paths are dealt round-robin to worker
+    processes, one chunk each, forked by `forkjoin.fork_join`, which is
+    imported only then.  The workers also compute the norm_p1_p column
+    (None with norm_p1=False).  A worker inherits config and write through
+    the fork, so neither need be picklable, and sends back only its
+    records, or with write only their outcomes.  write gets each record
+    with its norm column in the process that computed it, as soon as the
+    record's block ends; an error it raises there ends the call.  Its
+    return value is the record's PathOutcome.written, so a digest of what
+    it wrote comes back without the file being read.
     """
     indices = list(range(config.n_paths))
     workers = max_workers()
     if workers == 1 or len(indices) < 2 * workers:
         return _run_paths(config, indices, norm_p1, write)
-    from concurrent.futures import ProcessPoolExecutor
+    from .forkjoin import fork_join
 
-    chunks = [indices[i::workers] for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        results = list(ex.map(_worker, [(config, ch, norm_p1, write)
-                                        for ch in chunks]))
+    results = fork_join(_worker, [(config, indices[i::workers], norm_p1, write)
+                                  for i in range(workers)])
     by_index = {r.path_index: r for recs in results for r in recs}
     return [by_index[i] for i in indices]

@@ -5,11 +5,13 @@ import decimal
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import platform
 import re
+import signal
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -550,7 +552,8 @@ class TestWorkerWrites:
         assert capsys.readouterr().err == (
             f"error: [Errno 21] Is a directory: '{out / 'path_000003.csv'}'\n")
         assert not (out / "manifest.json").exists()
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):     # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
         pids = set(writers())
         assert pids and os.getpid() not in pids
         for pid in pids:
@@ -559,8 +562,8 @@ class TestWorkerWrites:
 
 
 class LogWrites:
-    """A picklable `write` that appends `<pid> write <path index>` to a log
-    file, so forked ensemble workers log to the same file."""
+    """A `write` that appends `<pid> write <path index>` to a log file, so
+    forked ensemble workers log to the same file."""
 
     def __init__(self, log):
         self.log = log
@@ -647,6 +650,116 @@ class TestOutcomeRoute:
                          [("run", ",".join(map(str, b)))] + [("write", str(i)) for i in b]])
         assert sorted(by_pid.values()) == sorted(want)
         assert (str(os.getpid()) in by_pid) == (threads == 1)
+
+
+@contextmanager
+def interrupt_after(seconds, exc_type):
+    """Raise exc_type in this process after `seconds` of wall time, from a
+    SIGALRM handler; forked children do not inherit the timer."""
+    def handler(signum, frame):
+        raise exc_type(f"interrupted after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, handler)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestForkJoin:
+    """A fanned-out ensemble forks one worker per chunk of paths, each with
+    its own pipe, and reaps every worker whether the call returns, raises or
+    is interrupted.  Each `write` here is a closure: a worker inherits it
+    through the fork, so it need not be picklable."""
+
+    @pytest.fixture
+    def fan_out(self, tmp_path, monkeypatch):
+        """The small config at two workers, and a log of the pids of the
+        workers that wrote."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("SPLF_THREADS", "2")
+        log = tmp_path / "pids.log"
+
+        def logged_pids():
+            return [int(line) for line in log.read_text().splitlines()]
+        return ini_config(tmp_path, "small"), log, logged_pids
+
+    @pytest.mark.parametrize("end", ["exit", "sigkill"])
+    def test_worker_that_ends_without_a_result_is_named(self, fan_out, end):
+        config, log, logged_pids = fan_out
+        parent = os.getpid()
+
+        def write(record):
+            if os.getpid() != parent and record.path_index == 1:
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()}\n")
+                if end == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        with interrupt_after(60, TimeoutError):   # a hang fails, not blocks
+            with pytest.raises(RuntimeError) as err:
+                simulate_ensemble(config, write=write)
+        [pid] = logged_pids()
+        status = 3 << 8 if end == "exit" else signal.SIGKILL
+        assert str(err.value) == (f"ensemble worker {pid} ended without a result "
+                                  f"(wait status {status})")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_exception_keeps_type_message_and_traceback(self, fan_out):
+        config, log, logged_pids = fan_out
+        parent = os.getpid()
+
+        def failing_write(record):
+            if os.getpid() != parent and record.path_index == 2:
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()}\n")
+                raise KeyError(f"no room for path {record.path_index}")
+
+        with interrupt_after(60, TimeoutError):
+            with pytest.raises(KeyError) as err:
+                simulate_ensemble(config, write=failing_write)
+        assert type(err.value) is KeyError
+        assert err.value.args == ("no room for path 2",)
+        [pid] = logged_pids()
+        cause = str(err.value.__cause__)
+        assert cause.startswith(f"in ensemble worker {pid}:\nTraceback (most recent call last):")
+        assert "in failing_write" in cause
+        assert cause.rstrip().endswith("KeyError: 'no room for path 2'")
+
+    def test_result_that_cannot_be_pickled_is_named(self, fan_out):
+        # write's return value goes back to the parent in PathOutcome.written;
+        # Python 3.11 raises AttributeError here; a later one may raise PicklingError
+        config, _, _ = fan_out
+        with interrupt_after(60, TimeoutError):
+            with pytest.raises((AttributeError, pickle.PicklingError),
+                               match="Can't pickle local object") as err:
+                simulate_ensemble(config, write=lambda record: lambda: None)
+        assert "in ensemble worker" in str(err.value.__cause__)
+
+    def test_interrupted_parent_kills_and_reaps_its_workers(self, fan_out):
+        config, log, logged_pids = fan_out
+
+        def stalled_write(record):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            time.sleep(60)
+
+        t0 = time.monotonic()
+        with interrupt_after(2.0, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                simulate_ensemble(config, write=stalled_write)
+        assert time.monotonic() - t0 < 30
+        pids = logged_pids()
+        assert len(pids) == 2 and os.getpid() not in pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def reject_constant(token):

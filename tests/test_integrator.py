@@ -350,7 +350,7 @@ class TestEnsemble:
             it.max_workers()
 
     def test_thread_count_capped_at_cores(self, monkeypatch):
-        # only max_workers() is called: no pool is started
+        # only max_workers() is called: no worker is forked
         cores = os.cpu_count() or 1
         monkeypatch.delenv("SPLF_THREADS", raising=False)
         assert it.max_workers() == 1
@@ -359,3 +359,17 @@ class TestEnsemble:
         for raw in (str(cores), str(cores + 1), str(10 ** 6)):
             monkeypatch.setenv("SPLF_THREADS", raw)
             assert it.max_workers() == cores
+
+    def test_no_fork_runs_in_one_process(self, monkeypatch):
+        # where the platform has no os.fork the ensemble stays in this
+        # process, whatever SPLF_THREADS asks for
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("SPLF_THREADS", "2")
+        monkeypatch.delattr(os, "fork")
+        assert it.max_workers() == 1
+        cfg = base_config(n_paths=8, T=0.02,
+                          gamma=noise.PowerLawSpectrum(c=0.1, s=3.0))
+        pids = set()
+        outcomes = it.simulate_ensemble(cfg, write=lambda rec: pids.add(os.getpid()))
+        assert pids == {os.getpid()}
+        assert [o.path_index for o in outcomes] == list(range(8))

@@ -286,17 +286,53 @@ def test_library_layer_is_the_readme_table(tmp_path):
 
 def test_single_worker_run_loads_no_process_pool(tmp_path):
     # the process pool and the multiprocessing modules under it add about
-    # 2 MB to a fresh process's peak RSS; only an ensemble that fans out
-    # imports them
-    (tmp_path / "a.ini").write_text(COMMAND_CONFIGS["a.ini"])
-    code = ("import json, sys; from splf import cli; "
-            "code = cli.main(['energy-check', '--config', sys.argv[1], '--out', sys.argv[2]]); "
-            "print(json.dumps([code, [m for m in ('concurrent.futures', 'multiprocessing') "
-            "if m in sys.modules]]))")
+    # 2 MB to a fresh process's peak RSS.  A run that stays in one process
+    # never needs them, and a fanned-out one forks its workers by os.fork
+    # (forkjoin.fork_join), so neither fresh interpreter loads them; only
+    # the second loads splf.forkjoin.  It patches os.cpu_count so that it
+    # forks two workers on any host, and whether it forked shows in the
+    # children's peak RSS.
+    (tmp_path / "a.ini").write_text(COMMAND_CONFIGS["a.ini"].replace(
+        "n_paths = 2", "n_paths = 4"))      # 2 workers need at least 4 paths
+    code = ("import json, os, resource, sys; os.cpu_count = lambda: 2; "
+            "from splf import cli; "
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, [m for m in ('concurrent.futures', 'multiprocessing', "
+            "'splf.forkjoin') if m in sys.modules], "
+            "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0]))")
     src = str(Path(splf.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "a.ini"),
-                          str(tmp_path / "energy")],
-                         env=dict(os.environ, PYTHONPATH=src, SPLF_THREADS="1"),
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
+
+    def run(threads, *argvs):
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                             env=dict(os.environ, PYTHONPATH=src, SPLF_THREADS=threads),
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout.splitlines()[-1])
+
+    ini = str(tmp_path / "a.ini")
+    simulate = [["simulate", "--config", ini, "--out", str(tmp_path / f"sim{t}")]
+                for t in (1, 2)]
+    assert run("1", ["energy-check", "--config", ini, "--out", str(tmp_path / "energy")],
+               simulate[0]) == [[0, 0], [], False]
+    assert run("2", simulate[1]) == [[0], ["splf.forkjoin"], True]
+    one, two = (json.loads((tmp_path / f"sim{t}" / "manifest.json").read_text())
+                for t in (1, 2))
+    assert len(one["outputs"]) == 8 and one["outputs"] == two["outputs"]
+
+
+def test_no_module_imports_a_process_pool():
+    # an ensemble fans out by os.fork with one pipe per worker; nothing in
+    # the package imports concurrent.futures or multiprocessing
+    found = []
+    for path in sorted(Path(splf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("concurrent", "multiprocessing")]
+    assert not found, found
