@@ -27,6 +27,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .config import OutputOptions, config_to_ini, parse_config
 from .diagnostics import (MANIFEST_ONLY, energy_experiment, gronwall_experiment,
                           identical_noise_separation)
 from .exponents import critical_exponents, exponent_report, uniqueness_threshold
-from .integrator import SimConfig, TrajectoryRecord, simulate_ensemble
+from .integrator import SimConfig, TrajectoryRecord, _with_norm_p1, simulate_ensemble
 from .snapshot import write_snapshot
 from .spectral import coords_to_field
 
@@ -208,19 +209,27 @@ def _write_record_csv(record: TrajectoryRecord, path: Path) -> str:
     return h.hexdigest()
 
 
+# What `simulate` keeps of a path for the manifest: its divergence and the
+# (file name, sha256) of each output, hashed in the process that wrote it.
+PathOutcome = NamedTuple("PathOutcome", [
+    ("path_index", int), ("diverged", bool), ("diverged_step", Optional[int]),
+    ("written", list)])
+
+
 def _write_path(out_dir: Path, snapshots: bool, config: SimConfig,
-                record: TrajectoryRecord) -> list:
-    """Write one record's outputs, its CSV, then its final snapshot if
-    snapshots are on and the path did not diverge; return the (file name,
-    sha256) of each, hashed from the bytes written.  `simulate` runs it in
-    the ensemble worker that computed the record."""
+                record: TrajectoryRecord) -> PathOutcome:
+    """Fill the record's ||X||_{p,1}^p column and write its outputs, its
+    CSV, then its final snapshot if snapshots are on and the path did not
+    diverge; return its PathOutcome.  `simulate` runs it as the ensemble's
+    finish, in the process that integrated the path."""
+    _with_norm_p1(config, record)
     stem = f"path_{record.path_index:06d}"
     written = [(f"{stem}.csv", _write_record_csv(record, out_dir / f"{stem}.csv"))]
     if snapshots and not record.diverged:
         field = coords_to_field(record.coords[-1], config.n, config.d)
         name = f"{stem}_final.splf"
         written.append((name, _sha256(write_snapshot(field, out_dir / name))))
-    return written
+    return PathOutcome(record.path_index, record.diverged, record.diverged_step, written)
 
 
 def _blas() -> dict:
@@ -308,7 +317,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    outcomes = simulate_ensemble(config, write=functools.partial(
+    outcomes = simulate_ensemble(config, finish=functools.partial(
         _write_path, out_dir, outputs.snapshots, config))
     paths = [{"path_index": o.path_index, "diverged": o.diverged,
               "diverged_step": o.diverged_step} for o in outcomes]

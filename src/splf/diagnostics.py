@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exponents import gronwall_exponent, moment_exponent, regularity_weight, uniqueness_threshold
-from .integrator import SimConfig, TrajectoryRecord, expected_initial_energy, initial_coords, simulate_ensemble, simulate_paired
+from .integrator import SimConfig, TrajectoryRecord, _with_norm_p1, expected_initial_energy, initial_coords, simulate_ensemble, simulate_paired
 from .noise import operator_norm, trace_truncated
 from .spectral import basis, grid_lp_means
 
@@ -145,12 +145,12 @@ class EnergyExperimentReport:
 
 def energy_experiment(config: SimConfig) -> EnergyExperimentReport:
     """Run the ensemble at dt and at dt/2 and test the energy identity.
-    Neither run computes the ||X||_{p,1}^p column, which the test never
+    Neither run fills the ||X||_{p,1}^p column, which the test never
     reads."""
-    records = simulate_ensemble(config, norm_p1=False)
+    records = simulate_ensemble(config)
     main, diverged = energy_balance(records, config), _diverged("main", records)
     half_cfg = replace(config, dt=config.dt / 2.0)
-    records = simulate_ensemble(half_cfg, norm_p1=False)
+    records = simulate_ensemble(half_cfg)
     control = energy_balance(records, half_cfg)
     diverged += _diverged("control", records)
     gap = main.lhs_mean - control.lhs_mean
@@ -185,14 +185,23 @@ def energy_defect(record: TrajectoryRecord) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _int_norm_p1(r: TrajectoryRecord, t_max: float) -> float:
-    """Left-endpoint integral of the recorded ||X||_{p,1}^p up to t_max."""
-    t = r.times
-    upto = np.searchsorted(t, t_max, side="right") - 1
-    if upto <= 0:
+def _horizon_rows(r: TrajectoryRecord, config: SimConfig, quarters: int) -> int:
+    """Number of rows of a record of config at or before the horizon
+    quarters/4 of config.T, counted in steps: a recorded time k dt_eff can
+    read a few ulps above the horizon that step k lands on (0.7 read as
+    0.7000000000000001), so comparing times would drop the horizon's row."""
+    step = config.n_steps * quarters // 4
+    if step == config.n_steps:
+        return len(r.times)
+    return min(len(r.times), step // config.record_every + 1)
+
+
+def _int_norm_p1(r: TrajectoryRecord, rows: int) -> float:
+    """Left-endpoint integral of the recorded ||X||_{p,1}^p over the first
+    `rows` rows."""
+    if rows <= 1:
         return 0.0
-    dt_rows = np.diff(t[: upto + 1])
-    return float(np.sum(r.norm_p1_p[:upto] * dt_rows))
+    return float(np.sum(r.norm_p1_p[:rows - 1] * np.diff(r.times[:rows])))
 
 
 @dataclass(frozen=True)
@@ -221,30 +230,33 @@ class AprioriReport:
 def apriori_check(config: SimConfig) -> AprioriReport:
     """Estimate the a priori statistics on horizons T, 2T and 4T.
 
-    One ensemble is run to 4T and evaluated on nested prefixes, so the
-    monotonicity of both statistics in T is exact by construction.  The
-    report also carries the delta = p/(p+2) moment of the norm integral
-    used by the moment bound on the convection term.  Diverged paths are
-    left out of the statistics and counted in n_diverged.
+    One ensemble is run to 4T and evaluated on nested prefixes, each
+    ending at the row of its horizon, so the monotonicity of both
+    statistics in T is exact by construction.  The report also carries the
+    delta = p/(p+2) moment of the norm integral used by the moment bound on
+    the convection term.  Diverged paths are left out of the statistics and
+    counted in n_diverged.  The ensemble's finish fills the norm column in
+    the process that integrated the path.
     """
     long_cfg = replace(config, T=4.0 * config.T)
-    ensemble = simulate_ensemble(long_cfg)
+    ensemble = simulate_ensemble(long_cfg, finish=lambda r: _with_norm_p1(long_cfg, r))
     records = _alive(ensemble)
     if not records:
         raise ValueError("a priori check: every path diverged")
     horizons = (config.T, 2.0 * config.T, 4.0 * config.T)
     sup_e, int_n, comb = [], [], []
-    for tau in horizons:
+    for quarters in (1, 2, 4):
         sups, ints = [], []
         for r in records:
-            upto = np.searchsorted(r.times, tau, side="right")
+            upto = _horizon_rows(r, long_cfg, quarters)
             sups.append(float(r.norm_l2_sq[:upto].max()))
-            ints.append(_int_norm_p1(r, tau))
+            ints.append(_int_norm_p1(r, upto))
         sup_e.append(float(np.mean(sups)))
         int_n.append(float(np.mean(ints)))
         comb.append(sup_e[-1] + int_n[-1])
     delta = moment_exponent(config.p)
-    dmom = float(np.mean([_int_norm_p1(r, config.T) ** delta for r in records]))
+    dmom = float(np.mean([_int_norm_p1(r, _horizon_rows(r, long_cfg, 1)) ** delta
+                          for r in records]))
     ts = np.array(horizons)
     ys = np.array(comb)
     slope, intercept = np.polyfit(ts, ys, 1)
@@ -328,8 +340,7 @@ class GronwallReport:
 def _lp_norms(record: TrajectoryRecord, config: SimConfig, order: int) -> np.ndarray:
     """||grad X||_{L_p} (order 1) or ||Lap X||_{L_p} (order 2) of every
     recorded row, by `grid_lp_means`.  It reads only coords, so it serves
-    pair records, whose norm_p1_p is None: only the ensemble route fills
-    that column."""
+    pair records, whose norm_p1_p is None."""
     means = grid_lp_means(record.coords, config.d, config.n, config.p,
                           basis(config.d, config.n).derivative(order))
     return means ** (1.0 / config.p)

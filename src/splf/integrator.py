@@ -17,7 +17,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "GaussianInit",
     "SimConfig",
     "TrajectoryRecord",
-    "PathOutcome",
     "step",
     "simulate",
     "simulate_paired",
@@ -169,9 +168,9 @@ class TrajectoryRecord:
     Running integrals use the left-endpoint rule matching the discrete Ito
     identity of the explicit schemes, so they are nondecreasing and the
     discrete energy balance closes up to the stepper's own bias.  The norm
-    ||X||_{p,1}^p (`_norm_p1_p` of `coords`), for the `simulate` CSV, is
-    None on pair records and with norm_p1=False.  With write=,
-    `simulate_ensemble` returns a PathOutcome in place of each record.
+    ||X||_{p,1}^p (`_norm_p1_p` of `coords`) is None until the code that
+    reads it fills it: `simulate`, the `simulate` command's writer and
+    `diagnostics.apriori_check`.
     """
 
     path_index: int
@@ -183,15 +182,6 @@ class TrajectoryRecord:
     int_gamma: np.ndarray   # (R,)  int_0^t < Gamma X, X > ds
     diverged: bool = False
     diverged_step: Optional[int] = None
-
-
-# What `simulate_ensemble(..., write=...)` keeps of a record, for the
-# manifest: its path's divergence and what write returned for it, in
-# `simulate` the (file name, sha256) of each output, hashed in the process
-# that wrote the file.
-PathOutcome = NamedTuple("PathOutcome", [
-    ("path_index", int), ("diverged", bool), ("diverged_step", Optional[int]),
-    ("written", Any)])
 
 
 def initial_coords(config: SimConfig, path_index: int) -> np.ndarray:
@@ -244,10 +234,15 @@ def step(x: np.ndarray, dt: float, dW: np.ndarray, d: int, n: int,
 
 def _norm_p1_p(coords: np.ndarray, config: SimConfig) -> np.ndarray:
     """||X||_{p,1}^p of each row of coords (R, K), the Bessel weight of
-    order 1 by `grid_lp_means`, p = 2 included.  The ensemble route
-    (`_run_paths`) fills `norm_p1_p` with it."""
+    order 1 by `grid_lp_means`, p = 2 included: the `norm_p1_p` column."""
     return grid_lp_means(coords, config.d, config.n, config.p,
                          basis(config.d, config.n).bessel(1.0))
+
+
+def _with_norm_p1(config: SimConfig, record: TrajectoryRecord) -> TrajectoryRecord:
+    """The record, its norm_p1_p column filled in place by `_norm_p1_p`."""
+    record.norm_p1_p = _norm_p1_p(record.coords, config)
+    return record
 
 
 # Drift grid values that one block may synthesise, and the block cap.  They
@@ -356,10 +351,11 @@ class _BlockStepper:
 
 
 def _run_blocks(config: SimConfig, labels: Sequence[int], x0: np.ndarray,
-                rows: int, finish: Callable = lambda rec: rec) -> list:
-    """finish(record) of each row of x0 (N, K), labelled by `labels`, in blocks
-    of `rows` rows; a block's records are finished before the next runs."""
-    stepper = _BlockStepper(config)
+                rows: int, finish: Optional[Callable] = None) -> list:
+    """finish(record), or the record, of each row of x0 (N, K), labelled by
+    `labels`, in blocks of `rows`; a block is finished before the next runs,
+    and no reference to its records outlives that."""
+    stepper, finish = _BlockStepper(config), finish or (lambda rec: rec)
     out = []
     for start in range(0, len(labels), rows):
         out += map(finish, stepper.run(labels[start:start + rows],
@@ -367,26 +363,20 @@ def _run_blocks(config: SimConfig, labels: Sequence[int], x0: np.ndarray,
     return out
 
 
-def _run_paths(config: SimConfig, indices: Sequence[int], norm_p1: bool = True,
-               write: Optional[Callable] = None) -> list:
-    """Records of the given paths from their own initial conditions, each
-    with its ||X||_{p,1}^p if norm_p1 (else None).  With write, each record
-    goes to write as soon as its block ends, and its PathOutcome is kept in
-    its place: a process holds one block of records at a time."""
-    def finish(rec):
-        if norm_p1:
-            rec.norm_p1_p = _norm_p1_p(rec.coords, config)
-        if write is None:
-            return rec
-        return PathOutcome(rec.path_index, rec.diverged, rec.diverged_step, write(rec))
-
+def _run_paths(config: SimConfig, indices: Sequence[int],
+               finish: Optional[Callable] = None) -> list:
+    """finish(record), or the record without finish, of each of the given
+    paths from its own initial condition.  Each record is finished as soon
+    as its block ends, so with a finish that keeps little of it a process
+    holds one block of records at a time."""
     x0 = np.array([initial_coords(config, i) for i in indices])
     return _run_blocks(config, indices, x0, block_size(config.d, config.n), finish)
 
 
 def simulate(config: SimConfig, path_index: int) -> TrajectoryRecord:
-    """Integrate one path from its configured initial condition to T."""
-    return _run_paths(config, [path_index])[0]
+    """Integrate one path from its configured initial condition to T; the
+    record carries its norm_p1_p column."""
+    return _with_norm_p1(config, _run_paths(config, [path_index])[0])
 
 
 def simulate_paired(config: SimConfig, path_indices: Sequence[int],
@@ -423,29 +413,27 @@ def max_workers() -> int:
     return min(int(raw), os.cpu_count() or 1)
 
 
-def simulate_ensemble(config: SimConfig, norm_p1: bool = True,
-                      write: Optional[Callable[[TrajectoryRecord], None]] = None):
-    """Every path of the ensemble in path-index order, whatever the
-    scheduling: TrajectoryRecords without write, PathOutcomes with it.
+def simulate_ensemble(config: SimConfig,
+                      finish: Optional[Callable[[TrajectoryRecord], Any]] = None) -> list:
+    """finish(record) of every path of the ensemble, or the records
+    themselves without finish, in path-index order whatever the scheduling.
+    The records' norm_p1_p is None: a finish that reads the column fills it.
 
     With SPLF_THREADS > 1 the paths are dealt round-robin to worker
     processes, one chunk each, forked by `forkjoin.fork_join`, which is
-    imported only then.  The workers also compute the norm_p1_p column
-    (None with norm_p1=False).  A worker inherits config and write through
-    the fork, so neither need be picklable, and sends back only its
-    records, or with write only their outcomes.  write gets each record
-    with its norm column in the process that computed it, as soon as the
-    record's block ends; an error it raises there ends the call.  Its
-    return value is the record's PathOutcome.written, so a digest of what
-    it wrote comes back without the file being read.
+    imported only then.  A worker inherits config and finish through the
+    fork, so neither need be picklable, and sends back only what finish
+    returned.  finish runs in the process that integrated the path, as soon
+    as the path's block ends; an error it raises there ends the call.  So
+    a finish that writes a record's files can return their digests, and
+    they come back without the files being read.
     """
     indices = list(range(config.n_paths))
     workers = max_workers()
     if workers == 1 or len(indices) < 2 * workers:
-        return _run_paths(config, indices, norm_p1, write)
+        return _run_paths(config, indices, finish)
     from .forkjoin import fork_join
 
-    results = fork_join(_worker, [(config, indices[i::workers], norm_p1, write)
+    results = fork_join(_worker, [(config, indices[i::workers], finish)
                                   for i in range(workers)])
-    by_index = {r.path_index: r for recs in results for r in recs}
-    return [by_index[i] for i in indices]
+    return [results[i % workers][i // workers] for i in indices]

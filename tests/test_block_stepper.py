@@ -104,10 +104,17 @@ def assert_blocks_match_oracle(c, sizes=(1, 7, 64)):
 
 
 def with_norm(rec, c):
-    """The record with the ||X||_{p,1}^p column that the ensemble route
-    fills in and the stepper and the pair route leave out."""
+    """The record with the ||X||_{p,1}^p column that `simulate` and the
+    column's readers fill in, and that the stepper, the pair route and a
+    bare ensemble leave out."""
     assert rec.norm_p1_p is None
     return dataclasses.replace(rec, norm_p1_p=it._norm_p1_p(rec.coords, c))
+
+
+def ensemble(c):
+    """The records of c's ensemble, each given its norm column by the
+    ensemble's finish, in the process that integrated it."""
+    return it.simulate_ensemble(c, finish=lambda rec: with_norm(rec, c))
 
 
 def run_in_blocks(c, size):
@@ -265,7 +272,7 @@ def test_pair_records_do_not_depend_on_their_block(case):
 
 def test_ensemble_and_single_paths_match_oracle():
     c = config(2, "tamed", n_paths=40)
-    for rec in it.simulate_ensemble(c) + [it.simulate(c, 39)]:
+    for rec in ensemble(c) + [it.simulate(c, 39)]:
         i = rec.path_index
         assert_matches(rec, per_path_loop(c, i, it.initial_coords(c, i)))
 
@@ -388,25 +395,25 @@ def paired_records():
 # gradient form, and the oracle pairs did not move.
 PINNED = {
     "euler_maruyama": (
-        lambda: it.simulate_ensemble(config(2, "euler_maruyama", n_paths=40)),
+        lambda: ensemble(config(2, "euler_maruyama", n_paths=40)),
         "5dbeefcd75f2a2842d6c1eeef84e6c6bdce6d3b83b34945e6c82e59a490eebee",
         "10ac7e1e30feccc45a760d707efa29e658182eb9d766af889bf511061d213040",
         "10513a46eb52ba024da5d4a624d0b86418834a5b0d265e174c8c43173838c8fd",
         "072c18f66908f31e33449a6b2ba72d777a87655aee87af92967c84004c71505e"),
     "tamed": (
-        lambda: it.simulate_ensemble(config(2, "tamed", n_paths=40)),
+        lambda: ensemble(config(2, "tamed", n_paths=40)),
         "dcbbf5be712908903e1eb646ff3a37859fcba0de8e48bed2524e647e9afea068",
         "fab0239f80d3d332b7c16a12fa8d6a8dd1aeb1dc70e51708e61719589e5febf2",
         "46cfeec0a05e904e0f354b8ce9ee99ad93c55ca3492b974cbd0bcb41122bc756",
         "17c8003f1cb0b5318616d9105a03099aa61e24e11a4367134591e09f92447dad"),
     "semi_implicit": (
-        lambda: it.simulate_ensemble(config(2, "semi_implicit", n_paths=40)),
+        lambda: ensemble(config(2, "semi_implicit", n_paths=40)),
         "634a6a7bba65ca789006736390b86b08b7befdbe1ff3e5253d48ed6645e4aed8",
         "7c21cbce45e583e4415c7c05e7e62217cdd610107518e8a04fddbfe080a4a39b",
         "e70057cd2225cbb192c1692aa722d3ae5efc2451ee2ea87e27afe57264186f19",
         "441b93e68fcb75f47abf9ce62dd1fa54f0a882862f1dead2edad84726af12eea"),
     "d3": (
-        lambda: it.simulate_ensemble(
+        lambda: ensemble(
             config(3, "tamed", n_paths=3, record_every=5)),
         "6fe37e03a6b293a937f0ecea0e5d4ebd27915b8056c855fc2fa7dd9a57ae83cd",
         "4746181c71ff539f7b32e024cddbaf03fd9f776474600ef3705dc92114e34dc2",
@@ -414,20 +421,20 @@ PINNED = {
         "d5cfeeba88e57b6d236044c4f10b72634aa32f3ac58f2684d153e5e3e1062aaf"),
     # the shape of the simulate-d3 benchmark (n=2, p=1.9)
     "d3-n2": (
-        lambda: it.simulate_ensemble(
+        lambda: ensemble(
             config(3, "tamed", n=2, p=1.9, n_paths=2, record_every=1)),
         "4ec21a2f4042cdbe6c53b01cde05211e1db55e5492950fdd1a4f35c195a89289",
         "29b958762eefd359b72e6810dd7e85150d527f0840232f1b8fcaf315651884dd",
         "2465792b6b236c02f38f1f068c483226ba2026428e4f8bc8f6f313af2a66094e",
         "bee4d91fc0f0904260c0966a5226741ff660d9d72cc2967b2467143af5334127"),
     "diverging": (
-        lambda: it.simulate_ensemble(diverging_config()),
+        lambda: ensemble(diverging_config()),
         "3d8d065b73cd50857f44488ed9c9bf41d462c876ede0ba634e12218595beae68",
         "429e7174d6cd1cc602e855ff0be3881d02c1946792b5c04472ef906945af230b",
         "46eeee2d3900414e5f6afa97840a7e49e1baf4b1ffeba34e9053d3279f9fd9fc",
         "4057160184e5b8dbdbc9e6971854ee308a9ded1ab84675e8ef52cff13f65a5f8"),
     "p2": (
-        lambda: it.simulate_ensemble(config(2, "semi_implicit", p=2.0, n_paths=40)),
+        lambda: ensemble(config(2, "semi_implicit", p=2.0, n_paths=40)),
         "22e3d40a9381bba332636831767689aa4d9963dfcc500f1a4b80c57719dddc72",
         "d06b99e81e4ac83d36386d62790be6e2bc8a70484f484dc251b3342a64024d12",
         "fa806bf23db3e329a086b73fac29099f37911642c1068c05d7ec1cf52068b095",

@@ -11,6 +11,7 @@ import platform
 import re
 import signal
 import time
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -22,9 +23,9 @@ from splf import diagnostics as dg
 from splf import integrator as it
 from splf.config import (OutputOptions, config_to_ini, parse_config,
                          parse_config_string)
-from splf.integrator import (ConfigError, GaussianInit, PathOutcome, SimConfig,
-                             SingleModeInit, TrajectoryRecord, initial_coords,
-                             simulate_ensemble, simulate_paired)
+from splf.integrator import (ConfigError, GaussianInit, SimConfig, SingleModeInit,
+                             TrajectoryRecord, initial_coords, simulate, simulate_ensemble,
+                             simulate_paired)
 from splf.noise import ExplicitSpectrum, PowerLawSpectrum, SpectrumError
 
 MINIMAL = """
@@ -478,7 +479,7 @@ def test_csv_fast_path_taken():
     config = SimConfig(d=3, p=1.9, nu=1.0, n=2, dt=1e-3, T=0.05, n_paths=2, seed=5,
                        init=GaussianInit(sigma=1.0, decay=1.0),
                        gamma=PowerLawSpectrum(c=0.1, s=3.0))
-    for rec in simulate_ensemble(config):
+    for rec in (simulate(config, i) for i in range(config.n_paths)):
         table = np.column_stack([rec.times, rec.norm_l2_sq, rec.norm_p1_p,
                                  rec.int_diss, rec.int_gamma, rec.coords])
         ok = cli._decimal17(table.ravel())[2]
@@ -516,6 +517,15 @@ class TestWorkerWrites:
         cfg = small_ini(tmp_path)
         if ini == "diverging":  # 5 of 8 paths diverge and get no snapshot
             cfg.write_text(DIVERGING + "\n[outputs]\nsnapshots = true\n")
+        # what the ensemble returns through the name perfbench's
+        # DivergedCounter wraps: a PathOutcome per path, with .diverged
+        ensemble, returned = cli.simulate_ensemble, []
+
+        def kept(config, finish):
+            returned.append(ensemble(config, finish=finish))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "simulate_ensemble", kept)
         outs, pids = {}, {}
         for threads in (1, 2):
             monkeypatch.setenv("SPLF_THREADS", str(threads))
@@ -531,6 +541,12 @@ class TestWorkerWrites:
                 assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
         one, two = (json.loads((outs[t] / "manifest.json").read_text()) for t in (1, 2))
         assert one["outputs"] == two["outputs"] and one["paths"] == two["paths"]
+        for outcomes, manifest in zip(returned, (one, two), strict=True):
+            assert all(type(o) is cli.PathOutcome for o in outcomes)
+            assert [o._asdict() for o in outcomes] == [
+                dict(path, written=[(o["file"], o["sha256"]) for o in manifest["outputs"]
+                                    if o["file"].startswith(f"path_{path['path_index']:06d}")])
+                for path in manifest["paths"]]
         # each digest was taken from the bytes its writer wrote, in the
         # process that wrote them: it must be the digest of the file
         for t, manifest in ((1, one), (2, two)):
@@ -561,17 +577,24 @@ class TestWorkerWrites:
                 os.kill(pid, 0)
 
 
-class LogWrites:
-    """A `write` that appends `<pid> write <path index>` to a log file, so
-    forked ensemble workers log to the same file."""
+def coords_digest(record):
+    return hashlib.sha256(record.coords.tobytes()).hexdigest()
+
+
+class LogFinish:
+    """A `finish` that appends `<pid> finish <path index>` to a log file, so
+    forked ensemble workers log to the same file, and returns a plain tuple:
+    the record's index, divergence and a digest of its coordinates."""
 
     def __init__(self, log):
         self.log = log
 
     def __call__(self, record):
-        assert isinstance(record, TrajectoryRecord) and record.norm_p1_p is not None
+        assert isinstance(record, TrajectoryRecord) and record.norm_p1_p is None
         with open(self.log, "a") as f:
-            f.write(f"{os.getpid()} write {record.path_index}\n")
+            f.write(f"{os.getpid()} finish {record.path_index}\n")
+        return (record.path_index, record.diverged, record.diverged_step,
+                coords_digest(record))
 
 
 def ini_config(tmp_path, ini, **kw):
@@ -585,34 +608,38 @@ def ini_config(tmp_path, ini, **kw):
 
 
 class TestOutcomeRoute:
-    """simulate_ensemble(config, write=...) hands every record to write as
-    soon as its block ends and returns only each path's PathOutcome."""
+    """simulate_ensemble(config, finish=...) hands every record to finish as
+    soon as its block ends and returns only what finish returned, in path
+    order, whatever it is."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("ini", ["small", "diverging"])
     def test_outcomes_match_records(self, tmp_path, monkeypatch, threads, ini):
+        # plain tuples, with no .path_index to sort them by, come back in
+        # path order and equal at one and at two workers
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         config = ini_config(tmp_path, ini)
         monkeypatch.setenv("SPLF_THREADS", "1")
         records = simulate_ensemble(config)
+        assert all(r.norm_p1_p is None for r in records)
         monkeypatch.setenv("SPLF_THREADS", str(threads))
-        log = tmp_path / "writes.log"
-        outcomes = simulate_ensemble(config, write=LogWrites(log))
-        assert all(isinstance(o, PathOutcome) for o in outcomes)
-        assert [tuple(o) for o in outcomes] == [
-            (r.path_index, r.diverged, r.diverged_step, None) for r in records]
-        assert any(o.diverged for o in outcomes) == (ini == "diverging")
-        written = [int(line.split()[2]) for line in log.read_text().splitlines()]
-        assert sorted(written) == list(range(config.n_paths))
+        log = tmp_path / "finish.log"
+        outcomes = simulate_ensemble(config, finish=LogFinish(log))
+        assert all(type(o) is tuple for o in outcomes)
+        assert outcomes == [(r.path_index, r.diverged, r.diverged_step, coords_digest(r))
+                            for r in records]
+        assert any(o[1] for o in outcomes) == (ini == "diverging")
+        finished = [int(line.split()[2]) for line in log.read_text().splitlines()]
+        assert sorted(finished) == list(range(config.n_paths))
 
     @pytest.mark.parametrize("ini", ["small", "diverging"])
     def test_worker_result_is_small(self, tmp_path, ini):
-        # what a worker pickles back to the parent: four fields per path
-        # (write's return value last, here None), not the records (about
-        # 100 KB per path of the d=3 benchmark)
+        # what a worker pickles back to the parent: what finish returned,
+        # here four fields per path, not the records (about 100 KB per path
+        # of the d=3 benchmark)
         config = ini_config(tmp_path, ini)
-        task = (config, list(range(config.n_paths)), True)
-        outcomes = it._worker((*task, LogWrites(tmp_path / "writes.log")))
+        task = (config, list(range(config.n_paths)))
+        outcomes = it._worker((*task, LogFinish(tmp_path / "finish.log")))
         records = it._worker((*task, None))
         size = len(pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL))
         assert size < 200 * config.n_paths
@@ -622,11 +649,11 @@ class TestOutcomeRoute:
     def test_write_gets_each_block_before_the_next_runs(self, tmp_path, monkeypatch,
                                                         threads):
         # 70 paths at d=2, n=2 run in blocks of 32; each process logs the
-        # start of every block and every write, and forked workers inherit
+        # start of every block and every finish, and forked workers inherit
         # the wrapped run
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("SPLF_THREADS", str(threads))
-        log = tmp_path / "writes.log"
+        log = tmp_path / "finish.log"
         run = it._BlockStepper.run
 
         def logged_run(self, labels, x0):
@@ -637,7 +664,7 @@ class TestOutcomeRoute:
         monkeypatch.setattr(it._BlockStepper, "run", logged_run)
         config = ini_config(tmp_path, "small", n_paths=70)
         assert it.block_size(config.d, config.n) == 32
-        simulate_ensemble(config, write=LogWrites(log))
+        simulate_ensemble(config, finish=LogFinish(log))
         by_pid = {}
         for line in log.read_text().splitlines():
             pid, what, labels = line.split()
@@ -647,9 +674,27 @@ class TestOutcomeRoute:
         for chunk in chunks:
             blocks = [chunk[i:i + 32] for i in range(0, len(chunk), 32)]
             want.append([e for b in blocks for e in
-                         [("run", ",".join(map(str, b)))] + [("write", str(i)) for i in b]])
+                         [("run", ",".join(map(str, b)))] + [("finish", str(i)) for i in b]])
         assert sorted(by_pid.values()) == sorted(want)
         assert (str(os.getpid()) in by_pid) == (threads == 1)
+
+
+    def test_a_finished_block_is_let_go(self, tmp_path, monkeypatch):
+        # with a finish that keeps nothing of a record, a process holds one
+        # block of records at a time: when a block starts, no record of an
+        # earlier block is alive
+        monkeypatch.setenv("SPLF_THREADS", "1")
+        refs, alive = [], []
+        run = it._BlockStepper.run
+
+        def counted_run(self, labels, x0):
+            alive.append(sum(ref() is not None for ref in refs))
+            return run(self, labels, x0)
+
+        monkeypatch.setattr(it._BlockStepper, "run", counted_run)
+        config = ini_config(tmp_path, "small", n_paths=70)
+        simulate_ensemble(config, finish=lambda rec: refs.append(weakref.ref(rec)))
+        assert alive == [0, 0, 0] and len(refs) == 70
 
 
 @contextmanager
@@ -671,7 +716,7 @@ def interrupt_after(seconds, exc_type):
 class TestForkJoin:
     """A fanned-out ensemble forks one worker per chunk of paths, each with
     its own pipe, and reaps every worker whether the call returns, raises or
-    is interrupted.  Each `write` here is a closure: a worker inherits it
+    is interrupted.  Each `finish` here is a closure: a worker inherits it
     through the fork, so it need not be picklable."""
 
     @pytest.fixture
@@ -691,7 +736,7 @@ class TestForkJoin:
         config, log, logged_pids = fan_out
         parent = os.getpid()
 
-        def write(record):
+        def finish(record):
             if os.getpid() != parent and record.path_index == 1:
                 with open(log, "a") as f:
                     f.write(f"{os.getpid()}\n")
@@ -701,7 +746,7 @@ class TestForkJoin:
 
         with interrupt_after(60, TimeoutError):   # a hang fails, not blocks
             with pytest.raises(RuntimeError) as err:
-                simulate_ensemble(config, write=write)
+                simulate_ensemble(config, finish=finish)
         [pid] = logged_pids()
         status = 3 << 8 if end == "exit" else signal.SIGKILL
         assert str(err.value) == (f"ensemble worker {pid} ended without a result "
@@ -713,7 +758,7 @@ class TestForkJoin:
         config, log, logged_pids = fan_out
         parent = os.getpid()
 
-        def failing_write(record):
+        def failing_finish(record):
             if os.getpid() != parent and record.path_index == 2:
                 with open(log, "a") as f:
                     f.write(f"{os.getpid()}\n")
@@ -721,29 +766,60 @@ class TestForkJoin:
 
         with interrupt_after(60, TimeoutError):
             with pytest.raises(KeyError) as err:
-                simulate_ensemble(config, write=failing_write)
+                simulate_ensemble(config, finish=failing_finish)
         assert type(err.value) is KeyError
         assert err.value.args == ("no room for path 2",)
         [pid] = logged_pids()
         cause = str(err.value.__cause__)
         assert cause.startswith(f"in ensemble worker {pid}:\nTraceback (most recent call last):")
-        assert "in failing_write" in cause
+        assert "in failing_finish" in cause
         assert cause.rstrip().endswith("KeyError: 'no room for path 2'")
 
+    def test_failed_worker_stops_the_others(self, fan_out):
+        # worker 0 blocks on its first path until it is killed; worker 1
+        # fails on its first path once worker 0 has logged its pid.  The
+        # call raises that failure without waiting for worker 0's chunk,
+        # and worker 0 is killed and reaped
+        config, log, logged_pids = fan_out
+        parent = os.getpid()
+
+        def finish(record):
+            if os.getpid() == parent:
+                return None
+            if record.path_index == 0:
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()}\n")
+                time.sleep(60)
+            while not log.exists():
+                time.sleep(0.01)
+            raise KeyError(f"path {record.path_index} failed")
+
+        t0 = time.monotonic()
+        with interrupt_after(20, TimeoutError):
+            with pytest.raises(KeyError, match="path 1 failed"):
+                simulate_ensemble(config, finish=finish)
+        assert time.monotonic() - t0 < 20
+        [blocked] = logged_pids()
+        assert blocked != parent
+        with pytest.raises(ProcessLookupError):
+            os.kill(blocked, 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_result_that_cannot_be_pickled_is_named(self, fan_out):
-        # write's return value goes back to the parent in PathOutcome.written;
+        # finish's return value goes back to the parent;
         # Python 3.11 raises AttributeError here; a later one may raise PicklingError
         config, _, _ = fan_out
         with interrupt_after(60, TimeoutError):
             with pytest.raises((AttributeError, pickle.PicklingError),
                                match="Can't pickle local object") as err:
-                simulate_ensemble(config, write=lambda record: lambda: None)
+                simulate_ensemble(config, finish=lambda record: lambda: None)
         assert "in ensemble worker" in str(err.value.__cause__)
 
     def test_interrupted_parent_kills_and_reaps_its_workers(self, fan_out):
         config, log, logged_pids = fan_out
 
-        def stalled_write(record):
+        def stalled_finish(record):
             with open(log, "a") as f:
                 f.write(f"{os.getpid()}\n")
             time.sleep(60)
@@ -751,7 +827,7 @@ class TestForkJoin:
         t0 = time.monotonic()
         with interrupt_after(2.0, KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
-                simulate_ensemble(config, write=stalled_write)
+                simulate_ensemble(config, finish=stalled_finish)
         assert time.monotonic() - t0 < 30
         pids = logged_pids()
         assert len(pids) == 2 and os.getpid() not in pids

@@ -3,6 +3,7 @@ functional and the uniqueness envelope."""
 
 import dataclasses
 import hashlib
+import os
 import re
 
 import numpy as np
@@ -88,13 +89,18 @@ class TestEnergyBalance:
         assert rep.main == want
 
     def test_workers_leave_the_norm_column_empty(self, monkeypatch):
+        # a bare ensemble's records carry no norm column; a finish that
+        # fills it runs in the worker, which sends the column back
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("SPLF_THREADS", "2")
         cfg = base_config(p=3.0, T=0.01, n_paths=6, stepper="tamed", record_every=5,
                           gamma=noise.PowerLawSpectrum(c=0.1, s=3.0))
-        bare, full = it.simulate_ensemble(cfg, norm_p1=False), it.simulate_ensemble(cfg)
-        assert [r.path_index for r in bare] == [r.path_index for r in full]
+        bare = it.simulate_ensemble(cfg)
+        full = it.simulate_ensemble(cfg, finish=lambda rec: it._with_norm_p1(cfg, rec))
+        assert [r.path_index for r in bare] == [r.path_index for r in full] == list(range(6))
         for a, b in zip(bare, full):
-            assert a.norm_p1_p is None and b.norm_p1_p is not None
+            assert a.norm_p1_p is None
+            assert np.array_equal(b.norm_p1_p, it._norm_p1_p(b.coords, cfg))
             assert np.array_equal(a.coords, b.coords)
 
     def test_rhs_is_analytic(self):
@@ -124,6 +130,36 @@ class TestApriori:
         assert rep.affine_ok(margin=0.5)
         assert rep.delta_moment >= 0.0
         assert (rep.n_paths, rep.n_diverged) == (6, 0)
+
+    @pytest.mark.parametrize("record_every", [1, 100])
+    def test_each_horizon_ends_at_its_own_row(self, monkeypatch, record_every):
+        # at T = 0.7 and dt = 1e-3 the rows at T, 2T and 4T are recorded at
+        # 0.7000000000000001, 1.4000000000000001 and 2.8000000000000003: a
+        # comparison of times with the horizons would end each statistic
+        # one recorded interval early
+        cfg = base_config(T=0.7, dt=1e-3, n_paths=1, record_every=record_every,
+                          init=it.SingleModeInit(z=(1, 0), j=1, amplitude=0.0),
+                          gamma=noise.PowerLawSpectrum(c=0.1, s=3.0))
+        ensemble, seen = dg.simulate_ensemble, []
+        monkeypatch.setattr(dg, "simulate_ensemble",
+                            lambda *a, **kw: seen.extend(ensemble(*a, **kw)) or seen)
+        rep = dg.apriori_check(cfg)
+        long_cfg = dataclasses.replace(cfg, T=4 * cfg.T)
+        recs = [it.simulate(long_cfg, i) for i in range(cfg.n_paths)]
+        for a, b in zip(seen, recs, strict=True):    # both carry the column
+            assert np.array_equal(a.norm_p1_p, it._norm_p1_p(a.coords, long_cfg))
+            assert np.array_equal(b.norm_p1_p, it._norm_p1_p(b.coords, long_cfg))
+        ints = []
+        for j, quarters in enumerate((1, 2, 4)):
+            last = quarters * 700 // record_every       # the horizon's row
+            assert recs[0].times[last] == pytest.approx(quarters * cfg.T, rel=1e-15)
+            ints.append([float(np.sum(r.norm_p1_p[:last] * np.diff(r.times[:last + 1])))
+                         for r in recs])
+            assert rep.sup_energy[j] == np.mean([r.norm_l2_sq[:last + 1].max() for r in recs])
+            assert rep.int_norm[j] == np.mean(ints[-1])
+        assert last == len(recs[0].times) - 1            # 4T uses every row
+        delta = dg.moment_exponent(cfg.p)
+        assert rep.delta_moment == np.mean([v ** delta for v in ints[0]])
 
     def test_diverged_paths_fail_the_check(self):
         # a norm ceiling inside the bulk of the noise-driven ensemble: the
@@ -224,7 +260,7 @@ class TestQuadratureBudget:
                           init=it.GaussianInit(sigma=1.0, decay=1.0),
                           gamma=noise.PowerLawSpectrum(c=0.1, s=3.0), stepper="tamed",
                           record_every=1)
-        recs = it.simulate_ensemble(cfg)
+        recs = [it.simulate(cfg, i) for i in range(cfg.n_paths)]
         got = np.concatenate([r.norm_p1_p for r in recs])
         fine = sp.grid_map(3, 2, 40)
         rows = np.concatenate([r.coords for r in recs])

@@ -370,6 +370,7 @@ class TestEnsemble:
         cfg = base_config(n_paths=8, T=0.02,
                           gamma=noise.PowerLawSpectrum(c=0.1, s=3.0))
         pids = set()
-        outcomes = it.simulate_ensemble(cfg, write=lambda rec: pids.add(os.getpid()))
+        outcomes = it.simulate_ensemble(
+            cfg, finish=lambda rec: pids.add(os.getpid()) or rec.path_index)
         assert pids == {os.getpid()}
-        assert [o.path_index for o in outcomes] == list(range(8))
+        assert outcomes == list(range(8))

@@ -336,3 +336,155 @@ def test_no_module_imports_a_process_pool():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] in ("concurrent", "multiprocessing")]
     assert not found, found
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# The hooks of perfbench/spans.py that name code no longer in splf; their
+# layers and counters read 0 in every traced run (ROADMAP item 8).  Any
+# other hook that stops resolving is a seam a change broke.
+STALE_HOOKS = {("splf.integrator", "_PathLoop.increment"),
+               ("splf.integrator", "_PathLoop.run"),
+               ("splf.integrator", "_NormP1.__call__"),
+               ("splf.diagnostics", "gradient_lp_norm"),
+               ("splf.diagnostics", "laplacian_lp_norm"),
+               ("splf.diagnostics", "coords_to_field")}
+
+
+def resolve(qualified):
+    """The object a dotted name of splf names, as perfbench reaches it: the
+    longest importable module prefix, then attributes; None if missing."""
+    parts = qualified.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr, None)
+        return obj
+    return None
+
+
+def perfbench_source(name):
+    """Syntax tree of a perfbench module, read as text: nothing is imported."""
+    path = PERFBENCH / name
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def splf_references(tree):
+    """(dotted name, call or None) of each use, in a function of tree, of a
+    name the function imports from splf; call is the ast.Call that calls it."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        imported = {}
+        for node in ast.walk(function):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("splf"):
+                imported.update({a.asname or a.name: f"{node.module}.{a.name}"
+                                 for a in node.names})
+        calls = {id(node.func): node for node in ast.walk(function)
+                 if isinstance(node, ast.Call)}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and node.id in imported:
+                name = imported[node.id]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in imported):
+                name = f"{imported[node.value.id]}.{node.attr}"
+            else:
+                continue
+            found.append((name, calls.get(id(node))))
+    return found
+
+
+def test_perfbench_seams_resolve():
+    # perfbench/child.py and perfbench/spans.py reach into splf by name;
+    # a name they call that no longer resolves, or no longer takes their
+    # arguments, ends every benchmark round, and a hook that no longer
+    # resolves silently empties its layer
+    child, spans = perfbench_source("child.py"), perfbench_source("spans.py")
+    refs = splf_references(child)
+    missing = [name for name, _ in refs if resolve(name) is None]
+    for name, call in refs:
+        if call is not None and resolve(name) is not None:
+            try:
+                inspect.signature(resolve(name)).bind(
+                    *call.args, **{k.arg: None for k in call.keywords})
+            except TypeError as exc:
+                missing.append(f"{name}: {exc}")
+    called = {(name, len(call.args)) for name, call in refs if call is not None}
+    assert {("splf.integrator.simulate", 2), ("splf.config.parse_config", 1),
+            ("splf.integrator.max_workers", 0), ("splf.spectral.pairing_grid_size", 1),
+            ("splf.spectral.norm_grid_size", 1)} <= called
+    assert ("splf.cli.main", None) in refs
+    [counter] = [node for node in child.body
+                 if isinstance(node, ast.ClassDef) and node.name == "DivergedCounter"]
+    [sites] = [ast.literal_eval(node.value) for node in counter.body
+               if isinstance(node, ast.Assign) and named(node.targets[0]) & {"SITES"}]
+    assert len(sites) == 3
+    missing += [f"{m}.{n}" for m, n in sites if resolve(f"{m}.{n}") is None]
+    resolved = [f"{node.args[0].value}.{node.args[1].value}" for node in ast.walk(spans)
+                if isinstance(node, ast.Call) and "_resolve" in named(node.func)
+                and all(isinstance(a, ast.Constant) for a in node.args)]
+    assert resolved == ["splf.integrator._worker"]
+    missing += [name for name in resolved if resolve(name) is None]
+    # traced rounds stat args[1] of these two, the file just written
+    for name in ("splf.cli._write_record_csv", "splf.cli.write_snapshot"):
+        fn = resolve(name)
+        if fn is None or list(inspect.signature(fn).parameters)[1:2] != ["path"]:
+            missing.append(f"{name}(record, path)")
+    [hooks] = [ast.literal_eval(node.value) for node in spans.body
+               if isinstance(node, ast.Assign) and named(node.targets[0]) & {"HOOKS"}]
+    stale = {(m, a) for _, m, a in hooks if resolve(f"{m}.{a}") is None}
+    missing += sorted(f"hook {m}.{a}" for m, a in stale - STALE_HOOKS)
+    assert not missing, missing
+    assert stale == STALE_HOOKS
+
+
+def test_ensemble_finds_its_worker_at_call_time(tmp_path, monkeypatch):
+    # perfbench replaces integrator._worker with a traced wrapper before a
+    # round; simulate_ensemble must look the name up when it fans out, so
+    # that each forked worker runs the wrapper
+    from splf import integrator as it
+    from splf import noise
+
+    log, worker = tmp_path / "workers.log", it._worker
+
+    def traced(payload):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return worker(payload)
+
+    monkeypatch.setattr(it, "_worker", traced)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SPLF_THREADS", "2")
+    config = it.SimConfig(d=2, p=2.0, nu=1.0, n=1, dt=0.01, T=0.02, n_paths=4, seed=1,
+                          init=it.SingleModeInit(z=(1, 0), j=1, amplitude=0.5),
+                          gamma=noise.ExplicitSpectrum(entries=()))
+    assert [r.path_index for r in it.simulate_ensemble(config)] == [0, 1, 2, 3]
+    pids = log.read_text().split()
+    assert len(set(pids)) == 2 and str(os.getpid()) not in pids
+
+
+def test_ensembles_have_one_per_record_hook():
+    # finish is simulate_ensemble's one option: the norm column is filled by
+    # the code that reads it, so no function takes a norm_p1 switch, and the
+    # manifest row of `simulate` is the command's own
+    switches, outcome = [], []
+    for path in sorted(Path(splf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                switches += [f"{path.name}:{node.lineno}" for arg in
+                             a.posonlyargs + a.args + a.kwonlyargs if arg.arg == "norm_p1"]
+            if (isinstance(node, ast.ClassDef) and node.name == "PathOutcome") or (
+                    isinstance(node, ast.Assign)
+                    and any("PathOutcome" in named(t) for t in node.targets)):
+                outcome.append(path.name)
+    assert not switches, switches
+    assert outcome == ["cli.py"]
+    assert "PathOutcome" not in splf.integrator.__all__
+    assert list(inspect.signature(splf.integrator.simulate_ensemble).parameters) == [
+        "config", "finish"]
