@@ -428,9 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_used_out(out: Optional[str]) -> None:
+    """An --out directory that exists and holds anything would mix two runs'
+    files under one manifest, so it is refused, by name, before any work."""
+    if out is not None and Path(out).is_dir() and any(Path(out).iterdir()):
+        raise FileExistsError(f"--out: {out} exists and is not empty; "
+                              "give a new or empty directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_used_out(getattr(args, "out", None))
         return args.func(args)
     except Exception as exc:  # structured errors -> nonzero exit, named cause
         print(f"error: {exc}", file=sys.stderr)

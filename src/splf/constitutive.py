@@ -26,6 +26,7 @@ from .spectral import (
     _aligned_modes,
     _GridMap,
     _is_real,
+    _part,
     basis_function,
     field_to_coords,
     grid_map,
@@ -152,21 +153,44 @@ def dissipation_pairing(v: SpectralField, params: FluidParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams):
+def _drift_core(x: np.ndarray, gm: _GridMap, params: FluidParams,
+                work: dict | None = None):
     """Drift coordinates and dissipation < e, tau > in one grid pass.
 
     x is a block of paths (P, K), one path a block of one; it gives drift
     rows (P, K) and one dissipation per row.  The drift is
-    P_n (div tau(e) - (v . grad) v): _drift_divergence at d >= 3 and
-    _drift_gradient at d = 2.  The values of both are within rounding of
-    the oracle routes (convection, pairing_stress and the full-grid FFT
-    drift of the tests), which share none of their code.  Each row's result
-    is the same alone and in any block.
+    P_n (div tau(e) - (v . grad) v): _drift_divergence, in the workspace
+    `work`, at d >= 3 and _drift_gradient at d = 2.  The values of both are
+    within rounding of the oracle routes (convection, pairing_stress and the
+    full-grid FFT drift of the tests), which share none of their code.  Each
+    row's result is the same alone and in any block.
     """
-    return (_drift_gradient if gm.d == 2 else _drift_divergence)(x, gm, params)
+    if gm.d == 2:
+        return _drift_gradient(x, gm, params)
+    return _drift_divergence(x, gm, params, work)
 
 
-def _drift_divergence(block: np.ndarray, gm: _GridMap, params: FluidParams):
+def _divergence_rows(gm: _GridMap) -> dict:
+    """Doubles per row of each buffer of _drift_divergence: the table
+    product, the synthesised values ("grid", whose slots then hold |e|^2, f,
+    the products v_i v_j and at last the stage in the layout of
+    gm.analyse), their component-major copy ("comp", where the stage is
+    written; it is the band pair's scratch before and after) and the band.
+    At d=3, n=2 that is 155 KiB per row."""
+    d, M, Z = gm.d, gm.M, len(gm.basis.modes)
+    c = d * (d + 1) // 2
+    return {"spec": 2 * Z * (d + c), "grid": (d + c) * M ** d,
+            "comp": max((d + c) * M ** d, gm.scratch_size(d + c)), "band": 2 * Z * c}
+
+
+def _divergence_workspace(gm: _GridMap, rows: int) -> dict:
+    """The buffers of _drift_divergence for blocks of up to `rows` paths,
+    one slot (row) per path."""
+    return {name: np.empty((rows, size)) for name, size in _divergence_rows(gm).items()}
+
+
+def _drift_divergence(block: np.ndarray, gm: _GridMap, params: FluidParams,
+                      work: dict | None = None):
     """The drift of a block (P, K) in divergence form,
     b = P_n div(tau(e) - v (x) v), which is the drift because
     (v . grad) v = div(v (x) v) for divergence-free v.
@@ -177,46 +201,62 @@ def _drift_divergence(block: np.ndarray, gm: _GridMap, params: FluidParams):
     Pointwise, with the components before the grid axes (one transposing
     copy): |e|^2 = sum e_ii^2 + 2 sum_{i<j} e_ij^2,
     f = 2 nu (1 + |e|^2)^((p-2)/2), the dissipation density f |e|^2, and
-    tau_ij - v_i v_j = f e_ij - v_i v_j, written straight into the layout of
-    gm.analyse.  Up: the analysis of those d(d+1)/2 components and one
-    matmul with the second table give the drift coordinates.  The stage
-    works in place: one call at d=3, n=2 peaks at 185 KiB per path
-    (tracemalloc).  The matmuls act on each row's slice alone, einsum sums
-    each point alone and the dissipation is a mean over each row's
-    contiguous grid axis, that row's own pairwise sum; so no row depends on
-    its block.
+    tau_ij - v_i v_j = f e_ij - v_i v_j, written over e and moved into the
+    layout of gm.analyse by one copy.  Up: the analysis of those d(d+1)/2
+    components and one matmul with the second table give the drift
+    coordinates.
+
+    Every array of the call that grows with the block, but the two it
+    returns, is a view of `work`, from _divergence_workspace for at least
+    P rows; the call uses the first P slots of each buffer, so a block
+    whose rows diverged runs in the buffers of the block it started as.
+    Without `work` the call makes its own.  Each view is written before it
+    is read.  The matmuls act on each row's slice alone, einsum sums each
+    point alone and the dissipation is a mean over each row's contiguous
+    grid axis, that row's own pairwise sum; so no row depends on its block
+    or on what the buffers held.  A d=3, n=2 call in a block of 16 with its
+    workspace given peaks at 191 KiB (tracemalloc), nearly all of it the
+    three 64 KiB buffers numpy's iterator takes for a broadcast ufunc; it
+    peaked at 2.5 MiB before the workspace.
     """
     d, M = gm.d, gm.M
     P = block.shape[0]
     down, up = gm.basis.drift_tables
-    c = d * (d + 1) // 2
-    spec = (block.reshape(P, -1, 1, 2 * d - 2) @ down).reshape(P, -1, 2 * (d + c))
-    # one expression, so the synthesized values are freed before the
-    # pointwise steps
-    g = np.ascontiguousarray(gm.synthesize(spec.view(np.complex128)).swapaxes(1, 2))
+    c, Z, G = d * (d + 1) // 2, down.shape[0], M ** (d - 1)
+    w = {name: buf[:P].reshape(-1) for name, buf in
+         (work if work is not None else _divergence_workspace(gm, P)).items()}
+    spec = np.matmul(block.reshape(P, -1, 1, 2 * d - 2), down,
+                     out=_part(w["spec"], (P, Z, 1, 2 * (d + c)), np.float64))
+    grid = gm.synthesize(spec.reshape(P, -1, 2 * (d + c)).view(np.complex128),
+                         out=_part(w["grid"], (P, G, d + c, M), np.float64),
+                         scratch=w["comp"])
+    g = _part(w["comp"], (P, d + c, G, M), np.float64)
+    np.copyto(g, grid.swapaxes(1, 2))
     v, e = g[:, :d], g[:, d:]                             # (P, ., M^(d-1), M)
-    esq = np.einsum("pcxm,pcxm->pxm", e, e)
-    esq += np.einsum("pcxm,pcxm->pxm", e[:, d:], e[:, d:])    # i < j twice
-    f = esq + 1.0
+    # |e|^2, f and v_i v_j, each contiguous, over the synthesised values,
+    # which are copied
+    cut = P * G * M
+    esq, f, vv = np.split(w["grid"][:(2 + c - d) * cut], [cut, 2 * cut])
+    esq, f, vv = esq.reshape(P, G, M), f.reshape(P, G, M), vv.reshape(P, c - d, G, M)
+    np.einsum("pcxm,pcxm->pxm", e, e, out=esq)
+    esq += np.einsum("pcxm,pcxm->pxm", e[:, d:], e[:, d:], out=f)   # i < j twice
+    np.add(esq, 1.0, out=f)
     np.power(f, (params.p - 2.0) / 2.0, out=f)
     f *= 2.0 * params.nu
     diss = np.multiply(f, esq, out=esq).reshape(P, -1).mean(axis=1)
     e *= f[:, None]                                       # tau
-    del f, esq
     # v_i v_j in the order of the tables: i < j row by row, then the
     # diagonal over v itself
-    vv = np.empty((P, c - d) + v.shape[2:])
     k = 0
     for a in range(d - 1):
         np.multiply(v[:, a:a + 1], v[:, a + 1:], out=vv[:, k:k + d - 1 - a])
         k += d - 1 - a
     np.multiply(v, v, out=v)
-    values = np.empty((P, M ** (d - 1), c, M))
-    S = np.moveaxis(values, 2, 1)                         # a view, (P, c, M^(d-1), M)
-    np.subtract(e[:, :d], v, out=S[:, :d])
-    np.subtract(e[:, d:], vv, out=S[:, d:])
-    del g, v, e, vv
-    band = gm.analyse(values)                             # (P, Z, c)
+    np.subtract(e[:, :d], v, out=e[:, :d])
+    np.subtract(e[:, d:], vv, out=e[:, d:])
+    values = _part(w["grid"], (P, G, c, M), np.float64)
+    np.copyto(values, e.swapaxes(1, 2))
+    band = gm.analyse(values, out=_part(w["band"], (P, Z, c)), scratch=w["comp"])
     return (band.view(np.float64)[:, :, None] @ up).reshape(P, -1), diss
 
 
@@ -280,10 +320,26 @@ def _drift_gradient(block: np.ndarray, gm: _GridMap, params: FluidParams):
     return gm.basis.modes_to_coords(div_tau - band[:, :, :d]), diss
 
 
-def drift_and_dissipation(x: np.ndarray, d: int, n: int, params: FluidParams):
+def drift_workspace_bytes(d: int, n: int) -> int:
+    """Bytes per path of drift_workspace(d, n, rows), d >= 3."""
+    return 8 * sum(_divergence_rows(grid_map(d, n, pairing_grid_size(n))).values())
+
+
+def drift_workspace(d: int, n: int, rows: int) -> dict | None:
+    """Buffers that drift_and_dissipation may reuse for blocks of up to
+    `rows` paths at (d, n): those of the divergence form at d >= 3, and
+    None at d = 2, whose gradient form makes its own."""
+    if d == 2:
+        return None
+    return _divergence_workspace(grid_map(d, n, pairing_grid_size(n)), rows)
+
+
+def drift_and_dissipation(x: np.ndarray, d: int, n: int, params: FluidParams,
+                          work: dict | None = None):
     """Drift rows (P, K) together with < e(X), tau(X) > (P,) of a block of
-    coordinate rows x (P, K), in one shared grid pass."""
-    return _drift_core(x, grid_map(d, n, pairing_grid_size(n)), params)
+    coordinate rows x (P, K), in one shared grid pass; `work`, from
+    drift_workspace(d, n, rows) with rows >= P, holds its buffers."""
+    return _drift_core(x, grid_map(d, n, pairing_grid_size(n)), params, work)
 
 
 def drift(X: SpectralField, n: int, params: FluidParams) -> np.ndarray:

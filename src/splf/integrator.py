@@ -22,7 +22,8 @@ from typing import Any, Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from . import rng
-from .constitutive import FluidParams, drift_and_dissipation
+from .constitutive import (FluidParams, drift_and_dissipation, drift_workspace,
+                           drift_workspace_bytes)
 from .noise import (ExplicitSpectrum, PowerLawSpectrum, gamma_vector,
                     validate_spectrum)
 from .spectral import _is_real, _is_whole, basis, grid_lp_means, pairing_grid_size
@@ -245,29 +246,35 @@ def _with_norm_p1(config: SimConfig, record: TrajectoryRecord) -> TrajectoryReco
     return record
 
 
-# Drift grid values that one block may synthesise, and the block cap.  They
-# give blocks of 32 paths at d=2, n=2 (the cap) and of 4 at d=3, n=2.  2-core
-# x86 host, numpy 2.4.6 with scipy-openblas 0.3.31, one BLAS thread, CPU time
-# per path of one d=3, n=2 drift call (minimum of 7 alternating sets): 240 us
-# alone and 219, 180, 168 and 283 us in blocks of 2, 4, 8 and 16.  Blocks of
-# 16 take about 1000 minor page faults per call, against none below, as
-# their temporaries leave the heap for fresh mmaps.  Blocks of 8 ran about
-# as fast as 4 end to end but raised simulate-d3's peak RSS by 3.2%, against
-# 0.9% for 4 (perfbench, against blocks of 2); at d=2, n=2 blocks of 64 and
-# 128 were slower per path than 32.  The budget still counts the (d + d^2)
-# M^d values per path of the gradient form that it was sized on; the d=3
-# drift, in divergence form, synthesises d + d(d+1)/2 components, 9 of 12,
-# and keeps its blocks of 4.
+# The block rule counts each drift form's own memory per path.  At d=2 the
+# gradient form synthesises (d + d^2) M^d grid values per path, and blocks
+# fit DRIFT_VALUES of them: 32 paths at d=2, n=2 (the cap); blocks of 64
+# and 128 were slower per path.  At d >= 3 the divergence form runs in a
+# workspace, drift_workspace_bytes per path (155 KiB at d=3, n=2), and
+# blocks fit DRIFT_BYTES of it: 16 paths at d=3, n=2.  2-core x86 host,
+# numpy 2.4.6 with scipy-openblas 0.3.31, one BLAS thread, CPU time per path
+# of one d=3, n=2 drift call in its workspace (minimum of 15 interleaved
+# sets): 224 us alone and 149, 115, 94, 91 and 94 us in blocks of 2, 4, 8,
+# 16 and 32, with no page fault per call; a two-worker simulate-d3 run took
+# 0.879, 0.828 and 0.797 s of child CPU in blocks of 4, 8 and 16 (medians
+# of 15), and blocks of 16 raised its peak RSS by 2.7% over the blocks of 4
+# that preceded the workspace, whose temporaries had taken about 1000 minor
+# faults per call in blocks of 16.
 DRIFT_VALUES = 48_000
+DRIFT_BYTES = 4 * 2 ** 20
 MAX_BLOCK = 32
 
 
 def block_size(d: int, n: int) -> int:
     """Paths stepped together: the largest power of two, at most MAX_BLOCK,
-    whose (d + d^2) M^d drift grid values per path, those of the gradient
-    form, fit in DRIFT_VALUES."""
-    per_path = (d + d * d) * pairing_grid_size(n) ** d
-    return min(MAX_BLOCK, 1 << max(0, (DRIFT_VALUES // per_path).bit_length() - 1))
+    whose drift memory fits the budget of its form: (d + d^2) M^d grid
+    values per path in DRIFT_VALUES at d = 2, and drift_workspace_bytes
+    per path in DRIFT_BYTES at d >= 3."""
+    if d == 2:
+        per_path, budget = (d + d * d) * pairing_grid_size(n) ** d, DRIFT_VALUES
+    else:
+        per_path, budget = drift_workspace_bytes(d, n), DRIFT_BYTES
+    return min(MAX_BLOCK, 1 << max(0, (budget // per_path).bit_length() - 1))
 
 
 class _BlockStepper:
@@ -316,6 +323,9 @@ class _BlockStepper:
         buf = {"coords": np.empty((P, R, K)), **{name: np.empty((P, R)) for name in (
             "times", "norm_l2_sq", "int_diss", "int_gamma")}}
         n_rec = np.full(P, R)                   # recorded rows of each slot
+        # the drift's buffers, dropped when the block ends, before its
+        # records are finished
+        work = drift_workspace(c.d, c.n, P)
         diverged_step = {}
         for k in range(n_steps + 1):
             x, live = ledger["coords"], ledger["slot"]
@@ -326,7 +336,7 @@ class _BlockStepper:
                     col[live, r] = row[name]
             if k == n_steps or not live.size:
                 break
-            b, diss = drift_and_dissipation(x, c.d, c.n, self.params)
+            b, diss = drift_and_dissipation(x, c.d, c.n, self.params, work)
             # a row whose drift is not finite diverges at step k; every
             # stepper then gives it a non-finite state, so it leaves the
             # block below with the rows whose norm fails at step k + 1

@@ -69,7 +69,8 @@ class StructureError(ValueError):
 # at ten (both uniqueness-d2 commands: 0.27 -> 0.31-0.36 s).  With each
 # batch's grid values freed before the next, a simulate-d3 worker's peak RSS
 # is the same at one and two d=3 rows (33.5-33.7 MB) and 0.3-0.4 MB higher
-# at four.  The drift's blocks have their own budget, integrator.DRIFT_VALUES.
+# at four.  The drift's blocks have their own budgets, integrator.DRIFT_VALUES
+# at d=2 and integrator.DRIFT_BYTES, of the drift's workspace, at d >= 3.
 BLOCK_VALUES = 48_000
 
 
@@ -523,6 +524,26 @@ def basis_function(idx: BasisIndex, n: int | None = None) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 
+def _part(buf: np.ndarray | None, shape: tuple, dtype=np.complex128,
+          end: bool = False) -> np.ndarray | None:
+    """A C-contiguous array of `shape` over the head of the flat float
+    buffer buf, or over its end; None without a buffer, for numpy to
+    allocate."""
+    if buf is None:
+        return None
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize // 8
+    part = buf[len(buf) - size:] if end else buf[:size]
+    return part.view(dtype).reshape(shape)
+
+
+def _contiguous(a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """np.ascontiguousarray(a), or a copied into out."""
+    if out is None:
+        return np.ascontiguousarray(a)
+    np.copyto(out, a)
+    return out
+
+
 class _GridMap:
     """Precomputed tables between the half-space modes of `basis` and an
     M^d grid: the scatter/gather of the FFT routes and the band transform
@@ -601,9 +622,26 @@ class _GridMap:
     # one matmul over the whole batch, whose values are each one dot product
     # of 2n+2 terms, as the tests hold byte for byte.  Rows folded into the
     # columns of the complex passes instead moved a d=3 batch of 4 by up to
-    # 2e-16 of its largest value, so they are not folded.
+    # 2e-16 of its largest value, so they are not folded.  Given `out`, a
+    # pass writes its result there; given `scratch`, a flat float buffer of
+    # at least scratch_size(c) doubles per row, its intermediates are views
+    # of it, each at the other end from the one it is computed from.
+    # Without them numpy allocates each array, as it did before they
+    # existed; the values are the same bytes either way.
 
-    def synthesize(self, spec: np.ndarray) -> np.ndarray:
+    def scratch_size(self, c: int) -> int:
+        """Doubles per row that synthesize or analyse of up to c components
+        needs in `scratch`: the largest sum of two intermediates alive at
+        once, the box beside the partners' conjugates or its contiguous
+        copy, and each pass beside its input."""
+        d, n, L, M = self.d, self.n, 2 * self.n + 1, self.M
+        chain = [2 * c * (n + 1) * M ** a * L ** (d - 1 - a) for a in range(d)]
+        box, partners = 2 * c * L ** d, 2 * c * len(self.basis.modes)
+        return max([box + max(partners, chain[0]), 2 * chain[0]]
+                   + [u + v for u, v in zip(chain, chain[1:])])
+
+    def synthesize(self, spec: np.ndarray, out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
         """Real grid values (P, M^(d-1), c, M) of band coefficients spec
         (P, Z, c), with the components between grid axes 0..d-2 (flattened)
         and the last.
@@ -615,15 +653,25 @@ class _GridMap:
         values are within 1e-15 relative of np.fft.ifftn."""
         d, n, L, M = self.d, self.n, 2 * self.n + 1, self.M
         P, c = len(spec), spec.shape[-1]
-        A = np.zeros((P, L ** d, c), dtype=np.complex128)
+        A = _part(scratch, (P, L ** d, c))
+        if A is None:
+            A = np.zeros((P, L ** d, c), dtype=np.complex128)
+        else:
+            A.fill(0)
         A[:, self.box_pos] = spec
-        A[:, self.box_neg] = np.conj(spec)
+        A[:, self.box_neg] = np.conjugate(spec, out=_part(scratch, spec.shape, end=True))
         A = A.reshape(P, -1, L, c)[:, :, n:].swapaxes(-1, -2)   # k_last >= 0
+        A = _contiguous(A, _part(scratch, A.shape, end=True))
         for a in range(d - 1):               # (P, M^a, L, ...) -> (P, M^a, M, ...)
-            A = self.F @ A.reshape(P, M ** a, L, -1)
-        return (A.reshape(-1, n + 1).view(np.float64) @ self.W).reshape(P, -1, c, M)
+            A = A.reshape(P, M ** a, L, -1)
+            A = np.matmul(self.F, A, out=_part(scratch, (P, M ** a, M, A.shape[-1]),
+                                                end=a % 2 == 1))
+        values = np.matmul(A.reshape(-1, n + 1).view(np.float64), self.W,
+                           out=None if out is None else out.reshape(-1, M))
+        return values.reshape(P, -1, c, M)
 
-    def analyse(self, values: np.ndarray) -> np.ndarray:
+    def analyse(self, values: np.ndarray, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
         """Band coefficients (P, Z, c) of real grid values (P, M^(d-1), c, M)
         in the layout of synthesize: the DFT over M^d at the modes.
 
@@ -632,12 +680,19 @@ class _GridMap:
         the half box is read at `half`, conjugated where z_last < 0
         (`flip`).  For M >= 2n+1 the band is unaliased, so
         analyse(synthesize(spec)) is spec up to rounding."""
-        d, n, M = self.d, self.n, self.M
+        d, n, L, M = self.d, self.n, 2 * self.n + 1, self.M
         P, c = len(values), values.shape[2]
-        U = (values.reshape(P, -1, M) @ self.Wa).view(np.complex128)
+        U = values.reshape(P, -1, M)
+        U = np.matmul(U, self.Wa, out=_part(scratch, U.shape[:2] + (2 * n + 2,), np.float64))
+        U = U.view(np.complex128)
         for a in range(d - 2, -1, -1):       # (P, M^a, M, ...) -> (P, M^a, L, ...)
-            U = self.Fa @ U.reshape(P, M ** a, M, -1)
-        band = U.reshape(P, -1, c, n + 1).swapaxes(-1, -2).reshape(P, -1, c)[:, self.half]
+            U = U.reshape(P, M ** a, M, -1)
+            U = np.matmul(self.Fa, U, out=_part(scratch, (P, M ** a, L, U.shape[-1]),
+                                                 end=(d - a) % 2 == 0))
+        U = U.reshape(P, -1, c, n + 1).swapaxes(-1, -2)
+        U = _contiguous(U, _part(scratch, U.shape, end=d % 2 == 1))
+        # mode "clip": with out given, "raise" writes through a new copy
+        band = np.take(U.reshape(P, -1, c), self.half, axis=1, out=out, mode="clip")
         np.conjugate(band, out=band, where=self.flip[:, None])
         return band
 

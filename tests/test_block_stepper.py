@@ -137,11 +137,12 @@ def test_blocks_match_per_path_loop(d, stepper):
 
 def test_d3_blocks_match_per_path_loop():
     # the simulate-d3 model, d=3, n=2, p=1.9, tamed, in blocks of one, of
-    # the rule's size and of 7; 9 paths leave a short last block, and the
-    # last recorded row comes one step after the one before it
-    c = config(3, "tamed", n=2, p=1.9, T=1e-2, n_paths=9, record_every=2)
-    size = it.block_size(c.d, c.n)
-    assert 1 < size < 7
+    # the rule's size and of 7; 2 size + 5 paths fill two blocks of the
+    # rule's size and leave a short last one (and so for 7), and the last
+    # recorded row comes one step after the one before it
+    size = it.block_size(3, 2)
+    c = config(3, "tamed", n=2, p=1.9, T=1e-2, n_paths=2 * size + 5, record_every=2)
+    assert size not in (1, 7) and c.n_paths % 7 != 0
     assert_blocks_match_oracle(c, sizes=(1, size, 7))
 
 
@@ -218,20 +219,46 @@ def test_stepper_draws_sample_increment(d, monkeypatch):
         assert np.array_equal(dW, [law(3, k), law(3, k), law(5, k), law(5, k)])
 
 
+@pytest.mark.parametrize("size", [1, 7, "rule"])
+def test_d3_diverged_rows_leave_the_block(size):
+    # the d=3 drift runs in the workspace of its block: rows that leave it
+    # at different steps, by the norm ceiling, leave the rows that stay on
+    # the first slots of the same buffers, in blocks of 1, 7 and the
+    # rule's 16 (one full block of 16 and a short one of 4)
+    c = diverging_config(d=3)
+    rule = it.block_size(c.d, c.n)
+    records = assert_blocks_match_oracle(c, sizes=(rule if size == "rule" else size,))
+    first = records[:rule]
+    assert len({r.diverged_step for r in first if r.diverged}) > 1
+    assert not all(r.diverged for r in first) and c.n_paths % rule != 0
+
+
 @pytest.mark.parametrize("size", [1, 7, 64])
 def test_pair_rows_leave_the_block_apart(size, monkeypatch):
     # pairs (x0, 0.8 x0) on the stiff diverging input, in blocks of 1, 3
     # and 16 pairs: in some pairs one row crosses the norm ceiling and the
     # other runs to T, in some both leave at different steps; the rows left
     # in the block keep their labels' draws after each slice
-    c = diverging_config()
+    assert_pairs_match_oracle(diverging_config(), size, 0.8, monkeypatch)
+
+
+@pytest.mark.parametrize("size", [1, 7, "rule"])
+def test_d3_pair_rows_leave_the_block_apart(size, monkeypatch):
+    # the same at d=3 with pairs (x0, 0.95 x0), in blocks of 1, 3 and the
+    # rule's 8 pairs, whose rows run in the drift's workspace
+    c = diverging_config(d=3)
+    size = it.block_size(c.d, c.n) if size == "rule" else size
+    assert_pairs_match_oracle(c, size, 0.95, monkeypatch)
+
+
+def assert_pairs_match_oracle(c, size, scale, monkeypatch):
     monkeypatch.setattr(it, "block_size", lambda d, n: size)
     x0 = np.array([it.initial_coords(c, i) for i in range(c.n_paths)])
-    records = it.simulate_paired(c, range(c.n_paths), x0, 0.8 * x0)
+    records = it.simulate_paired(c, range(c.n_paths), x0, scale * x0)
     steps = [(a.diverged_step, b.diverged_step) for a, b in zip(records[::2], records[1::2])]
     assert any(None in s and s != (None, None) for s in steps)
     assert any(None not in s and s[0] != s[1] for s in steps)
-    for rec, start in zip(records, (x for row in x0 for x in (row, 0.8 * row))):
+    for rec, start in zip(records, (x for row in x0 for x in (row, scale * row))):
         assert_matches(with_norm(rec, c), per_path_loop(c, rec.path_index, start))
 
 
@@ -278,36 +305,51 @@ def test_ensemble_and_single_paths_match_oracle():
 
 
 def test_block_size_rule():
-    # (d + d^2) M^d synthesised grid values per path against the drift
-    # budget, at most MAX_BLOCK paths
+    # each form's own drift memory per path against its budget, at most
+    # MAX_BLOCK paths: (d + d^2) M^d synthesised grid values at d=2, the
+    # bytes of the divergence form's workspace at d >= 3
     assert it.MAX_BLOCK == 32
     assert it.block_size(2, 2) == 32
-    assert it.block_size(3, 2) == 4
+    assert it.block_size(3, 2) == 16
     for d, n in [(2, 1), (2, 2), (2, 5), (2, 8), (3, 1), (3, 2), (3, 4)]:
         size = it.block_size(d, n)
-        per_path = (d + d * d) * sp.pairing_grid_size(n) ** d
+        if d == 2:
+            per_path, budget = (d + d * d) * sp.pairing_grid_size(n) ** d, it.DRIFT_VALUES
+        else:
+            per_path, budget = co.drift_workspace_bytes(d, n), it.DRIFT_BYTES
+            work = co.drift_workspace(d, n, size)
+            assert sum(a.nbytes for a in work.values()) == size * per_path
         assert 1 <= size <= it.MAX_BLOCK and size & (size - 1) == 0
-        assert size == 1 or size * per_path <= it.DRIFT_VALUES
-        assert size == it.MAX_BLOCK or it.DRIFT_VALUES < 2 * size * per_path
+        assert size == 1 or size * per_path <= budget
+        assert size == it.MAX_BLOCK or budget < 2 * size * per_path
+    # the d=2 rule did not move with the divergence form's: the gradient
+    # form's 6 M^2 values per path in 48000, for every n
+    for n in range(1, 40):
+        per_path = 6 * sp.pairing_grid_size(n) ** 2
+        assert it.block_size(2, n) == min(32, 1 << max(0, (48_000 // per_path).bit_length() - 1))
 
 
-# bytes per path: 200 KiB at d=3 (185 KiB measured), and 0.67 MiB over a
-# d=2 block of 32
-@pytest.mark.parametrize("d,limit", [(3, 200 * 1024), (2, 0.67 * 2 ** 20 / 32)])
+# bytes per path: 0.67 MiB over a d=2 block of 32, and 12.5 KiB over a
+# d=3 block of 16 (200 KiB)
+@pytest.mark.parametrize("d,limit", [(2, 0.67 * 2 ** 20 / 32), (3, 12.5 * 1024)])
 def test_drift_memory_per_path(d, limit):
     # tracemalloc peak of one drift call in a block of the rule's size at
-    # n=2: the pointwise stage works in place, so few block-sized arrays
-    # are alive at once (410 kB per path at d=3 when every one of them
-    # lives to the end of the call; 271 KiB before the drift carried only
-    # the d(d+1)/2 strain components)
+    # n=2.  At d=2, whose gradient form makes its own arrays and works in
+    # place, 0.59 MB measured.  At d=3 the call runs in its workspace, as
+    # the stepper's do from the second step on: 191 KiB measured, nearly
+    # all of it the three 64 KiB buffers numpy's iterator takes for a
+    # broadcast ufunc and 32 KiB the returned drift rows; the kernel before
+    # the workspace peaked at 2.5 MiB over the same block (162 KB per path)
     n = 2
     P = it.block_size(d, n)
     x = np.random.default_rng(d).standard_normal((P, sp.basis(d, n).K))
     params = co.FluidParams(p=1.9, nu=1.0)
-    co.drift_and_dissipation(x, d, n, params)     # builds the cached grid tables
+    work = co.drift_workspace(d, n, P)
+    assert (work is None) == (d == 2)
+    co.drift_and_dissipation(x, d, n, params, work)   # builds the cached grid tables
     tracemalloc.start()
     try:
-        co.drift_and_dissipation(x, d, n, params)
+        co.drift_and_dissipation(x, d, n, params, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,7 +395,14 @@ def record_digest(records, norm=True):
     return h.hexdigest()
 
 
-def diverging_config():
+def diverging_config(d=2):
+    """Explicit Euler on the stiff p=4 stress: paths with more energy cross
+    the norm ceiling sooner.  At d=2, n=2, 16 paths; at d=3, n=2, 13 of 20
+    paths leave at steps 4 to 7 of 20 and 7 run to T."""
+    if d == 3:
+        return config(3, "euler_maruyama", n=2, p=4.0, nu=1.0, dt=1e-3, T=0.02,
+                      n_paths=20, record_every=1, norm_ceiling=40.0,
+                      init=it.GaussianInit(sigma=0.17, decay=1.0))
     return config(2, "euler_maruyama", p=4.0, nu=1.0, T=0.1, n_paths=16,
                   record_every=1, norm_ceiling=40.0,
                   init=it.GaussianInit(sigma=0.4, decay=1.0))
@@ -457,8 +506,9 @@ def test_records_match_pinned(case, monkeypatch):
     assert record_digest(records) == digest
 
 
-def full_grid_drift(x, d, n, params):
-    """drift_and_dissipation through the full-grid FFT oracle."""
+def full_grid_drift(x, d, n, params, work=None):
+    """drift_and_dissipation through the full-grid FFT oracle, which makes
+    its own arrays whatever workspace the stepper passes."""
     gm = sp.grid_map(d, n, sp.pairing_grid_size(n))
     return drift_full_grid(x, gm, params)
 

@@ -562,7 +562,15 @@ class TestWorkerWrites:
                                                    capsys, writers):
         cfg = small_ini(tmp_path)
         out = tmp_path / "out"
-        (out / "path_000003.csv").mkdir(parents=True)
+        ensemble = cli.simulate_ensemble
+
+        def blocked(config, finish=None):
+            # a directory where path 3's CSV goes, made once the command has
+            # taken --out, which it refuses when it is not empty
+            (out / "path_000003.csv").mkdir()
+            return ensemble(config, finish)
+
+        monkeypatch.setattr(cli, "simulate_ensemble", blocked)
         monkeypatch.setenv("SPLF_THREADS", "2")
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
@@ -990,6 +998,37 @@ class TestCliChecks:
         assert cli.main([*argv, "--config", str(ini), "--out", str(again)]) == code
         assert json.loads((again / "manifest.json").read_text())["outputs"] == (
             manifest["outputs"])
+
+    @pytest.mark.parametrize("args", [
+        ["simulate"], ["energy-check"], ["uniqueness-check", "--eps", "0"]],
+        ids=["simulate", "energy", "exact"])
+    def test_used_out_refused_by_name(self, tmp_path, capsys, monkeypatch, args):
+        # a rerun into a used --out exits 2 before any path, names the
+        # directory and leaves every file there as it was
+        cfg = small_ini(tmp_path, n_paths=3, record_every=1)
+        out = tmp_path / "rep"
+        assert cli.main([*args, "--config", str(cfg), "--out", str(out)]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+
+        def refuse(*a, **k):
+            raise AssertionError("a path ran")
+
+        for name in ("simulate_ensemble", "energy_experiment", "identical_noise_separation"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert cli.main([*args, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --out: {out} exists and is not empty; "
+                                "give a new or empty directory\n")
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    def test_empty_out_accepted(self, tmp_path, capsys):
+        cfg = small_ini(tmp_path, n_paths=3, record_every=1)
+        out = tmp_path / "rep"
+        out.mkdir()
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
 
     def test_energy_check_emits_verdict(self, tmp_path, capsys):
         # small ensemble: only the verdict wiring is under test here

@@ -4,6 +4,7 @@ Single-mode cases are checked against symbolic differentiation (sympy) as
 an independent oracle; identities are checked on seeded random fields.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -370,3 +371,57 @@ def test_drift_calls_no_fft(d, n, monkeypatch):
                          seed=1, init=it.GaussianInit(sigma=1.5, decay=1.0),
                          gamma=noise.PowerLawSpectrum(c=0.5, s=3.0))
         assert len(it.simulate_ensemble(c)) == 3
+
+
+def lattice_maps(d, rng):
+    """(R, a): each signed axis permutation R (2^d d! of them) with a = 0,
+    then two grid shifts a in (Z/10)^d, each after a random R."""
+    group = []
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            R = np.zeros((d, d), dtype=np.int64)
+            R[range(d), perm] = signs
+            group.append(R)
+    return ([(R, np.zeros(d, dtype=np.int64)) for R in group]
+            + [(group[i], rng.integers(1, 10, size=d)) for i in rng.choice(len(group), 2)])
+
+
+def transformed(fields, R, a, M):
+    """The coordinates of T f for each field f: T takes u(y) to
+    R u(R^T y - a/M), whose coefficient at R z is R u(z) exp(-2 pi i z.a/M).
+    A mode R z outside the half space is stored at -R z with the conjugate
+    coefficient."""
+    rows = []
+    for f in fields:
+        modes = f.modes @ R.T
+        coeffs = (f.coeffs @ R.T) * np.exp(-2j * np.pi * (f.modes @ a) / M)[:, None]
+        flip = modes[np.arange(len(modes)), np.argmax(modes != 0, axis=1)] < 0
+        modes[flip], coeffs[flip] = -modes[flip], np.conj(coeffs[flip])
+        rows.append(sp.field_to_coords(sp.SpectralField(f.d, f.n, modes, coeffs), n=f.n))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("p", [1.9, 2.5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_drift_commutes_with_lattice_symmetries(d, p):
+    # the truncation box and the pairing grid are invariant under the axis
+    # permutations and reflections and under grid shifts, so for each such
+    # T, b(T x) = T b(x) and the dissipation is invariant, to roundoff
+    # (1.2e-15 of max |b(x)| measured); T acts through coords_to_field and
+    # field_to_coords, on a random block of the rule's size, which the d=3
+    # drift runs in its workspace
+    n = 2
+    M = sp.pairing_grid_size(n)
+    P = it.block_size(d, n)
+    params = co.FluidParams(p=p, nu=0.7)
+    rng = np.random.default_rng(100 * d + int(10 * p))
+    x = rng.standard_normal((P, sp.basis(d, n).K))
+    work = co.drift_workspace(d, n, P)
+    b, diss = co.drift_and_dissipation(x, d, n, params, work)
+    fields_x, fields_b = ([sp.coords_to_field(row, n, d) for row in y] for y in (x, b))
+    maps = lattice_maps(d, rng)
+    assert len(maps) == 2 + (8 if d == 2 else 48)
+    for R, a in maps:
+        Tb, Tdiss = co.drift_and_dissipation(transformed(fields_x, R, a, M), d, n, params, work)
+        assert np.abs(Tb - transformed(fields_b, R, a, M)).max() <= 1e-13 * np.abs(b).max()
+        assert np.abs(Tdiss - diss).max() <= 1e-13 * np.abs(diss).max()
